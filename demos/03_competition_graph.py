@@ -45,9 +45,9 @@ xr = rng.normal(0, 1, (len(rivals), feat))
 states = ad.Tensor(rng.normal(0, 1, (len(rivals), 8)))
 
 attn = comp.AttentionAggregator(feat, 8, np.random.default_rng(4))
-pooled, info = attn.forward(graphs["cate-jf"], xt, xr, states)
+pooled, weights = attn.forward(graphs["cate-jf"], xt, xr, states)
 print(f"\npooled rival context: shape {pooled.shape}")
-for t, (cols, alpha) in zip(targets, info):
-    pairs = ", ".join(f"{rivals[c].id}={float(a):.3f}"
-                      for c, a in zip(cols, alpha))
-    print(f"  {t.id}: sum {float(alpha.sum()):.6f} over [{pairs}]")
+for row, t in enumerate(targets):
+    cols = np.nonzero(graphs["cate-jf"].adjacency[row])[0]
+    pairs = ", ".join(f"{rivals[c].id}={weights[row, c]:.3f}" for c in cols)
+    print(f"  {t.id}: sum {weights[row].sum():.6f} over [{pairs}]")

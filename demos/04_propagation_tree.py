@@ -27,12 +27,13 @@ observables = [project("a", 30), project("b", 40), project("c", 66),
                project("d", 95), project("o_far", 300)]
 
 tree = build_propagation_tree(targets, observables, t_h=4, tau_hours=24)
-print(f"tree: {tree.n_nodes} nodes, {len(tree.parent_edges)} edges, "
+print(f"tree: {tree.n_nodes} nodes, {int(tree.adjacency.sum())} edges, "
       f"max depth {tree.max_depth}, dropped {list(tree.dropped_ids)}")
 for d in range(tree.max_depth + 1):
-    ids = [tree.node_ids[i] for i in tree.layer(d)]
+    ids = [tree.node_ids[i] for i in np.nonzero(tree.depth == d)[0]]
     print(f"  depth {d}: {ids}")
-for parent, child, gap in tree.parent_edges:
+for parent, child in np.argwhere(tree.adjacency):
+    gap = tree.node_times[parent] - tree.node_times[child]
     print(f"  edge {tree.node_ids[parent]} <- {tree.node_ids[child]} "
           f"(gap {gap / HOUR:.0f}h)")
 
@@ -47,6 +48,6 @@ print(f"\nroot summary shape {result.roots.shape}")
 for i, pid in enumerate(tree.node_ids):
     moved = float(np.max(np.abs(result.states.data[i] - states[i])))
     print(f"  {pid}: updates {int(result.counts[i])}, state moved {moved:.3f}")
-leaf = tree.index["d"]
+leaf = tree.node_ids.index("d")
 assert result.counts[leaf] == 0 and np.allclose(result.states.data[leaf], states[leaf])
 print("leaf 'd' state is bit-identical after propagation")

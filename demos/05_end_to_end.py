@@ -51,9 +51,8 @@ assert np.array_equal(twin.predict(ctx), model.predict(ctx))
 print("\ncheckpoint round trip reproduces predictions bit for bit")
 
 # --- what the model attends to ----------------------------------------------
-result = model.forward(ctx)
-cols, alpha = result.attention[0]
+alpha = model.forward(ctx).attention[0]
 top = np.argsort(alpha)[::-1][:3]
-pairs = ", ".join(f"{ctx.rival_ids[cols[i]]}={alpha[i]:.4f}" for i in top)
-print(f"target {ctx.target_ids[0]} splits attention over {len(cols)} rivals; "
-      f"top weights {pairs}")
+pairs = ", ".join(f"{ctx.rival_ids[i]}={alpha[i]:.4f}" for i in top)
+print(f"target {ctx.target_ids[0]} splits attention over "
+      f"{np.count_nonzero(ctx.graph.adjacency[0])} rivals; top weights {pairs}")

@@ -32,11 +32,8 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "concat",
-    "stack",
     "take_rows",
     "row_update",
-    "slice1d",
     "relu",
     "leaky_relu",
     "tanh",
@@ -45,7 +42,6 @@ __all__ = [
     "dropout",
     "absolute",
     "mean",
-    "neg",
     "SgdSchedule",
     "sgd_step",
     "grad_check",
@@ -124,9 +120,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Parameter(Tensor):
@@ -217,14 +210,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
+    """Operand shapes must broadcast under numpy's rules."""
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb or a.data.size == 1 or b.data.size == 1:
-        return
-    if len(sa) == 2 and sb == sa[1:]:
-        return
-    if len(sb) == 2 and sa == sb[1:]:
-        return
-    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}") from None
 
 
 def add(a, b) -> Tensor:
@@ -255,12 +246,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), _bwd)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
@@ -282,40 +267,12 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), _bwd)
 
 
-def concat(parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat: no operands")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat: operand of shape {p.data.shape} is not 1-D")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    sizes = [p.data.size for p in parts]
-
-    def _bwd(g):
-        grads, at = [], 0
-        for n in sizes:
-            grads.append(g[at:at + n])
-            at += n
-        return tuple(grads)
-
-    return _record(out, tuple(parts), _bwd)
-
-
-def stack(parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("stack: no operands")
-    first = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != first:
-            raise ShapeError(f"stack: mixed operand shapes {first} and {p.data.shape}")
-    out = Tensor(np.stack([p.data for p in parts]))
-    return _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(len(parts))))
-
-
 def take_rows(x, indices) -> Tensor:
-    """Gather rows (2-D input) or entries (1-D input) by integer index."""
+    """Gather rows (2-D input) or entries (1-D input) by an integer index array.
+
+    The output takes the index array's shape, so a column of indices into a
+    vector gives a column.
+    """
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     if x.data.ndim not in (1, 2):
@@ -353,21 +310,6 @@ def row_update(x, indices, rows) -> Tensor:
     return _record(out, (x, rows), _bwd)
 
 
-def slice1d(x, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"slice1d: input of shape {x.data.shape} is not 1-D")
-    out = Tensor(x.data[start:stop])
-    n = x.data.size
-
-    def _bwd(g):
-        gx = np.zeros(n)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _record(out, (x,), _bwd)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0.0))
@@ -401,18 +343,25 @@ def sigmoid(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def softmax(x) -> Tensor:
-    """Softmax over a 1-D score vector, stable under constant shifts."""
+def softmax(x, mask) -> Tensor:
+    """Row-wise softmax of a 2-D score matrix over the entries where mask is nonzero.
+
+    Masked-out entries get weight 0 and a row with no entries is all zeros.
+    Each row is stable under a constant shift of its scores.
+    """
     x = _as_tensor(x)
-    if x.data.ndim != 1 or x.data.size == 0:
-        raise ShapeError(f"softmax: input of shape {x.data.shape} is not a non-empty vector")
-    shifted = x.data - x.data.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
+    keep = np.asarray(mask) != 0
+    if x.data.ndim != 2 or keep.shape != x.data.shape:
+        raise ShapeError(f"softmax: scores of shape {x.data.shape} need a 2-D mask of the "
+                         f"same shape, got {keep.shape}")
+    top = np.max(x.data, axis=1, keepdims=True, initial=-np.inf, where=keep)
+    e = np.exp(np.where(keep, x.data - top, -np.inf))
+    total = e.sum(axis=1, keepdims=True)
+    y = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
     out = Tensor(y)
 
     def _bwd(g):
-        return (y * (g - np.dot(y, g)),)
+        return (y * (g - (y * g).sum(axis=1, keepdims=True)),)
 
     return _record(out, (x,), _bwd)
 

@@ -208,17 +208,12 @@ def cmd_inspect_attention(args) -> int:
     model, config, bundle = _restored_model(args)
     sets = []
     for ctx in _select_contexts(bundle, args.set):
-        result = model.forward(ctx)
-        targets = []
-        for row, tid in enumerate(ctx.target_ids):
-            if result.attention is None:
-                break
-            cols, alpha = result.attention[row]
-            targets.append({
-                "id": tid,
-                "weights": [{"rival": ctx.rival_ids[c], "alpha": float(a)}
-                            for c, a in zip(cols, alpha)],
-            })
+        alpha = model.forward(ctx).attention
+        targets = [] if alpha is None else [
+            {"id": tid,
+             "weights": [{"rival": ctx.rival_ids[c], "alpha": float(alpha[row, c])}
+                         for c in np.nonzero(ctx.graph.adjacency[row])[0]]}
+            for row, tid in enumerate(ctx.target_ids)]
         sets.append({"label": ctx.label, "pruning": ctx.graph.mode,
                      "n_rivals": len(ctx.rival_ids), "targets": targets})
     out = _out_dir(args)
@@ -253,8 +248,8 @@ def cmd_dump_tree(args) -> int:
                        "depth": int(tree.depth[i])}
                       for i in range(tree.n_nodes)],
             "edges": [{"parent": tree.node_ids[p], "child": tree.node_ids[c],
-                       "gap_hours": gap / 3600.0}
-                      for p, c, gap in tree.parent_edges],
+                       "gap_hours": int(tree.node_times[p] - tree.node_times[c]) / 3600.0}
+                      for c, p in zip(*np.nonzero(tree.adjacency.T))],
             "dropped": list(tree.dropped_ids),
         })
     if label is not None and not docs:

@@ -32,13 +32,6 @@ class CompetitivenessGraph:
     adjacency: np.ndarray  # (targets, rivals) of {0, 1}
     mode: str
 
-    def neighbor_cols(self, row: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[row])[0]
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum())
-
 
 def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGraph:
     """Adjacency under a pruning mode.
@@ -187,25 +180,16 @@ class AttentionAggregator:
 
     def forward(self, graph: CompetitivenessGraph, target_features: np.ndarray,
                 rival_features: np.ndarray, rival_states: ad.Tensor):
-        """Returns ((targets, hidden) pooled states, per-target attention info)."""
-        n_targets = len(graph.target_ids)
+        """Returns ((targets, hidden) pooled states, (targets, rivals) attention weights)."""
         xt = ad.Tensor(target_features)
-        v_target = ad.slice1d(self.v, 0, self.hidden)
-        v_rival = ad.slice1d(self.v, self.hidden, 2 * self.hidden)
-        target_scores = ad.matmul(ad.matmul(xt, self.w_score), v_target)  # (targets,)
-        if len(graph.rival_ids):
-            rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_features), self.w_score), v_rival)
-            values = ad.matmul(rival_states, self.w_value)  # (rivals, hidden)
-        pooled, attention = [], []
-        for row in range(n_targets):
-            cols = graph.neighbor_cols(row)
-            if cols.size == 0:
-                own = ad.add(ad.matmul(ad.Tensor(target_features[row]), self.w_embed), self.b_embed)
-                pooled.append(own)
-                attention.append((cols, np.zeros(0)))
-                continue
-            scores = ad.add(ad.take_rows(rival_scores, cols), ad.slice1d(target_scores, row, row + 1))
-            alpha = ad.softmax(ad.leaky_relu(scores, self.leaky_slope))
-            pooled.append(ad.matmul(alpha, ad.take_rows(values, cols)))
-            attention.append((cols, alpha.data.copy()))
-        return ad.stack(pooled), attention
+        v_target = ad.take_rows(self.v, np.arange(self.hidden)[:, None])  # (hidden, 1)
+        v_rival = ad.take_rows(self.v, np.arange(self.hidden, 2 * self.hidden))  # (hidden,)
+        target_scores = ad.matmul(ad.matmul(xt, self.w_score), v_target)  # (targets, 1)
+        rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_features), self.w_score), v_rival)
+        scores = ad.leaky_relu(ad.add(target_scores, rival_scores), self.leaky_slope)
+        alpha = ad.softmax(scores, graph.adjacency)
+        pooled = ad.matmul(alpha, ad.matmul(rival_states, self.w_value))
+        # alpha pools 0 for a target with no rivals; it takes its own embedding instead
+        isolated = ~graph.adjacency.any(axis=1, keepdims=True)
+        own = ad.add(ad.matmul(xt, self.w_embed), self.b_embed)
+        return ad.add(pooled, ad.mul(own, isolated.astype(np.float64))), alpha.data

@@ -348,70 +348,85 @@ class EncoderConfig:
         )
 
 
-_PROJECT_REQUIRED = ("id", "published_time", "category", "creator_type", "currency", "duration_days", "goal")
+# Required JSONL fields: name -> (stored type, accepted JSON value types, description).
+# Values are never coerced, and types compare exactly, so a JSON boolean is
+# neither an integer nor a number.
+_STRING = (str, (str,), "a string")
+_INTEGER = (int, (int,), "an integer")
+_NUMBER = (float, (int, float), "a number")
+_PROJECT_FIELDS = {"id": _STRING, "published_time": _INTEGER, "category": _STRING,
+                   "creator_type": _STRING, "currency": _STRING, "duration_days": _INTEGER,
+                   "goal": _NUMBER}
+_INVESTMENT_FIELDS = {"project_id": _STRING, "timestamp": _INTEGER, "amount": _NUMBER}
+_MISSING = object()
 
 
-def _project_from_doc(doc: dict, where: str) -> ProjectRecord:
-    for key in _PROJECT_REQUIRED:
-        if key not in doc:
-            raise DataError(f"{where}: missing field {key!r}")
+def _typed_fields(doc, fields: dict, where: str) -> dict:
+    """Required fields of one JSONL record, each checked against its JSON type."""
+    if type(doc) is not dict:
+        raise DataError(f"{where}: record is not a JSON object")
+    out = {}
+    for key, (stored, accepted, name) in fields.items():
+        value = doc.get(key, _MISSING)
+        if type(value) not in accepted:
+            if value is _MISSING:
+                raise DataError(f"{where}: missing field {key!r}")
+            raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+        out[key] = stored(value)
+    return out
+
+
+def _project_from_doc(doc, where: str) -> ProjectRecord:
+    fields = _typed_fields(doc, _PROJECT_FIELDS, where)
     if "text" not in doc and "vec" not in doc:
         raise DataError(f"{where}: needs a 'text' or 'vec' description field")
+    text = doc.get("text")
+    if text is not None and not isinstance(text, str):
+        raise DataError(f"{where}: field 'text' must be a string or null, got {json.dumps(text)}")
     try:
         return ProjectRecord(
-            id=str(doc["id"]),
-            published_time=int(doc["published_time"]),
-            category=str(doc["category"]),
-            creator_type=str(doc["creator_type"]),
-            currency=str(doc["currency"]),
-            duration_days=int(doc["duration_days"]),
-            goal=float(doc["goal"]),
-            text=doc.get("text"),
+            **fields,
+            text=text,
             vec=tuple(doc["vec"]) if doc.get("vec") is not None else None,
         )
     except (TypeError, ValueError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def load_projects(path) -> list[ProjectRecord]:
-    out = []
+def _jsonl_records(path):
+    """(path:lineno, decoded record) for every non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
             try:
-                doc = json.loads(line)
+                yield where, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-            out.append(_project_from_doc(doc, where))
+
+
+def load_projects(path) -> list[ProjectRecord]:
+    out = []
+    first_seen = {}
+    for where, doc in _jsonl_records(path):
+        project = _project_from_doc(doc, where)
+        if project.id in first_seen:
+            raise DataError(f"{where}: duplicate project id {project.id!r} "
+                            f"(first at {first_seen[project.id]})")
+        first_seen[project.id] = where
+        out.append(project)
     return out
 
 
 def load_investments(path) -> list[InvestmentEvent]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-            for key in ("project_id", "timestamp", "amount"):
-                if key not in doc:
-                    raise DataError(f"{where}: missing field {key!r}")
-            try:
-                out.append(
-                    InvestmentEvent(
-                        project_id=str(doc["project_id"]),
-                        timestamp=int(doc["timestamp"]),
-                        amount=float(doc["amount"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{where}: {exc}") from exc
+    for where, doc in _jsonl_records(path):
+        fields = _typed_fields(doc, _INVESTMENT_FIELDS, where)
+        try:
+            out.append(InvestmentEvent(**fields))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return out
 
 

@@ -13,7 +13,7 @@ touched at most once and leaves keep their initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,18 +24,20 @@ from .data import HOUR, DataError, ProjectRecord
 
 @dataclass(frozen=True)
 class PropagationTree:
-    """Static structure of one grown tree. Roots occupy indices [0, n_roots)."""
+    """Static structure of one grown tree. Roots occupy indices [0, n_roots).
+
+    ``adjacency[p, c] == 1`` when node c hangs under node p; nodes are
+    numbered in attachment order, so child indices always exceed parent ones.
+    """
 
     node_ids: tuple
     node_times: np.ndarray
     depth: np.ndarray
-    parent_edges: tuple
     adjacency: np.ndarray
     n_roots: int
     dropped_ids: tuple
     tau_hours: int
     t_h: int
-    index: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_nodes(self):
@@ -44,16 +46,6 @@ class PropagationTree:
     @property
     def max_depth(self):
         return int(self.depth.max()) if self.depth.size else 0
-
-    def layer(self, d):
-        """Indices of nodes at depth d, in attachment order."""
-        return np.nonzero(self.depth == d)[0]
-
-    def children(self, i):
-        return np.nonzero(self.adjacency[i])[0]
-
-    def parents(self, i):
-        return np.nonzero(self.adjacency[:, i])[0]
 
 
 def build_propagation_tree(targets: Sequence[ProjectRecord],
@@ -80,7 +72,7 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
         raise ValueError("duplicate root ids")
     times = [p.published_time for p in targets]
     depth = [0] * len(targets)
-    edges = []
+    parents, children = [], []
 
     seen = set(node_ids)
     remaining = []
@@ -102,33 +94,29 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
                 continue
             if k > 1:
                 rows = rows[[np.argmin(gaps[rows])]]
-            attach.append((rec, rows, gaps[rows]))
-        for rec, rows, row_gaps in attach:
-            child = len(node_ids)
+            attach.append((rec, rows))
+        for rec, rows in attach:
+            parents.extend(rows.tolist())
+            children.extend([len(node_ids)] * rows.size)
             node_ids.append(rec.id)
             times.append(rec.published_time)
             depth.append(k)
-            for parent, gap in zip(rows, row_gaps):
-                edges.append((int(parent), child, int(gap)))
         remaining = leftover
         if not remaining:
             break
 
     n = len(node_ids)
     adjacency = np.zeros((n, n), dtype=np.uint8)
-    for parent, child, _ in edges:
-        adjacency[parent, child] = 1
+    adjacency[parents, children] = 1
     return PropagationTree(
         node_ids=tuple(node_ids),
         node_times=np.asarray(times, dtype=np.int64),
         depth=np.asarray(depth, dtype=np.int64),
-        parent_edges=tuple(edges),
         adjacency=adjacency,
         n_roots=len(targets),
         dropped_ids=tuple(rec.id for rec in remaining),
         tau_hours=tau_hours,
         t_h=t_h,
-        index={pid: i for i, pid in enumerate(node_ids)},
     )
 
 
@@ -200,19 +188,18 @@ class GatedTreeUpdater:
 
         h_all = states
         counts = np.zeros(tree.n_nodes, dtype=np.int64)
+        updated = tree.adjacency.any(axis=1)
+        updated[:tree.n_roots] = True  # a root updates even with no children
         # deepest possible parents sit one level above the deepest leaves
         for d in range(max(tree.max_depth, 1) - 1, -1, -1):
-            rows = [int(i) for i in tree.layer(d)
-                    if d == 0 or tree.children(i).size > 0]
-            if not rows:
+            rows = np.nonzero(updated & (tree.depth == d))[0]
+            if not rows.size:
                 continue
-            child_matrix = np.zeros((len(rows), tree.n_nodes))
-            for r, i in enumerate(rows):
-                child_matrix[r, tree.children(i)] = 1.0
-            agg = ad.add(ad.matmul(ad.Tensor(child_matrix), h_all), self.b_agg)
+            child_sum = ad.Tensor(tree.adjacency[rows].astype(np.float64))
+            agg = ad.add(ad.matmul(child_sum, h_all), self.b_agg)
             h_prev = ad.take_rows(h_all, rows)
             h_all = ad.row_update(h_all, rows, self._cell(agg, h_prev))
             counts[rows] += 1
 
-        roots = ad.take_rows(h_all, list(range(tree.n_roots)))
+        roots = ad.take_rows(h_all, np.arange(tree.n_roots))
         return PropagationResult(roots, h_all, counts)

@@ -113,7 +113,7 @@ class TargetSetContext:
 class ForwardResult(NamedTuple):
     pred: ad.Tensor
     aux_pred: Optional[ad.Tensor]
-    attention: Optional[list]
+    attention: Optional[np.ndarray]  # (targets, rivals) weights; None when ablated
 
 
 class LossResult(NamedTuple):
@@ -160,6 +160,7 @@ class GMEModel:
                    self.aux_w, self.aux_b])
 
     def load_state(self, values: dict) -> None:
+        """Copy checkpoint values in; refuses missing, extra, misshapen or non-finite ones."""
         params = self.parameters()
         names = {p.name for p in params}
         missing = names - set(values)
@@ -172,6 +173,9 @@ class GMEModel:
                 raise ValueError(
                     f"parameter {p.name}: checkpoint shape {values[p.name].shape}, "
                     f"model expects {p.data.shape}")
+            if not np.all(np.isfinite(values[p.name])):
+                raise ValueError(f"parameter {p.name}: checkpoint holds non-finite values")
+        for p in params:
             p.data[...] = values[p.name]
 
     def _rival_states(self, ctx: TargetSetContext) -> ad.Tensor:

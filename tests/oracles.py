@@ -59,8 +59,8 @@ def tree_rollup(updater, tree, init):
     h = np.array(init, dtype=np.float64, copy=True)
     for d in range(max(tree.max_depth, 1) - 1, -1, -1):
         fresh = {}
-        for i in tree.layer(d):
-            kids = tree.children(i)
+        for i in np.nonzero(tree.depth == d)[0]:
+            kids = np.nonzero(tree.adjacency[i])[0]
             if d != 0 and kids.size == 0:
                 continue
             agg = h[kids].sum(axis=0) + updater.b_agg.data

@@ -57,7 +57,7 @@ def test_02_tree_invariants():
         scan_tree_invariants(tree)
         markets += 1
         nodes += tree.n_nodes
-        edges += len(tree.parent_edges)
+        edges += int(tree.adjacency.sum())
 
     tree, _ = chain_fixture(tau=24, t_h=3)
     depth = {tree.node_ids[i]: int(tree.depth[i]) for i in range(tree.n_nodes)}
@@ -78,7 +78,7 @@ def test_03_one_touch_hierarchy():
         states = rng.normal(0, 1, (tree.n_nodes, width))
         counts = updater.propagate(tree, ad.Tensor(states)).counts
         for i in range(tree.n_nodes):
-            non_leaf = i < tree.n_roots or tree.children(i).size > 0
+            non_leaf = i < tree.n_roots or tree.adjacency[i].any()
             if counts[i] != (1 if non_leaf else 0):
                 violations += 1
         trees += 1
@@ -130,9 +130,10 @@ def test_05_attention_normalization():
         graph = comp.CompetitivenessGraph(
             tuple(f"t{i}" for i in range(n_t)),
             tuple(f"r{i}" for i in range(n_r)), adjacency, "cate-jf")
-        _, info = attn.forward(graph, xt, xr, states)
+        _, weights = attn.forward(graph, xt, xr, states)
         for g in range(n_t):
-            cols, alpha = info[g]
+            cols = np.nonzero(adjacency[g])[0]
+            alpha = weights[g, cols]
             worst_sum = max(worst_sum, abs(float(alpha.sum()) - 1.0))
             scores = np.asarray([v @ np.concatenate([xt[g] @ w, xr[c] @ w])
                                  for c in cols])

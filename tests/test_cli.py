@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import base64
 import json
 
 import numpy as np
@@ -110,6 +111,22 @@ class TestEval:
                      "--out", str(tmp_path / "bad")])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, market_dir,
+                                                 trained_dir, capsys, command):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        entry = next(e for e in doc["parameters"] if e["name"] == "head.out.b")
+        entry["data"] = base64.b64encode(np.asarray([np.nan], dtype="<f8").tobytes()).decode()
+        poisoned = tmp_path / "nan_checkpoint.json"
+        poisoned.write_text(json.dumps(doc))
+        code = main([command, *_data_flags(market_dir),
+                     "--checkpoint", str(poisoned),
+                     "--encoder", str(trained_dir / "encoder.json"),
+                     "--out", str(tmp_path / "bad")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "head.out.b" in err and "non-finite" in err
 
 
 class TestDumpTree:

@@ -51,7 +51,6 @@ class TestPruning:
     def test_empty_rival_set_keeps_shape(self):
         g = self.graph("cate-jf", make_project("t", self.BASE), [])
         assert g.adjacency.shape == (1, 0)
-        assert g.neighbor_cols(0).size == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -173,10 +172,8 @@ class TestAttention:
         adj = np.zeros((1, 3), dtype=np.uint8)
         adj[0, 1] = 1
         attn, graph, xt, xr, states = _attention_fixture(1, 3, adjacency=adj)
-        pooled, info = attn.forward(graph, xt, xr, states)
-        cols, alpha = info[0]
-        np.testing.assert_array_equal(cols, [1])
-        np.testing.assert_allclose(alpha, [1.0], atol=1e-15)
+        pooled, weights = attn.forward(graph, xt, xr, states)
+        np.testing.assert_allclose(weights, [[0.0, 1.0, 0.0]], atol=1e-15)
         want = states.data[1] @ attn.w_value.data
         np.testing.assert_allclose(pooled.data[0], want, atol=1e-12)
 
@@ -184,23 +181,30 @@ class TestAttention:
         adj = np.ones((1, 2), dtype=np.uint8)
         attn, graph, xt, xr, states = _attention_fixture(1, 2, adjacency=adj)
         xr[1] = xr[0]
-        pooled, info = attn.forward(graph, xt, xr, states)
-        np.testing.assert_allclose(info[0][1], [0.5, 0.5], atol=1e-12)
+        pooled, weights = attn.forward(graph, xt, xr, states)
+        np.testing.assert_allclose(weights, [[0.5, 0.5]], atol=1e-12)
 
     def test_isolated_target_uses_own_embedding(self):
-        adj = np.zeros((1, 2), dtype=np.uint8)
-        attn, graph, xt, xr, states = _attention_fixture(1, 2, adjacency=adj)
-        pooled, info = attn.forward(graph, xt, xr, states)
-        assert info[0][0].size == 0
-        want = xt[0] @ attn.w_embed.data + attn.b_embed.data
-        np.testing.assert_allclose(pooled.data[0], want, atol=1e-12)
+        # target 0 has no neighbours, target 1 attends; also with no rivals at all
+        for n_rivals, adj in ((2, np.asarray([[0, 0], [1, 1]], dtype=np.uint8)),
+                              (0, np.zeros((2, 0), dtype=np.uint8))):
+            attn, graph, xt, xr, states = _attention_fixture(2, n_rivals, adjacency=adj)
+            pooled, weights = attn.forward(graph, xt, xr, states)
+            np.testing.assert_array_equal(weights[0], np.zeros(n_rivals))
+            own = xt @ attn.w_embed.data + attn.b_embed.data
+            np.testing.assert_allclose(pooled.data[0], own[0], atol=1e-12)
+            if n_rivals:
+                pooled_1 = weights[1] @ (states.data @ attn.w_value.data)
+                np.testing.assert_allclose(pooled.data[1], pooled_1, atol=1e-12)
+            else:
+                np.testing.assert_allclose(pooled.data[1], own[1], atol=1e-12)
 
     def test_three_neighbor_bruteforce_oracle(self):
         # brute-force scoring: v . [w x_g ; w x_i], leaky, explicit softmax
         for seed in range(8):
             attn, graph, xt, xr, states = _attention_fixture(
                 2, 3, seed=seed, adjacency=np.ones((2, 3), dtype=np.uint8))
-            pooled, info = attn.forward(graph, xt, xr, states)
+            pooled, weights = attn.forward(graph, xt, xr, states)
             w, v = attn.w_score.data, attn.v.data
             for g in range(2):
                 scores = []
@@ -213,18 +217,19 @@ class TestAttention:
                 want = np.zeros(attn.hidden)
                 for i in range(3):
                     want += alpha[i] * (states.data[i] @ attn.w_value.data)
-                np.testing.assert_allclose(info[g][1], alpha, atol=1e-12)
+                np.testing.assert_allclose(weights[g], alpha, atol=1e-12)
                 np.testing.assert_allclose(pooled.data[g], want, atol=1e-12)
 
     def test_weights_sum_to_one_and_logit_shift_invariance(self):
         rng = np.random.default_rng(60)
         for _ in range(300):
             k = int(rng.integers(1, 10))
-            logits = rng.normal(0, 4, k)
-            alpha = ad.softmax(ad.leaky_relu(ad.Tensor(logits), 0.2)).data
+            logits = rng.normal(0, 4, (1, k))
+            mask = np.ones((1, k))
+            alpha = ad.softmax(ad.leaky_relu(ad.Tensor(logits), 0.2), mask).data
             assert abs(alpha.sum() - 1.0) < 1e-9
             shifted = ad.softmax(ad.add(ad.leaky_relu(ad.Tensor(logits), 0.2),
-                                        float(rng.normal(0, 50)))).data
+                                        float(rng.normal(0, 50))), mask).data
             np.testing.assert_allclose(shifted, alpha, atol=1e-12)
 
     def test_gradients_flow_through_attention(self):

@@ -1,5 +1,8 @@
 """Data-layer tests: targets, series, trend bins, selections, segmentation, encoding, IO."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -293,6 +296,9 @@ class TestIO:
         path.write_text('{"id":"a","published_time":1,"category":"c","creator_type":"i","currency":"USD","duration_days":3,"goal":10.0,"text":""}\nnot json\n')
         with pytest.raises(d.DataError, match=r":2"):
             d.load_projects(path)
+        path.write_text('5\n')
+        with pytest.raises(d.DataError, match=r":1: record is not a JSON object"):
+            d.load_projects(path)
 
     def test_missing_field_is_named(self, tmp_path):
         path = tmp_path / "projects.jsonl"
@@ -305,6 +311,34 @@ class TestIO:
         path.write_text('{"project_id":"a","timestamp":5,"amount":-3.0}\n')
         with pytest.raises(d.DataError, match="amount"):
             d.load_investments(path)
+
+    PROJECT_LINE = {"id": "a", "published_time": 1, "category": "c", "creator_type": "i",
+                    "currency": "USD", "duration_days": 3, "goal": 10.0, "text": ""}
+    EVENT_LINE = {"project_id": "a", "timestamp": 5, "amount": 3.0}
+
+    @pytest.mark.parametrize("loader, field, value", [
+        ("projects", "published_time", 1.9),
+        ("projects", "duration_days", 7.8),
+        ("projects", "category", None),
+        ("projects", "creator_type", True),
+        ("investments", "timestamp", True),
+        ("investments", "amount", "5"),
+    ])
+    def test_field_types_are_enforced_not_coerced(self, tmp_path, loader, field, value):
+        base = self.PROJECT_LINE if loader == "projects" else self.EVENT_LINE
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(json.dumps(base) + "\n" + json.dumps({**base, field: value}) + "\n")
+        load = d.load_projects if loader == "projects" else d.load_investments
+        with pytest.raises(d.DataError, match=re.escape(f"{path}:2: field '{field}' must be")):
+            load(path)
+
+    def test_duplicate_id_names_id_and_second_line(self, tmp_path):
+        path = tmp_path / "projects.jsonl"
+        line = json.dumps(self.PROJECT_LINE)
+        other = json.dumps({**self.PROJECT_LINE, "id": "b"})
+        path.write_text(f"{line}\n{other}\n{line}\n")
+        with pytest.raises(d.DataError, match=re.escape(f"{path}:3: duplicate project id 'a'")):
+            d.load_projects(path)
 
     def test_unknown_event_project(self):
         with pytest.raises(d.DataError, match="unknown project"):

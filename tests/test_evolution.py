@@ -16,6 +16,14 @@ def make_project(pid, t):
                          duration_days=30, goal=100.0, text="x")
 
 
+def node(tree, pid):
+    return tree.node_ids.index(pid)
+
+
+def parents_of(tree, i):
+    return np.nonzero(tree.adjacency[:, i])[0]
+
+
 def chain_fixture(tau=24, t_h=3):
     g = make_project("g", T0)
     a = make_project("a", T0 - 30 * HOUR)
@@ -28,7 +36,9 @@ class TestTreeGrowth:
         tree, _ = chain_fixture()
         assert tree.node_ids == ("g", "a", "b")
         np.testing.assert_array_equal(tree.depth, [0, 1, 2])
-        assert tree.parent_edges == ((0, 1, 30 * HOUR), (1, 2, 30 * HOUR))
+        np.testing.assert_array_equal(np.argwhere(tree.adjacency), [[0, 1], [1, 2]])
+        np.testing.assert_array_equal(tree.node_times[[0, 1]] - tree.node_times[[1, 2]],
+                                      [30 * HOUR, 30 * HOUR])
         assert tree.adjacency[0, 2] == 0  # 60h gap is outside (24h, 48h)
         assert tree.dropped_ids == ()
 
@@ -49,8 +59,8 @@ class TestTreeGrowth:
         r2 = make_project("r2", T0 - 2 * HOUR)
         c = make_project("c", T0 - 30 * HOUR)  # 30h and 28h gaps, both in window
         tree = evo.build_propagation_tree([r1, r2], [c], 2, 24)
-        ci = tree.index["c"]
-        np.testing.assert_array_equal(tree.parents(ci), [0, 1])
+        ci = node(tree, "c")
+        np.testing.assert_array_equal(parents_of(tree, ci), [0, 1])
         assert tree.depth[ci] == 1
 
     def test_later_sweeps_pick_single_smallest_gap_parent(self):
@@ -59,9 +69,9 @@ class TestTreeGrowth:
         a2 = make_project("a2", T0 - 26 * HOUR)
         b = make_project("b", T0 - 55 * HOUR)  # gaps: 25h to a1, 29h to a2
         tree = evo.build_propagation_tree([g], [a1, a2, b], 3, 24)
-        bi = tree.index["b"]
+        bi = node(tree, "b")
         assert tree.depth[bi] == 2
-        np.testing.assert_array_equal(tree.parents(bi), [tree.index["a1"]])
+        np.testing.assert_array_equal(parents_of(tree, bi), [node(tree, "a1")])
 
     def test_equal_gap_tie_goes_to_earliest_attached(self):
         g = make_project("g", T0)
@@ -69,8 +79,8 @@ class TestTreeGrowth:
         a2 = make_project("a2", T0 - 30 * HOUR)  # same instant; id orders them
         b = make_project("b", T0 - 60 * HOUR)    # 30h gap to both
         tree = evo.build_propagation_tree([g], [a1, a2, b], 3, 24)
-        np.testing.assert_array_equal(tree.parents(tree.index["b"]), [tree.index["a1"]])
-        assert tree.index["a1"] < tree.index["a2"]
+        np.testing.assert_array_equal(parents_of(tree, node(tree, "b")), [node(tree, "a1")])
+        assert node(tree, "a1") < node(tree, "a2")
 
     def test_sweep_budget_limits_depth(self):
         tree, _ = chain_fixture(t_h=1)
@@ -86,7 +96,7 @@ class TestTreeGrowth:
         y = make_project("y", T0 - 47 * HOUR)
         tree = evo.build_propagation_tree([g], [x, y], 3, 24)
         np.testing.assert_array_equal(tree.depth, [0, 1, 1])
-        np.testing.assert_array_equal(tree.parents(tree.index["y"]), [0])
+        np.testing.assert_array_equal(parents_of(tree, node(tree, "y")), [0])
 
     def test_input_validation(self):
         g = make_project("g", T0)
@@ -104,7 +114,8 @@ class TestTreeGrowth:
         targets, obs, t_h, tau = random_tree_inputs(rng)
         a = evo.build_propagation_tree(targets, obs, t_h, tau)
         b = evo.build_propagation_tree(targets, obs, t_h, tau)
-        assert a.node_ids == b.node_ids and a.parent_edges == b.parent_edges
+        assert a.node_ids == b.node_ids
+        np.testing.assert_array_equal(a.adjacency, b.adjacency)
 
 
 def random_tree_inputs(rng, t_h=None):
@@ -129,14 +140,13 @@ def scan_tree_invariants(tree):
     """Re-check every growth rule from the finished structure alone."""
     tau_s, n = tree.tau_hours * HOUR, tree.n_nodes
     t = tree.node_times
-    assert len(tree.parent_edges) == int(tree.adjacency.sum())
-    assert len(set((p, c) for p, c, _ in tree.parent_edges)) == len(tree.parent_edges)
+    assert tree.adjacency.shape == (n, n)
+    assert set(np.unique(tree.adjacency)) <= {0, 1}
     assert np.all(tree.depth[:tree.n_roots] == 0)
     assert tree.max_depth <= tree.t_h
 
-    for p, c, gap in tree.parent_edges:
-        assert gap == t[p] - t[c]
-        assert tau_s < gap < 2 * tau_s
+    for p, c in np.argwhere(tree.adjacency):
+        assert tau_s < t[p] - t[c] < 2 * tau_s
         assert tree.depth[c] == tree.depth[p] + 1
 
     for c in range(tree.n_roots, n):
@@ -145,7 +155,7 @@ def scan_tree_invariants(tree):
                      if tree.depth[i] < k and tau_s < t[i] - t[c] < 2 * tau_s]
         assert in_window, f"node {c} attached without an eligible parent"
         assert all(tree.depth[i] == k - 1 for i in in_window)
-        parents = tree.parents(c)
+        parents = parents_of(tree, c)
         if k == 1:
             np.testing.assert_array_equal(parents, sorted(in_window))
         else:
@@ -256,7 +266,7 @@ class TestGatedRollUp:
             s = rng.normal(0, 1, (tree.n_nodes, 2))
             counts = upd.propagate(tree, s).counts
             for i in range(tree.n_nodes):
-                want = 1 if (i < tree.n_roots or tree.children(i).size) else 0
+                want = 1 if (i < tree.n_roots or tree.adjacency[i].any()) else 0
                 assert counts[i] == want
 
     def test_wrong_state_width_rejected(self):

@@ -215,6 +215,18 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="head.out.w"):
             model.load_state(values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_before_any_copy(self, bad):
+        config, bundle = toy_bundle()
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        before = [p.data.copy() for p in model.parameters()]
+        values = {p.name: p.data + 1.0 for p in model.parameters()}
+        values["head.proj.w"][0, 0] = bad
+        with pytest.raises(ValueError, match=r"head\.proj\.w.*non-finite"):
+            model.load_state(values)
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+
 
 def test_same_seed_builds_identical_models():
     config, bundle = toy_bundle(seed=11)
