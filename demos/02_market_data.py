@@ -1,4 +1,4 @@
-"""Market data layer: event logs, truth targets, segmentation, features.
+"""Market data layer: project and event tables, truth targets, segmentation, features.
 
 Starts from hand-built records to show the queries, then segments a
 generated market into launch-window target sets and encodes features.
@@ -26,17 +26,23 @@ events = [
     gd.InvestmentEvent("p1", T0 + 30 * HOUR, 10.0),
     gd.InvestmentEvent("p2", T0 - 10 * HOUR, 40.0),
 ]
-market = gd.Market(projects, events)
+market = gd.Market(projects, events)  # rows sorted by launch: p2 is row 0, p1 row 1
 
 log = market.log("p1")
-print(f"p1 events: {len(log)}, first day total "
-      f"{log.total_between(T0, T0 + 24 * HOUR):.0f}")
-truth = gd.fundraising_target(projects[0], log, tau_hours=24)
-print(f"p1 24h truth (log2 of 1 + funds/goal): {truth:.3f}")
+p1 = market.row["p1"]
+first_day = np.diff(market.raised_before(p1, [T0, T0 + 24 * HOUR]))[0]
+print(f"p1 events: {len(log)}, first day total {first_day:.0f}")
+truths = gd.fundraising_target(market, [0, 1], tau_hours=24)
+print(f"24h truths (log2 of 1 + funds/goal), one per row: {np.round(truths, 3).tolist()}")
 
-series = gd.hourly_series(market.log("p2"), T0)
+series = gd.hourly_series(market, [market.row["p2"]], T0)[0]
 print(f"p2 hourly intake before t0 (log2 scale): {series.size} buckets, "
       f"nonzero at {np.nonzero(series)[0].tolist()}")
+
+try:
+    gd.Market(projects, [gd.InvestmentEvent("p1", T0 - 5, 50.0)])
+except gd.DataError as exc:
+    print(f"a pledge before launch is refused: {exc}")
 
 # --- segmentation of a generated market -----------------------------------
 synth, _ = generate_market(SynthConfig(n_projects=80, days=10, seed=12))
@@ -48,7 +54,7 @@ for ts in sets[:4]:
           f"observed at {ts.observation_time}")
 
 encoder = gd.EncoderConfig.fit(synth.projects)
-vec = encoder.encode(synth.projects[0])
+vec = encoder.encode(synth.projects[:1])[0]
 print(f"\nencoder: {encoder.feature_dim} features per project "
       f"({len(encoder.categories)} categories, {encoder.goal_bins} goal bins, "
       f"text dim {encoder.text_dim})")

@@ -19,7 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from . import data as gd
 from .competition import PRUNING_MODES
-from .evolution import build_propagation_tree
 from .model import ABLATIONS, QUANTIFIERS, GMEModel, TrainConfig
 from .synth import SynthConfig, generate_market, write_trace
 from .toy import run_toy_gradchecks
@@ -226,21 +225,14 @@ def cmd_inspect_attention(args) -> int:
 
 
 def cmd_dump_tree(args) -> int:
-    market = _load_market(args)
-    target_sets = gd.segment_target_sets(market.projects, args.tz_offset)
-    label = args.set
+    config = TrainConfig(tau=args.tau, t_h=args.t_h, tz_offset=args.tz_offset)
+    bundle = build_contexts(_load_market(args), config)
     docs = []
-    for ts in target_sets:
-        ts_label = f"d{ts.day}s{ts.segment}"
-        if label is not None and ts_label != label:
-            continue
-        observables = gd.observable_set(market.projects, ts.observation_time,
-                                        args.t_h, args.tau)
-        targets = [market.by_id[pid] for pid in ts.project_ids]
-        tree = build_propagation_tree(targets, observables, args.t_h, args.tau)
+    for ctx in _select_contexts(bundle, args.set):
+        tree = ctx.tree
         docs.append({
-            "label": ts_label,
-            "observation_time": ts.observation_time,
+            "label": ctx.label,
+            "observation_time": ctx.observation_time,
             "tau_hours": tree.tau_hours,
             "t_h": tree.t_h,
             "n_roots": tree.n_roots,
@@ -252,10 +244,6 @@ def cmd_dump_tree(args) -> int:
                       for c, p in zip(*np.nonzero(tree.adjacency.T))],
             "dropped": list(tree.dropped_ids),
         })
-    if label is not None and not docs:
-        known = [f"d{t.day}s{t.segment}" for t in target_sets]
-        raise gd.DataError(f"no target set labelled {label!r} "
-                           f"(labels run {known[0]}..{known[-1]})")
     out = _out_dir(args)
     _write_json(out / "tree.json", {"sets": docs})
     _echo(out, "dump-tree",

@@ -13,6 +13,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -71,119 +72,143 @@ class InvestmentEvent:
 
 
 class EventLog:
-    """Per-project investment events, time-sorted, with prefix sums."""
+    """One project's investment events, time-sorted: a view into the market's event table."""
 
-    __slots__ = ("times", "amounts", "_prefix")
+    __slots__ = ("times", "amounts")
 
-    def __init__(self, times=(), amounts=()):
-        times = np.asarray(times, dtype=np.int64)
-        amounts = np.asarray(amounts, dtype=np.float64)
-        order = np.lexsort((amounts, times))
-        self.times = times[order]
-        self.amounts = amounts[order]
-        self._prefix = np.concatenate([[0.0], np.cumsum(self.amounts)])
+    def __init__(self, times: np.ndarray, amounts: np.ndarray):
+        self.times = times
+        self.amounts = amounts
 
     def __len__(self) -> int:
         return self.times.size
 
-    def total_between(self, lo: int, hi: int) -> float:
-        """Sum of amounts with lo <= t < hi."""
-        i = np.searchsorted(self.times, lo, side="left")
-        j = np.searchsorted(self.times, hi, side="left")
-        return float(self._prefix[j] - self._prefix[i])
-
-    def totals_at(self, bounds) -> np.ndarray:
-        """Window sums between consecutive ascending boundaries."""
-        idx = np.searchsorted(self.times, np.asarray(bounds, dtype=np.int64), side="left")
-        return np.diff(self._prefix[idx])
-
-    def total_before(self, t: int) -> float:
-        i = np.searchsorted(self.times, t, side="left")
-        return float(self._prefix[i])
-
-
-_EMPTY_LOG = EventLog()
-
 
 class Market:
-    """A project universe plus its per-project event logs."""
+    """A project table and an event table.
+
+    Projects are rows sorted by (published_time, id); ``row`` maps an id to
+    its row, and ``published``, ``ends`` and ``goals`` are the columns the
+    selections and formulas read.  Events are grouped by row and sorted by
+    time within each row (amount breaks ties).  Each row's running totals
+    start from 0, so a window total is the difference of two of them.
+    Every event must fall inside its project's live window
+    [published_time, end_time).
+    """
 
     def __init__(self, projects, events):
-        self.projects = sorted(projects, key=lambda p: (p.published_time, p.id))
-        self.by_id = {p.id: p for p in self.projects}
-        if len(self.by_id) != len(self.projects):
+        ordered = sorted(projects, key=lambda p: (p.published_time, p.id))
+        n = len(ordered)
+        self.projects = np.empty(n, dtype=object)
+        self.projects[:] = ordered
+        self.row = {p.id: i for i, p in enumerate(ordered)}
+        if len(self.row) != n:
             raise DataError("duplicate project ids")
-        grouped: dict[str, list] = {}
-        for ev in events:
-            if ev.project_id not in self.by_id:
-                raise DataError(f"investment references unknown project id {ev.project_id!r}")
-            grouped.setdefault(ev.project_id, []).append(ev)
-        self.logs = {
-            pid: EventLog([e.timestamp for e in evs], [e.amount for e in evs])
-            for pid, evs in grouped.items()
-        }
+        self.published = np.fromiter((p.published_time for p in ordered), np.int64, n)
+        self.ends = np.fromiter((p.end_time for p in ordered), np.int64, n)
+        self.goals = np.fromiter((p.goal for p in ordered), np.float64, n)
+
+        m = len(events)
+        rows = np.fromiter((self.row.get(e.project_id, -1) for e in events), np.int64, m)
+        times = np.fromiter((e.timestamp for e in events), np.int64, m)
+        amounts = np.fromiter((e.amount for e in events), np.float64, m)
+        if np.any(rows < 0):
+            ghost = events[int(np.argmax(rows < 0))].project_id
+            raise DataError(f"investment references unknown project id {ghost!r}")
+        outside = (times < self.published[rows]) | (times >= self.ends[rows])
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise DataError(
+                f"investment in {events[i].project_id!r} at {events[i].timestamp} lies outside "
+                f"its live window [{self.published[rows[i]]}, {self.ends[rows[i]]})")
+
+        order = np.lexsort((amounts, times, rows))
+        rows, self._times, self._amounts = rows[order], times[order], amounts[order]
+        # Row r owns events [starts[r], starts[r + 1]) and running totals
+        # [starts[r] + r, starts[r + 1] + r] of _prefix, the first being 0.
+        # Each row sums on its own (one cumsum per row, once per market), so
+        # its totals carry the bits of that row's own sequential sum.
+        self._starts = np.searchsorted(rows, np.arange(n + 1))
+        self._prefix = np.zeros(m + n)
+        for r in np.flatnonzero(np.diff(self._starts)):
+            lo, hi = self._starts[r], self._starts[r + 1]
+            self._prefix[lo + r + 1:hi + r + 1] = np.cumsum(self._amounts[lo:hi])
+        # One sorted (row, time) key: every time a query needs lies in [t0, t0 + span).
+        self._t0 = int(self.published[0]) if n else 0
+        self._span = int(self.ends.max()) - self._t0 + 1 if n else 1
+        if self._span * max(n, 1) >= 2 ** 62:
+            raise DataError("market spans too long a time to index its events")
+        self._keys = rows * self._span + (self._times - self._t0)
 
     def log(self, project_id: str) -> EventLog:
-        return self.logs.get(project_id, _EMPTY_LOG)
+        r = self.row[project_id]
+        lo, hi = self._starts[r], self._starts[r + 1]
+        return EventLog(self._times[lo:hi], self._amounts[lo:hi])
+
+    def raised_before(self, rows, t) -> np.ndarray:
+        """Funds each row raised strictly before t; rows and t broadcast together."""
+        rows = np.asarray(rows, dtype=np.int64)
+        t = np.clip(t, self._t0, self._t0 + self._span - 1)
+        i = np.searchsorted(self._keys, rows * self._span + (t - self._t0), side="left")
+        return self._prefix[i + rows]
 
     @classmethod
     def from_files(cls, projects_path, investments_path) -> "Market":
         return cls(load_projects(projects_path), load_investments(investments_path))
 
 
-def fundraising_target(project: ProjectRecord, log: EventLog, tau_hours: int) -> float:
-    """log2(1 + funds in the first tau hours / goal)."""
-    raised = log.total_between(project.published_time, project.published_time + tau_hours * HOUR)
-    return float(np.log2(1.0 + raised / project.goal))
+def fundraising_target(market: Market, rows, tau_hours: int) -> np.ndarray:
+    """log2(1 + funds in the first tau hours / goal), one entry per row.
+
+    No pledge precedes a launch, so the funds raised before the end of the
+    first tau hours are the funds raised in them.
+    """
+    raised = market.raised_before(rows, market.published[rows] + tau_hours * HOUR)
+    return np.log2(1.0 + raised / market.goals[rows])
 
 
-def hourly_series(log: EventLog, t_obs: int) -> np.ndarray:
-    """24 hourly log2(1 + amount) values before t_obs, newest first.
+def early_stage_amount(market: Market, rows, tau_hours: int) -> np.ndarray:
+    """log2(1 + funds in the first tau hours), one entry per row."""
+    return np.log2(1.0 + market.raised_before(rows, market.published[rows] + tau_hours * HOUR))
 
-    Entry k covers [t_obs - (k+1)h, t_obs - k*h); hours before the first
-    event are zero by construction.
+
+def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
+    """24 hourly log2(1 + amount) values before t_obs per row, newest first.
+
+    Entry k covers [t_obs - (k+1)h, t_obs - k*h); hours before a row's
+    first event are zero by construction.
     """
     bounds = t_obs - HOUR * np.arange(24, -1, -1, dtype=np.int64)
-    sums = log.totals_at(bounds)
-    return np.log2(1.0 + sums[::-1])
+    totals = market.raised_before(np.asarray(rows, dtype=np.int64)[:, None], bounds)
+    return np.log2(1.0 + np.diff(totals, axis=1)[:, ::-1])
 
 
-def early_stage_amount(project: ProjectRecord, log: EventLog, tau_hours: int) -> float:
-    """log2(1 + funds raised strictly before published_time + tau hours)."""
-    raised = log.total_before(project.published_time + tau_hours * HOUR)
-    return float(np.log2(1.0 + raised))
-
-
-def prior_trend(project: ProjectRecord, log: EventLog, t_obs: int, bins: int = 6):
-    """Achieved-progress trend in [0, 1] plus its one-hot bin.
+def prior_trend(market: Market, rows, t_obs: int, bins: int = 6):
+    """Achieved-progress trend in [0, 1] per row, plus its one-hot bin rows.
 
     trend = clamp((raised_so_far / goal) / log2(days_funded + 1), 0, 1) with
     days_funded = ceil(elapsed days), at least 1.
     """
-    if t_obs < project.published_time:
-        raise DataError(f"project {project.id}: observation predates publication")
-    raised = log.total_before(t_obs)
-    elapsed = t_obs - project.published_time
-    days = max(1, -(-elapsed // DAY))
-    trend = (raised / project.goal) / math.log2(days + 1)
-    trend = min(1.0, max(0.0, trend))
-    onehot = np.zeros(bins)
-    onehot[min(bins - 1, int(trend * bins))] = 1.0
+    elapsed = t_obs - market.published[rows]
+    if np.any(elapsed < 0):
+        pid = market.projects[rows[int(np.argmax(elapsed < 0))]].id
+        raise DataError(f"project {pid}: observation predates publication")
+    days = np.maximum(1, -(-elapsed // DAY))
+    trend = (market.raised_before(rows, t_obs) / market.goals[rows]) / np.log2(days + 1)
+    trend = np.clip(trend, 0.0, 1.0)
+    onehot = np.eye(bins)[np.minimum(bins - 1, (trend * bins).astype(np.int64))]
     return trend, onehot
 
 
-def running_set(projects, t: int) -> list:
-    """Projects live at t: published_time <= t < published_time + duration."""
-    out = [p for p in projects if p.published_time <= t < p.end_time]
-    return sorted(out, key=lambda p: (p.published_time, p.id))
+def running_set(market: Market, t: int) -> np.ndarray:
+    """Rows live at t: published_time <= t < end_time."""
+    return np.flatnonzero((market.published <= t) & (t < market.ends))
 
 
-def observable_set(projects, t_ref: int, history_days: int, tau_hours: int) -> list:
-    """Projects whose age at t_ref lies strictly inside (tau, tau * history_days) hours."""
-    lo = tau_hours * HOUR
-    hi = tau_hours * history_days * HOUR
-    out = [p for p in projects if lo < t_ref - p.published_time < hi]
-    return sorted(out, key=lambda p: (p.published_time, p.id))
+def observable_set(market: Market, t_ref: int, history_days: int, tau_hours: int) -> np.ndarray:
+    """Rows whose age at t_ref lies strictly inside (tau, tau * history_days) hours."""
+    age = t_ref - market.published
+    return np.flatnonzero((tau_hours * HOUR < age) & (age < tau_hours * history_days * HOUR))
 
 
 def segment_index(hour: int) -> int:
@@ -201,25 +226,20 @@ class TargetSet:
 
 
 def segment_target_sets(projects, tz_offset: int = 0) -> list[TargetSet]:
-    """Partition projects into chronologically ordered target sets."""
-    buckets: dict[tuple[int, int], list] = {}
-    for p in sorted(projects, key=lambda q: (q.published_time, q.id)):
+    """Partition projects into chronologically ordered target sets.
+
+    A bucket never decreases with launch time, so each is one run of the
+    projects in (published_time, id) order.
+    """
+    def bucket(p):
         local = p.published_time + tz_offset
-        day = local // DAY
-        hour = (local % DAY) // HOUR
-        buckets.setdefault((day, segment_index(hour)), []).append(p)
-    sets = []
-    for (day, seg) in sorted(buckets):
-        members = buckets[(day, seg)]
-        sets.append(
-            TargetSet(
-                day=day,
-                segment=seg,
-                project_ids=tuple(p.id for p in members),
-                observation_time=min(p.published_time for p in members),
-            )
-        )
-    return sets
+        return local // DAY, segment_index((local % DAY) // HOUR)
+
+    ordered = sorted(projects, key=lambda q: (q.published_time, q.id))
+    runs = [(key, list(members)) for key, members in groupby(ordered, key=bucket)]
+    return [TargetSet(day=day, segment=seg, project_ids=tuple(p.id for p in members),
+                      observation_time=members[0].published_time)
+            for (day, seg), members in runs]
 
 
 def hashed_text_embedding(text: str, dim: int = 50, seed: str = "gme-text-v1") -> np.ndarray:
@@ -300,7 +320,12 @@ class EncoderConfig:
             block[len(vocab)] = 1.0  # overflow bucket
         return block
 
-    def encode(self, project: ProjectRecord) -> np.ndarray:
+    def encode(self, projects) -> np.ndarray:
+        """The (len(projects), feature_dim) static-feature matrix, one row per project."""
+        rows = [self._encode_one(p) for p in projects]
+        return np.array(rows).reshape(len(rows), self.feature_dim)
+
+    def _encode_one(self, project: ProjectRecord) -> np.ndarray:
         if self.text_mode == "precomputed":
             if project.vec is None:
                 raise DataError(f"project {project.id}: field 'vec' required in precomputed text mode")
@@ -383,13 +408,14 @@ def _project_from_doc(doc, where: str) -> ProjectRecord:
     text = doc.get("text")
     if text is not None and not isinstance(text, str):
         raise DataError(f"{where}: field 'text' must be a string or null, got {json.dumps(text)}")
+    vec = doc.get("vec")
+    if vec is not None and (type(vec) is not list or any(type(v) not in _NUMBER[1] for v in vec)):
+        raise DataError(f"{where}: field 'vec' must be an array of numbers or null, "
+                        f"got {json.dumps(vec)}")
     try:
-        return ProjectRecord(
-            **fields,
-            text=text,
-            vec=tuple(doc["vec"]) if doc.get("vec") is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
+        return ProjectRecord(**fields, text=text,
+                             vec=None if vec is None else tuple(float(v) for v in vec))
+    except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

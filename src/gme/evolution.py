@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import HOUR, DataError, ProjectRecord
+from .data import HOUR, ProjectRecord
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class PropagationTree:
 
     ``adjacency[p, c] == 1`` when node c hangs under node p; nodes are
     numbered in attachment order, so child indices always exceed parent ones.
+    Node i is record ``source[i]`` of the input targets followed by the
+    input observables.
     """
 
     node_ids: tuple
@@ -38,6 +40,7 @@ class PropagationTree:
     dropped_ids: tuple
     tau_hours: int
     t_h: int
+    source: np.ndarray
 
     @property
     def n_nodes(self):
@@ -53,87 +56,71 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
                            t_h: int, tau_hours: int) -> PropagationTree:
     """Grow a tree rooted at `targets` from the observable candidates.
 
-    Runs t_h attachment iterations.  A candidate child c may attach to a
-    node p already in the tree when tau < T_p - T_c < 2*tau (strict, in
-    hours).  Parents are always drawn from the tree as it stood when the
-    iteration began, so nodes attached in the same sweep cannot parent
-    each other.
+    Runs t_h attachment iterations over candidates in (published_time, id)
+    order.  A candidate child c may attach to a node p already in the tree
+    when tau < T_p - T_c < 2*tau (strict, in hours).  Parents are always
+    drawn from the tree as it stood when the iteration began, so nodes
+    attached in the same sweep cannot parent each other.
     """
-    if not targets:
+    if not len(targets):
         raise ValueError("tree needs at least one root")
     if t_h < 1:
         raise ValueError(f"t_h must be >= 1, got {t_h}")
     if tau_hours <= 0:
         raise ValueError(f"tau_hours must be positive, got {tau_hours}")
 
+    records = [*targets, *observables]
+    ids = np.array([p.id for p in records])
+    if np.unique(ids).size != ids.size:
+        raise ValueError("duplicate project ids in tree input")
+    times = np.array([p.published_time for p in records], dtype=np.int64)
+    n_roots = len(targets)
     tau_s = tau_hours * HOUR
-    node_ids = [p.id for p in targets]
-    if len(set(node_ids)) != len(node_ids):
-        raise ValueError("duplicate root ids")
-    times = [p.published_time for p in targets]
-    depth = [0] * len(targets)
-    parents, children = [], []
 
-    seen = set(node_ids)
-    remaining = []
-    for rec in sorted(observables, key=lambda p: (p.published_time, p.id)):
-        if rec.id in seen:
-            raise ValueError(f"duplicate project id {rec.id!r} in tree input")
-        seen.add(rec.id)
-        remaining.append(rec)
-
+    nodes = np.arange(n_roots)          # input positions, in attachment order
+    depth = np.zeros(n_roots, dtype=np.int64)
+    edges = np.zeros((2, 0), dtype=np.int64)  # (parent, child) node numbers
+    remaining = n_roots + np.lexsort((ids[n_roots:], times[n_roots:]))
     for k in range(1, t_h + 1):
-        snapshot = np.asarray(times, dtype=np.int64)
-        attach = []
-        leftover = []
-        for rec in remaining:
-            gaps = snapshot - rec.published_time
-            rows = np.nonzero((gaps > tau_s) & (gaps < 2 * tau_s))[0]
-            if rows.size == 0:
-                leftover.append(rec)
-                continue
-            if k > 1:
-                rows = rows[[np.argmin(gaps[rows])]]
-            attach.append((rec, rows))
-        for rec, rows in attach:
-            parents.extend(rows.tolist())
-            children.extend([len(node_ids)] * rows.size)
-            node_ids.append(rec.id)
-            times.append(rec.published_time)
-            depth.append(k)
-        remaining = leftover
-        if not remaining:
+        if not remaining.size:
             break
+        # gaps[c, p]: how long before tree node p candidate c launched
+        gaps = times[nodes][None, :] - times[remaining][:, None]
+        fits = (gaps > tau_s) & (gaps < 2 * tau_s)
+        if k > 1:  # later iterations keep the first smallest-gap parent
+            best = np.where(fits, gaps, np.iinfo(np.int64).max).argmin(axis=1)
+            fits &= np.arange(nodes.size) == best[:, None]
+        attached = fits.any(axis=1)
+        child, parent = np.nonzero(fits[attached])
+        edges = np.concatenate([edges, [parent, nodes.size + child]], axis=1)
+        nodes = np.concatenate([nodes, remaining[attached]])
+        depth = np.concatenate([depth, np.full(np.count_nonzero(attached), k, dtype=np.int64)])
+        remaining = remaining[~attached]
 
-    n = len(node_ids)
-    adjacency = np.zeros((n, n), dtype=np.uint8)
-    adjacency[parents, children] = 1
+    adjacency = np.zeros((nodes.size, nodes.size), dtype=np.uint8)
+    adjacency[edges[0], edges[1]] = 1
     return PropagationTree(
-        node_ids=tuple(node_ids),
-        node_times=np.asarray(times, dtype=np.int64),
-        depth=np.asarray(depth, dtype=np.int64),
+        node_ids=tuple(ids[nodes].tolist()),
+        node_times=times[nodes],
+        depth=depth,
         adjacency=adjacency,
-        n_roots=len(targets),
-        dropped_ids=tuple(rec.id for rec in remaining),
+        n_roots=n_roots,
+        dropped_ids=tuple(ids[remaining].tolist()),
         tau_hours=tau_hours,
         t_h=t_h,
+        source=nodes,
     )
 
 
-def init_states(tree: PropagationTree, features: dict, early_amounts: dict) -> np.ndarray:
-    """Stack [feature vector, early amount] rows in node order.
+def init_states(tree: PropagationTree, early_amounts: np.ndarray) -> np.ndarray:
+    """The per-node early-amount column, in node order, with the roots' set to 0.
 
-    Roots get 0 in the amount slot: their early performance is what the
-    model is asked to produce, so it must not leak in.
+    Roots are the projects the model is asked about, so their early
+    performance must not leak in.
     """
-    rows = []
-    for i, pid in enumerate(tree.node_ids):
-        vec = features.get(pid)
-        if vec is None:
-            raise DataError(f"no feature vector for tree node {pid!r}")
-        r = 0.0 if i < tree.n_roots else float(early_amounts[pid])
-        rows.append(np.concatenate([np.asarray(vec, dtype=np.float64), [r]]))
-    return np.stack(rows)
+    amounts = np.array(early_amounts, dtype=np.float64)
+    amounts[:tree.n_roots] = 0.0
+    return amounts
 
 
 class PropagationResult(NamedTuple):

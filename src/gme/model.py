@@ -85,29 +85,52 @@ class TrainConfig:
 class TargetSetContext:
     """Precomputed inputs for one target set, shared across epochs and models.
 
-    `aux_truths[i]` belongs to tree node `n_roots + i`: the log2-scaled
-    funds that node's project collected in the tau hours after the set's
-    observation time.
+    `features` is the market's static-feature matrix, shared by every set;
+    the `*_rows` fields index it.  `tree_rows[i]` and `tree_amounts[i]`
+    belong to tree node i, and `aux_truths[i]` to node `n_roots + i`: the
+    log2-scaled funds that node's project collected in the tau hours after
+    the set's observation time.
     """
 
     day: int
     segment: int
     observation_time: int
-    target_ids: tuple
-    target_features: np.ndarray
+    features: np.ndarray
+    target_rows: np.ndarray
     truths: np.ndarray
-    rival_ids: tuple
-    rival_features: np.ndarray
+    rival_rows: np.ndarray
     rival_series: np.ndarray
     rival_trends: np.ndarray
     graph: CompetitivenessGraph
     tree: PropagationTree
-    tree_init: np.ndarray
+    tree_rows: np.ndarray
+    tree_amounts: np.ndarray
     aux_truths: np.ndarray
 
     @property
     def label(self) -> str:
         return f"d{self.day}s{self.segment}"
+
+    @property
+    def target_ids(self) -> tuple:
+        return self.graph.target_ids
+
+    @property
+    def rival_ids(self) -> tuple:
+        return self.graph.rival_ids
+
+    @property
+    def target_features(self) -> np.ndarray:
+        return self.features[self.target_rows]
+
+    @property
+    def rival_features(self) -> np.ndarray:
+        return self.features[self.rival_rows]
+
+    @property
+    def tree_init(self) -> np.ndarray:
+        """[static features, early amount] per tree node."""
+        return np.concatenate([self.features[self.tree_rows], self.tree_amounts[:, None]], axis=1)
 
 
 class ForwardResult(NamedTuple):
@@ -179,15 +202,13 @@ class GMEModel:
             p.data[...] = values[p.name]
 
     def _rival_states(self, ctx: TargetSetContext) -> ad.Tensor:
-        if not ctx.rival_ids:
-            return ad.Tensor(np.zeros((0, self.config.hidden)))
         if self.config.quantifier == "recurrent":
             return self.recurrent.forward(ctx.rival_series)
         return self.prior.forward(np.concatenate([ctx.rival_series, ctx.rival_trends], axis=1))
 
     def forward(self, ctx: TargetSetContext, training: bool = False,
                 dropout_rng=None) -> ForwardResult:
-        if not ctx.target_ids:
+        if not ctx.target_rows.size:
             raise ValueError("empty target set")
         use_pcm = self.config.ablation != "met-only"
         use_met = self.config.ablation != "pcm-only"

@@ -34,59 +34,35 @@ class ContextBundle:
 
 
 def build_context(market: gd.Market, target_set: gd.TargetSet,
-                  config: TrainConfig, encoder: gd.EncoderConfig,
-                  feature_cache: dict | None = None) -> TargetSetContext:
-    """Assemble every model input for one target set."""
-    cache = feature_cache if feature_cache is not None else {}
-
-    def feat(pid):
-        if pid not in cache:
-            cache[pid] = encoder.encode(market.by_id[pid])
-        return cache[pid]
-
+                  config: TrainConfig, features: np.ndarray) -> TargetSetContext:
+    """Assemble every model input for one target set from the market's tables."""
     t_ref = target_set.observation_time
-    targets = [market.by_id[pid] for pid in target_set.project_ids]
-    truths = np.asarray([gd.fundraising_target(p, market.log(p.id), config.tau)
-                         for p in targets])
-
-    target_ids = set(target_set.project_ids)
-    rivals = [p for p in gd.running_set(market.projects, t_ref) if p.id not in target_ids]
-    if rivals:
-        rival_series = np.stack([gd.hourly_series(market.log(p.id), t_ref) for p in rivals])
-        rival_trends = np.stack([
-            gd.prior_trend(p, market.log(p.id), t_ref, config.trend_bins)[1] for p in rivals])
-        rival_features = np.stack([feat(p.id) for p in rivals])
-    else:
-        rival_series = np.zeros((0, 24))
-        rival_trends = np.zeros((0, config.trend_bins))
-        rival_features = np.zeros((0, encoder.feature_dim))
-    graph = build_competitiveness_graph(targets, rivals, config.pruning)
-
-    observables = gd.observable_set(market.projects, t_ref, config.t_h, config.tau)
-    tree = build_propagation_tree(targets, observables, config.t_h, config.tau)
-    features = {pid: feat(pid) for pid in tree.node_ids}
-    amounts = {p.id: gd.early_stage_amount(p, market.log(p.id), config.tau)
-               for p in observables}
-    tree_init = init_states(tree, features, amounts)
-    aux_truths = np.asarray([
-        float(np.log2(1.0 + market.log(pid).total_between(t_ref, t_ref + config.tau * gd.HOUR)))
-        for pid in tree.node_ids[tree.n_roots:]])
-
+    target_rows = np.array([market.row[pid] for pid in target_set.project_ids])
+    running = gd.running_set(market, t_ref)
+    rival_rows = running[~np.isin(running, target_rows)]
+    observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
+    tree = build_propagation_tree(market.projects[target_rows],
+                                  market.projects[observable_rows], config.t_h, config.tau)
+    tree_rows = np.concatenate([target_rows, observable_rows])[tree.source]
+    aux_rows = tree_rows[tree.n_roots:]
+    aux_raised = (market.raised_before(aux_rows, t_ref + config.tau * gd.HOUR)
+                  - market.raised_before(aux_rows, t_ref))
     return TargetSetContext(
         day=target_set.day,
         segment=target_set.segment,
         observation_time=t_ref,
-        target_ids=target_set.project_ids,
-        target_features=np.stack([feat(pid) for pid in target_set.project_ids]),
-        truths=truths,
-        rival_ids=tuple(p.id for p in rivals),
-        rival_features=rival_features,
-        rival_series=rival_series,
-        rival_trends=rival_trends,
-        graph=graph,
+        features=features,
+        target_rows=target_rows,
+        truths=gd.fundraising_target(market, target_rows, config.tau),
+        rival_rows=rival_rows,
+        rival_series=gd.hourly_series(market, rival_rows, t_ref),
+        rival_trends=gd.prior_trend(market, rival_rows, t_ref, config.trend_bins)[1],
+        graph=build_competitiveness_graph(market.projects[target_rows],
+                                          market.projects[rival_rows], config.pruning),
         tree=tree,
-        tree_init=tree_init,
-        aux_truths=aux_truths,
+        tree_rows=tree_rows,
+        tree_amounts=init_states(tree, gd.early_stage_amount(market, tree_rows, config.tau)),
+        aux_truths=np.log2(1.0 + aux_raised),
     )
 
 
@@ -107,14 +83,14 @@ def build_contexts(market: gd.Market, config: TrainConfig,
     train_sets, test_sets = sets[:n_train], sets[n_train:]
 
     if encoder is None:
-        train_projects = [market.by_id[pid]
-                          for ts in train_sets for pid in ts.project_ids]
-        encoder = gd.EncoderConfig.fit(train_projects, text_mode=text_mode,
+        # sets follow launch time, so the training span is a prefix of the rows
+        n_seen = sum(len(ts.project_ids) for ts in train_sets)
+        encoder = gd.EncoderConfig.fit(market.projects[:n_seen], text_mode=text_mode,
                                        **(encoder_overrides or {}))
 
-    cache: dict = {}
-    train = tuple(build_context(market, ts, config, encoder, cache) for ts in train_sets)
-    test = tuple(build_context(market, ts, config, encoder, cache) for ts in test_sets)
+    features = encoder.encode(market.projects)
+    train = tuple(build_context(market, ts, config, features) for ts in train_sets)
+    test = tuple(build_context(market, ts, config, features) for ts in test_sets)
     return ContextBundle(train=train, test=test, encoder=encoder)
 
 

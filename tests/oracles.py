@@ -1,11 +1,19 @@
-"""Straight-line numpy mirrors of the model's forward pass.
+"""Straight-line numpy mirrors of the model's forward pass and of context building.
 
 Everything here is plain loops over ndarray views of the model's
 parameters: no Tensor, no tape, no batching.  Tests compare these against
 the engine to catch wiring mistakes that unit tests on single ops miss.
+The data formulas work one project at a time on that project's own
+events, and tree growth attaches one candidate at a time, as the
+whole-market array code they check once did.
 """
 
+import math
+
 import numpy as np
+
+HOUR = 3600
+DAY = 86400
 
 
 def _sigmoid(z):
@@ -120,3 +128,92 @@ def joint_loss(model, ctx):
     loss_l = float(np.mean(np.abs(aux - ctx.aux_truths)))
     eta = model.config.eta
     return eta * loss_p + (1.0 - eta) * loss_l, loss_p, loss_l
+
+
+# --- per-project data formulas ------------------------------------------------
+
+class ProjectLog:
+    """One project's events, time-sorted (amount breaks ties), with prefix sums."""
+
+    def __init__(self, times, amounts):
+        times = np.asarray(times, dtype=np.int64)
+        amounts = np.asarray(amounts, dtype=np.float64)
+        order = np.lexsort((amounts, times))
+        self.times = times[order]
+        self.prefix = np.concatenate([[0.0], np.cumsum(amounts[order])])
+
+    def total_before(self, t):
+        return float(self.prefix[np.searchsorted(self.times, t, side="left")])
+
+    def total_between(self, lo, hi):
+        i, j = np.searchsorted(self.times, [lo, hi], side="left")
+        return float(self.prefix[j] - self.prefix[i])
+
+
+def fundraising_target(project, log, tau_hours):
+    raised = log.total_between(project.published_time,
+                               project.published_time + tau_hours * HOUR)
+    return float(np.log2(1.0 + raised / project.goal))
+
+
+def early_stage_amount(project, log, tau_hours):
+    return float(np.log2(1.0 + log.total_before(project.published_time + tau_hours * HOUR)))
+
+
+def hourly_series(log, t_obs):
+    bounds = t_obs - HOUR * np.arange(24, -1, -1, dtype=np.int64)
+    sums = np.diff(log.prefix[np.searchsorted(log.times, bounds, side="left")])
+    return np.log2(1.0 + sums[::-1])
+
+
+def prior_trend(project, log, t_obs, bins=6):
+    raised = log.total_before(t_obs)
+    days = max(1, -(-(t_obs - project.published_time) // DAY))
+    trend = min(1.0, max(0.0, (raised / project.goal) / math.log2(days + 1)))
+    onehot = np.zeros(bins)
+    onehot[min(bins - 1, int(trend * bins))] = 1.0
+    return trend, onehot
+
+
+def running_set(projects, t):
+    return [p for p in projects if p.published_time <= t < p.end_time]
+
+
+def observable_set(projects, t_ref, history_days, tau_hours):
+    return [p for p in projects
+            if tau_hours * HOUR < t_ref - p.published_time < tau_hours * history_days * HOUR]
+
+
+def grow_tree(targets, observables, t_h, tau_hours):
+    """(node_ids, node_times, depth, adjacency, dropped_ids), one candidate at a time."""
+    tau_s = tau_hours * HOUR
+    node_ids = [p.id for p in targets]
+    times = [p.published_time for p in targets]
+    depth = [0] * len(targets)
+    edges = []
+    remaining = sorted(observables, key=lambda p: (p.published_time, p.id))
+    for k in range(1, t_h + 1):
+        snapshot = np.asarray(times, dtype=np.int64)
+        attach, leftover = [], []
+        for rec in remaining:
+            gaps = snapshot - rec.published_time
+            rows = np.nonzero((gaps > tau_s) & (gaps < 2 * tau_s))[0]
+            if rows.size == 0:
+                leftover.append(rec)
+                continue
+            if k > 1:
+                rows = rows[[np.argmin(gaps[rows])]]
+            attach.append((rec, rows))
+        for rec, rows in attach:
+            edges.extend((int(r), len(node_ids)) for r in rows)
+            node_ids.append(rec.id)
+            times.append(rec.published_time)
+            depth.append(k)
+        remaining = leftover
+        if not remaining:
+            break
+    adjacency = np.zeros((len(node_ids), len(node_ids)), dtype=np.uint8)
+    for parent, child in edges:
+        adjacency[parent, child] = 1
+    return (tuple(node_ids), np.asarray(times, dtype=np.int64),
+            np.asarray(depth, dtype=np.int64), adjacency, tuple(p.id for p in remaining))

@@ -1,11 +1,15 @@
 """Data-layer tests: targets, series, trend bins, selections, segmentation, encoding, IO."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gme import data as d
 
 
@@ -17,47 +21,53 @@ def make_project(pid="p0", t=1_000_000, cat="art", creator="individual", cur="US
     )
 
 
-def log_of(pairs):
-    return d.EventLog([t for t, _ in pairs], [a for _, a in pairs])
+def market_of(pairs, project=None):
+    """A one-project market holding (timestamp, amount) pledges; the project is row 0."""
+    project = project or make_project()
+    return d.Market([project], [d.InvestmentEvent(project.id, t, a) for t, a in pairs])
+
+
+def series_of(pairs, t_obs):
+    return d.hourly_series(market_of(pairs, make_project(t=t_obs - 2 * d.DAY)), [0], t_obs)[0]
 
 
 class TestFundraisingTarget:
     def test_zero_raised(self):
         p = make_project(goal=50.0)
-        assert d.fundraising_target(p, log_of([]), 24) == 0.0
+        assert d.fundraising_target(market_of([], p), [0], 24)[0] == 0.0
 
     def test_alpha_equals_goal(self):
         p = make_project(goal=80.0)
-        log = log_of([(p.published_time + 100, 80.0)])
-        assert d.fundraising_target(p, log, 24) == pytest.approx(1.0, abs=1e-12)
+        market = market_of([(p.published_time + 100, 80.0)], p)
+        assert d.fundraising_target(market, [0], 24)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_three_times_goal(self):
         p = make_project(goal=10.0)
-        log = log_of([(p.published_time + 5, 30.0)])
-        assert d.fundraising_target(p, log, 24) == pytest.approx(2.0, abs=1e-12)
+        market = market_of([(p.published_time + 5, 30.0)], p)
+        assert d.fundraising_target(market, [0], 24)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_window_is_half_open(self):
         p = make_project(goal=10.0)
         inside = p.published_time + 24 * d.HOUR - 1
         boundary = p.published_time + 24 * d.HOUR
-        log = log_of([(inside, 10.0), (boundary, 999.0)])
-        assert d.fundraising_target(p, log, 24) == pytest.approx(1.0, abs=1e-12)
+        market = market_of([(inside, 10.0), (boundary, 999.0)], p)
+        assert d.fundraising_target(market, [0], 24)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHourlySeries:
     def test_single_event_lands_in_newest_slot(self):
         t_obs = 500_000
-        series = d.hourly_series(log_of([(t_obs - 30 * 60, 7.0)]), t_obs)
+        series = series_of([(t_obs - 30 * 60, 7.0)], t_obs)
         assert series[0] == pytest.approx(3.0, abs=1e-12)  # log2(1+7)
         assert np.count_nonzero(series) == 1
 
     def test_empty_log_is_all_zero(self):
-        assert np.array_equal(d.hourly_series(log_of([]), 500_000), np.zeros(24))
+        assert np.array_equal(series_of([], 500_000), np.zeros(24))
 
     def test_two_events_same_window_sum_before_log(self):
         t_obs = 500_000
         lo = t_obs - 5 * d.HOUR  # window k=4 spans [t-5h, t-4h)
-        series = d.hourly_series(log_of([(lo, 1.0), (lo + 10, 2.0)]), t_obs)
+        series = series_of([(lo, 1.0), (lo + 10, 2.0)], t_obs)
         assert series[4] == pytest.approx(2.0, abs=1e-12)  # log2(1+3)
 
     def test_matches_bruteforce_window_sums(self):
@@ -67,8 +77,7 @@ class TestHourlySeries:
             n = int(rng.integers(0, 40))
             times = rng.integers(t_obs - 30 * d.HOUR, t_obs + 2 * d.HOUR, n)
             amounts = rng.uniform(0.5, 50.0, n)
-            log = log_of(list(zip(times.tolist(), amounts.tolist())))
-            got = d.hourly_series(log, t_obs)
+            got = series_of(list(zip(times.tolist(), amounts.tolist())), t_obs)
             want = np.zeros(24)
             for k in range(24):
                 lo, hi = t_obs - (k + 1) * d.HOUR, t_obs - k * d.HOUR
@@ -80,61 +89,70 @@ class TestHourlySeries:
 class TestEarlyStageAmount:
     def test_simple_value(self):
         p = make_project()
-        log = log_of([(p.published_time + 60, 7.0)])
-        assert d.early_stage_amount(p, log, 24) == pytest.approx(3.0, abs=1e-12)
+        market = market_of([(p.published_time + 60, 7.0)], p)
+        assert d.early_stage_amount(market, [0], 24)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_no_events(self):
-        assert d.early_stage_amount(make_project(), log_of([]), 24) == 0.0
+        assert d.early_stage_amount(market_of([]), [0], 24)[0] == 0.0
 
     def test_boundary_event_excluded(self):
         p = make_project()
         edge = p.published_time + 24 * d.HOUR
-        log = log_of([(edge - 1, 1.0), (edge, 100.0)])
-        assert d.early_stage_amount(p, log, 24) == pytest.approx(1.0, abs=1e-12)
+        market = market_of([(edge - 1, 1.0), (edge, 100.0)], p)
+        assert d.early_stage_amount(market, [0], 24)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def trend_of(p, pairs, t_obs, bins=6):
+    trend, onehot = d.prior_trend(market_of(pairs, p), [0], t_obs, bins)
+    return trend[0], onehot[0]
 
 
 class TestPriorTrend:
     def test_half_progress_first_day(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 12 * d.HOUR
-        trend, _ = d.prior_trend(p, log_of([(p.published_time + 1, 50.0)]), t_obs)
+        trend, _ = trend_of(p, [(p.published_time + 1, 50.0)], t_obs)
         assert trend == pytest.approx(0.5, abs=1e-12)  # log2(1+1) = 1
 
     def test_clamped_to_unit_interval(self):
         p = make_project(goal=1.0)
         t_obs = p.published_time + 2 * d.HOUR
-        trend, onehot = d.prior_trend(p, log_of([(p.published_time + 1, 1000.0)]), t_obs)
+        trend, onehot = trend_of(p, [(p.published_time + 1, 1000.0)], t_obs)
         assert trend == 1.0
         assert onehot[-1] == 1.0 and onehot.sum() == 1.0
 
     def test_bin_with_five_bins(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 6 * d.HOUR
-        trend, onehot = d.prior_trend(p, log_of([(p.published_time + 1, 10.0)]), t_obs, bins=5)
+        trend, onehot = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=5)
         assert trend == pytest.approx(0.1, abs=1e-12)
         np.testing.assert_array_equal(onehot, [1, 0, 0, 0, 0])
 
     def test_bin_with_six_bins(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 6 * d.HOUR
-        _, onehot = d.prior_trend(p, log_of([(p.published_time + 1, 10.0)]), t_obs, bins=6)
+        _, onehot = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=6)
         np.testing.assert_array_equal(onehot, [1, 0, 0, 0, 0, 0])
 
     def test_days_funded_rounds_up(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + d.DAY + 1  # just over one day -> 2 funded days
-        trend, _ = d.prior_trend(p, log_of([(p.published_time, 100.0)]), t_obs)
+        trend, _ = trend_of(p, [(p.published_time, 100.0)], t_obs)
         assert trend == pytest.approx(1.0 / np.log2(3.0), abs=1e-12)
+
+
+def ids_at(market, rows):
+    return [market.projects[r].id for r in rows]
 
 
 class TestSelections:
     def test_running_set_boundaries(self):
         base = 1_000_000
-        p = make_project(pid="a", t=base, dur=2)
-        assert [q.id for q in d.running_set([p], base)] == ["a"]
-        assert [q.id for q in d.running_set([p], base + 2 * d.DAY - 1)] == ["a"]
-        assert d.running_set([p], base + 2 * d.DAY) == []
-        assert d.running_set([p], base - 1) == []
+        market = d.Market([make_project(pid="a", t=base, dur=2)], [])
+        assert ids_at(market, d.running_set(market, base)) == ["a"]
+        assert ids_at(market, d.running_set(market, base + 2 * d.DAY - 1)) == ["a"]
+        assert ids_at(market, d.running_set(market, base + 2 * d.DAY)) == []
+        assert ids_at(market, d.running_set(market, base - 1)) == []
 
     def test_observable_window_strict(self):
         base = 10_000_000
@@ -142,8 +160,9 @@ class TestSelections:
         gap_lo = make_project(pid="lo", t=base - tau * d.HOUR)          # gap == tau: out
         inside = make_project(pid="mid", t=base - 2 * tau * d.HOUR)     # gap == 2 tau: in for t_h=3
         gap_hi = make_project(pid="hi", t=base - 3 * tau * d.HOUR)      # gap == tau*t_h: out
-        got = d.observable_set([gap_lo, inside, gap_hi], base, history_days=3, tau_hours=tau)
-        assert [p.id for p in got] == ["mid"]
+        market = d.Market([gap_lo, inside, gap_hi], [])
+        got = d.observable_set(market, base, history_days=3, tau_hours=tau)
+        assert ids_at(market, got) == ["mid"]
 
     def test_against_bruteforce_scan(self):
         rng = np.random.default_rng(77)
@@ -158,11 +177,12 @@ class TestSelections:
                 )
                 for i in range(n)
             ]
+            market = d.Market(projects, [])
             t_ref = base
             t_h = int(rng.integers(1, 8))
             tau = int(rng.choice([24, 48]))
-            run = {p.id for p in d.running_set(projects, t_ref)}
-            obs = {p.id for p in d.observable_set(projects, t_ref, t_h, tau)}
+            run = set(ids_at(market, d.running_set(market, t_ref)))
+            obs = set(ids_at(market, d.observable_set(market, t_ref, t_h, tau)))
             run_brute = {p.id for p in projects
                          if p.published_time <= t_ref < p.published_time + p.duration_days * d.DAY}
             obs_brute = {p.id for p in projects
@@ -224,7 +244,8 @@ class TestEncoder:
 
     def test_feature_dim_and_block_sums(self):
         enc, projects = self.fit()
-        vec = enc.encode(projects[0])
+        assert enc.encode([]).shape == (0, enc.feature_dim)
+        vec = enc.encode(projects[:1])[0]
         assert vec.shape == (enc.feature_dim,)
         at = enc.text_dim
         for block in (len(enc.categories) + 1, len(enc.creator_types) + 1,
@@ -235,33 +256,33 @@ class TestEncoder:
     def test_goal_exact_lower_edge_of_bin_three(self):
         enc, _ = self.fit()
         p = make_project(goal=2.0 ** enc.goal_log2_edges[2])  # lower edge of bin 3
-        vec = enc.encode(p)
+        vec = enc.encode([p])[0]
         goal_block = vec[-enc.goal_bins:]
         assert goal_block[3] == 1.0
 
     def test_goal_overflow_and_underflow(self):
         enc, _ = self.fit()
-        assert enc.encode(make_project(goal=2.0 ** 25))[-enc.goal_bins:][-1] == 1.0
-        assert enc.encode(make_project(goal=4.0))[-enc.goal_bins:][0] == 1.0
+        assert enc.encode([make_project(goal=2.0 ** 25)])[0][-enc.goal_bins:][-1] == 1.0
+        assert enc.encode([make_project(goal=4.0)])[0][-enc.goal_bins:][0] == 1.0
 
     def test_duration_sixty_days_tops_out(self):
         enc, _ = self.fit()
-        vec = enc.encode(make_project(dur=60))
+        vec = enc.encode([make_project(dur=60)])[0]
         dur_block = vec[-(enc.duration_bins + enc.goal_bins):-enc.goal_bins]
         assert dur_block[-1] == 1.0
-        vec15 = enc.encode(make_project(dur=15))
+        vec15 = enc.encode([make_project(dur=15)])[0]
         assert vec15[-(enc.duration_bins + enc.goal_bins):-enc.goal_bins][0] == 1.0
 
     def test_unseen_category_goes_to_overflow(self):
         enc, _ = self.fit()
-        vec = enc.encode(make_project(cat="never-seen"))
+        vec = enc.encode([make_project(cat="never-seen")])[0]
         cat_block = vec[enc.text_dim:enc.text_dim + len(enc.categories) + 1]
         assert cat_block[-1] == 1.0
 
     def test_identical_projects_encode_identically(self):
         enc, _ = self.fit()
-        a = enc.encode(make_project(pid="a"))
-        b = enc.encode(make_project(pid="b"))
+        a = enc.encode([make_project(pid="a")])[0]
+        b = enc.encode([make_project(pid="b")])[0]
         assert np.array_equal(a, b)
 
     def test_precomputed_mode_uses_vec(self):
@@ -269,15 +290,15 @@ class TestEncoder:
         vec50 = tuple(np.linspace(-1, 1, 50))
         p = d.ProjectRecord(id="v", published_time=0, category="art", creator_type="individual",
                             currency="USD", duration_days=10, goal=100.0, vec=vec50)
-        out = enc.encode(p)
+        out = enc.encode([p])[0]
         np.testing.assert_array_equal(out[:50], vec50)
         with pytest.raises(d.DataError, match="vec"):
-            enc.encode(make_project())
+            enc.encode([make_project()])[0]
 
     def test_config_roundtrip(self):
         enc, projects = self.fit()
         clone = d.EncoderConfig.from_json(enc.to_json())
-        assert np.array_equal(clone.encode(projects[1]), enc.encode(projects[1]))
+        assert np.array_equal(clone.encode(projects), enc.encode(projects))
 
 
 class TestIO:
@@ -289,7 +310,7 @@ class TestIO:
         d.save_investments(ip, events)
         market = d.Market.from_files(pp, ip)
         assert [p.id for p in market.projects] == ["a", "b"]
-        assert market.log("a").total_between(0, 10**9) == 10.0
+        assert market.raised_before([market.row["a"]], 10**9)[0] == 10.0
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "projects.jsonl"
@@ -323,6 +344,8 @@ class TestIO:
         ("projects", "creator_type", True),
         ("investments", "timestamp", True),
         ("investments", "amount", "5"),
+        ("projects", "vec", [True, False, 0.5]),
+        ("projects", "vec", "abc"),
     ])
     def test_field_types_are_enforced_not_coerced(self, tmp_path, loader, field, value):
         base = self.PROJECT_LINE if loader == "projects" else self.EVENT_LINE
@@ -339,6 +362,18 @@ class TestIO:
         path.write_text(f"{line}\n{other}\n{line}\n")
         with pytest.raises(d.DataError, match=re.escape(f"{path}:3: duplicate project id 'a'")):
             d.load_projects(path)
+
+    def test_events_outside_live_window_rejected(self):
+        p = make_project(pid="a", t=1_000_000, dur=2)
+        end = p.published_time + 2 * d.DAY
+        for t in (p.published_time - 5, end):
+            with pytest.raises(d.DataError, match=re.escape(
+                    f"investment in 'a' at {t} lies outside its live window "
+                    f"[{p.published_time}, {end})")):
+                d.Market([p], [d.InvestmentEvent("a", t, 50.0)])
+        edges = d.Market([p], [d.InvestmentEvent("a", p.published_time, 1.0),
+                               d.InvestmentEvent("a", end - 1, 2.0)])
+        np.testing.assert_array_equal(edges.log("a").times, [p.published_time, end - 1])
 
     def test_unknown_event_project(self):
         with pytest.raises(d.DataError, match="unknown project"):
@@ -364,3 +399,105 @@ def test_project_validation():
         make_project(goal=0.0)
     with pytest.raises(d.DataError, match="duration"):
         make_project(dur=0)
+
+
+# --- whole-market helpers against the per-project references -----------------
+
+T0 = 1_600_000_000
+
+
+@st.composite
+def random_markets(draw):
+    """Markets of up to 6 projects with pledges on and inside their live-window edges."""
+    projects, events = [], []
+    for i in range(draw(st.integers(0, 6))):
+        t = T0 + draw(st.integers(0, 12)) * 6 * d.HOUR + draw(st.sampled_from([0, 1, 1799]))
+        p = make_project(pid=f"p{i}", t=t, dur=draw(st.integers(1, 4)),
+                         goal=draw(st.sampled_from([1.0, 50.0, 333.3])))
+        projects.append(p)
+        edges = [e for e in (t, t + 1, t + 24 * d.HOUR - 1, t + 24 * d.HOUR, p.end_time - 1)
+                 if e < p.end_time]
+        stamps = draw(st.lists(st.one_of(st.sampled_from(edges),
+                                         st.integers(t, p.end_time - 1)), max_size=8))
+        events += [d.InvestmentEvent(p.id, s, draw(st.sampled_from([0.5, 7.0, 1e-3, 123.25])))
+                   for s in stamps]
+    return projects, events
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(market=random_markets(), data=st.data())
+def test_whole_set_helpers_match_per_project_references(market, data):
+    market = d.Market(*market)
+    n = len(market.projects)
+    rows = np.asarray(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                         max_size=5 if n else 0)), dtype=np.int64)
+    tau = data.draw(st.sampled_from([24, 48]))
+    # an observation time anywhere, or on a launch plus a window edge
+    launches = st.sampled_from([int(v) for v in market.published] or [T0])
+    edges = st.sampled_from([k * tau * d.HOUR + e for k in (0, 1, 2, 3) for e in (-1, 0, 1)])
+    t = data.draw(st.one_of(st.integers(T0 - d.DAY, T0 + 8 * d.DAY),
+                            st.builds(lambda a, b: a + b, launches, edges)))
+    projects = [market.projects[r] for r in rows]
+    logs = [oracles.ProjectLog(market.log(p.id).times, market.log(p.id).amounts)
+            for p in projects]
+
+    # The whole-set helpers keep the references' arithmetic: exact equality.
+    np.testing.assert_array_equal(market.raised_before(rows, t),
+                                  [log.total_before(t) for log in logs])
+    np.testing.assert_array_equal(
+        d.fundraising_target(market, rows, tau),
+        [oracles.fundraising_target(p, log, tau) for p, log in zip(projects, logs)])
+    np.testing.assert_array_equal(
+        d.early_stage_amount(market, rows, tau),
+        [oracles.early_stage_amount(p, log, tau) for p, log in zip(projects, logs)])
+    np.testing.assert_array_equal(
+        d.hourly_series(market, rows, t),
+        np.reshape([oracles.hourly_series(log, t) for log in logs], (len(rows), 24)))
+    assert ids_at(market, d.running_set(market, t)) == [
+        p.id for p in oracles.running_set(market.projects, t)]
+    assert ids_at(market, d.observable_set(market, t, 3, tau)) == [
+        p.id for p in oracles.observable_set(market.projects, t, 3, tau)]
+
+    # np.log2 of the funded-day count may differ from math.log2 in the last
+    # bit, so the trend is held to 1e-15 relative; its bins must agree exactly.
+    if any(p.published_time > t for p in projects):
+        with pytest.raises(d.DataError, match="predates publication"):
+            d.prior_trend(market, rows, t)
+        return
+    trend, onehot = d.prior_trend(market, rows, t)
+    want = [oracles.prior_trend(p, log, t) for p, log in zip(projects, logs)]
+    np.testing.assert_allclose(trend, [w[0] for w in want], rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(onehot, np.reshape([w[1] for w in want], (len(rows), 6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(projects=st.lists(st.builds(
+    d.ProjectRecord,
+    id=st.text(min_size=1, max_size=6),
+    published_time=st.integers(-10**12, 10**12),
+    category=st.text(max_size=5), creator_type=st.text(max_size=5), currency=st.text(max_size=3),
+    duration_days=st.integers(1, 60),
+    goal=st.floats(min_value=1e-6, max_value=1e12),
+    text=st.one_of(st.none(), st.text(max_size=12)),
+    vec=st.one_of(st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      max_size=4).map(tuple)),
+), max_size=5, unique_by=lambda p: p.id), data=st.data())
+def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, projects, data):
+    # the loader needs a description, and save_projects writes "" for a missing text
+    projects = [p if p.vec is not None or p.text is not None else
+                dataclasses.replace(p, text="") for p in projects]
+    events = [d.InvestmentEvent(p.id, data.draw(st.integers(p.published_time, p.end_time - 1)),
+                                data.draw(st.floats(min_value=1e-9, max_value=1e9)))
+              for p in projects for _ in range(data.draw(st.integers(0, 3)))]
+    folder = tmp_path_factory.mktemp("roundtrip")
+    d.save_projects(folder / "p.jsonl", projects)
+    d.save_investments(folder / "i.jsonl", events)
+    loaded = d.load_projects(folder / "p.jsonl")
+    assert loaded == [dataclasses.replace(p, text=None) if p.vec is not None else p
+                      for p in projects]
+    assert d.load_investments(folder / "i.jsonl") == events
+    a, b = d.Market(projects, events), d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
+    assert [p.id for p in a.projects] == [p.id for p in b.projects]
+    for p in projects:
+        np.testing.assert_array_equal(a.log(p.id).times, b.log(p.id).times)
+        np.testing.assert_array_equal(a.log(p.id).amounts, b.log(p.id).amounts)

@@ -107,7 +107,7 @@ class TestForwardGuards:
     def test_empty_target_set_rejected(self):
         config, bundle = toy_bundle()
         model = GMEModel(bundle.encoder.feature_dim, config)
-        ctx = dataclasses.replace(bundle.train[0], target_ids=())
+        ctx = dataclasses.replace(bundle.train[0], target_rows=np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty target set"):
             model.forward(ctx)
 

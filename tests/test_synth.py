@@ -22,7 +22,7 @@ class TestDeterminism:
         assert [p.id for p in a_market.projects] == [p.id for p in b_market.projects]
         for pa, pb in zip(a_market.projects, b_market.projects):
             assert pa == pb
-        for pid in a_market.by_id:
+        for pid in a_market.row:
             la, lb = a_market.log(pid), b_market.log(pid)
             np.testing.assert_array_equal(la.times, lb.times)
             np.testing.assert_array_equal(la.amounts, lb.amounts)
@@ -47,7 +47,7 @@ class TestScalingLaws:
         for noise in (0.0, 0.3):
             base, _ = generate_market(small_config(noise=noise, budget=500.0))
             double, _ = generate_market(small_config(noise=noise, budget=1000.0))
-            for pid in base.by_id:
+            for pid in base.row:
                 la, lb = base.log(pid), double.log(pid)
                 np.testing.assert_array_equal(la.times, lb.times)
                 np.testing.assert_array_equal(la.amounts * 2.0, lb.amounts)
@@ -62,7 +62,8 @@ class TestScalingLaws:
             daily = []
             for d in range(p.duration_days):
                 lo = p.published_time - (p.published_time % DAY) + d * DAY
-                total = log.total_between(max(lo, p.published_time), lo + DAY)
+                window = [max(lo, p.published_time), lo + DAY]
+                total = np.diff(market.raised_before(market.row[p.id], window))[0]
                 if total > 0:
                     daily.append(total)
             full_days = daily[1:]  # launch day is truncated by the launch hour
@@ -112,8 +113,7 @@ class TestLatentStructure:
         launch = {row["id"]: row["launch_day"] for row in trace["projects"]}
         ratios, crowd = [], []
         for p in market.projects:
-            raised = market.log(p.id).total_between(
-                p.published_time, p.published_time + 24 * HOUR)
+            raised = market.raised_before(market.row[p.id], p.published_time + 24 * HOUR)
             if raised <= 0:
                 continue
             ratios.append(np.log(raised / attract[p.id]))

@@ -57,24 +57,44 @@ class TestContextBuilding:
         ctx = next(c for c in bundle.train if c.rival_ids)
         for row, pid in zip(ctx.rival_series, ctx.rival_ids):
             np.testing.assert_array_equal(
-                row, gd.hourly_series(market.log(pid), ctx.observation_time))
+                row, gd.hourly_series(market, [market.row[pid]], ctx.observation_time)[0])
 
     def test_aux_truths_match_definition(self):
         config, market, bundle = toy_setup()
         ctx = next(c for c in bundle.train if c.tree.n_nodes > c.tree.n_roots)
         for offset, pid in enumerate(ctx.tree.node_ids[ctx.tree.n_roots:]):
             lo = ctx.observation_time
-            raised = market.log(pid).total_between(lo, lo + config.tau * HOUR)
+            log = market.log(pid)
+            raised = log.amounts[(log.times >= lo) & (log.times < lo + config.tau * HOUR)].sum()
             assert ctx.aux_truths[offset] == pytest.approx(np.log2(1 + raised), abs=1e-12)
 
     def test_truths_are_goal_normalized_early_ratios(self):
         config, market, bundle = toy_setup()
         ctx = bundle.train[0]
         for pid, truth in zip(ctx.target_ids, ctx.truths):
-            p = market.by_id[pid]
-            raised = market.log(pid).total_between(
-                p.published_time, p.published_time + config.tau * HOUR)
+            p = market.projects[market.row[pid]]
+            log = market.log(pid)
+            raised = log.amounts[log.times < p.published_time + config.tau * HOUR].sum()
             assert truth == pytest.approx(np.log2(1 + raised / p.goal), abs=1e-12)
+
+    def test_feature_inputs_are_rows_of_one_shared_matrix(self):
+        config, market, bundle = toy_setup()
+        features = bundle.encoder.encode(market.projects)
+
+        def rows(ids):
+            return [market.row[pid] for pid in ids]
+
+        for ctx in (*bundle.train, *bundle.test):
+            assert ctx.features is bundle.train[0].features
+            np.testing.assert_array_equal(ctx.features, features)
+            np.testing.assert_array_equal(ctx.target_features, features[rows(ctx.target_ids)])
+            np.testing.assert_array_equal(
+                ctx.rival_features, features[rows(ctx.rival_ids)].reshape(-1, features.shape[1]))
+            nodes = rows(ctx.tree.node_ids)
+            n_roots = ctx.tree.n_roots
+            np.testing.assert_array_equal(ctx.tree_init[:, :-1], features[nodes])
+            amounts = gd.early_stage_amount(market, nodes[n_roots:], config.tau)
+            np.testing.assert_array_equal(ctx.tree_init[:, -1], np.r_[np.zeros(n_roots), amounts])
 
     def test_rebuild_produces_identical_contexts(self):
         config, market, _ = toy_setup()
