@@ -38,6 +38,7 @@ __all__ = [
     "leaky_relu",
     "tanh",
     "sigmoid",
+    "lstm",
     "softmax",
     "dropout",
     "absolute",
@@ -331,16 +332,106 @@ def tanh(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * (1.0 - y * y),))
 
 
+def _logistic(d: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + exp(-d)) as where(d >= 0, 1, e) / (1 + e) with e = exp(-|d|).
+
+    exp only ever sees -|d|, so nothing overflows; and since 0 <= e <= 1,
+    the select is max(e, d >= 0), which needs no branch.  `out` may be d.
+    """
+    pos = d >= 0.0
+    e = np.abs(d, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    np.maximum(e, pos, out=e)
+    return np.divide(e, den, out=e)
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0.0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
+    out = Tensor(_logistic(x.data))
+    y = out.data
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
+
+
+def lstm(series, gates) -> Tensor:
+    """Final hidden state of an LSTM run over the columns of a (n, steps) series.
+
+    `gates` holds the (wx, uh, b) triples of the input, forget and output
+    gates and the candidate, shaped (1, H), (H, H) and (H,).  Each step sets
+    z = (x_k wx + h uh) + b per gate, i, f, o = sigmoid(z), g = tanh(z),
+    c = f c + i g and h = o tanh(c), from h = c = 0.  The whole run is one
+    tape node.  Its backward is closed-form backpropagation through time
+    that adds terms in the order the per-step tape of these equations would
+    (dh over the gates candidate first, dc from the next step before
+    tanh(c), parameter terms from the last step back), so values and
+    gradients equal that tape's bit for bit.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    gates = [tuple(_as_tensor(p) for p in gate) for gate in gates]
+    hidden = gates[0][-1].data.size if gates and gates[0] else 0  # the first bias is (H,)
+    want = ((1, hidden), (hidden, hidden), (hidden,))
+    shapes = [tuple(p.data.shape for p in gate) for gate in gates]
+    if x.ndim != 2 or shapes != [want] * 4:
+        raise ShapeError(f"lstm: series of shape {x.shape} needs 2-D, and gates of shapes "
+                         f"{shapes} need four (wx, uh, b) triples shaped {want}")
+    n, steps = x.shape
+    wx = np.stack([gate[0].data for gate in gates])  # (4, 1, H)
+    uh = np.stack([gate[1].data for gate in gates])  # (4, H, H)
+    b = np.stack([gate[2].data for gate in gates])[:, None, :]  # (4, 1, H)
+    # Per-step values are kept only for a backward pass; untaped, one slot
+    # (two for the carried h and c) is reused, indexed by k % len.
+    keep = steps if _tape_stack() else 1
+    acts = np.empty((keep, 4, n, hidden))  # i, f, o, g
+    tcs = np.empty((keep, n, hidden))  # tanh(c) after each step
+    hs = np.zeros((keep + 1, n, hidden))  # h and c entering each step
+    cs = np.zeros((keep + 1, n, hidden))
+    tmp = np.empty((4, n, hidden))
+    for k in range(steps):
+        h, c = hs[k % len(hs)], cs[k % len(cs)]
+        z = np.matmul(h, uh, out=acts[k % keep])
+        z += np.multiply(x[:, k:k + 1], wx, out=tmp)
+        z += b
+        _logistic(z[:3], out=z[:3])
+        np.tanh(z[3], out=z[3])
+        i, f, o, g = z
+        c_next, tc = cs[(k + 1) % len(cs)], tcs[k % keep]
+        np.multiply(f, c, out=c_next)
+        c_next += np.multiply(i, g, out=tmp[0])
+        np.multiply(o, np.tanh(c_next, out=tc), out=hs[(k + 1) % len(hs)])
+    out = Tensor(hs[steps % len(hs)].copy())
+
+    def _bwd(gout):
+        g_wx, g_uh, g_b = np.zeros_like(wx), np.zeros_like(uh), np.zeros_like(b[:, 0])
+        uh_t = uh.transpose(0, 2, 1)
+        dz = np.empty((4, n, hidden))
+        gh, (gh_next, gc, carry) = gout, np.empty((3, n, hidden))
+        for k in range(steps - 1, -1, -1):
+            act, tc = acts[k], tcs[k]
+            i, f, o, g = act
+            np.multiply(gh, o, out=gc)  # dc through tanh(c), plus the next step's f * dc
+            gc *= np.subtract(1.0, np.multiply(tc, tc, out=tmp[0]), out=tmp[0])
+            if k < steps - 1:
+                gc += carry
+            np.multiply(gc, g, out=dz[0])
+            np.multiply(gc, cs[k], out=dz[1])
+            np.multiply(gh, tc, out=dz[2])
+            dz[:3] *= act[:3]
+            dz[:3] *= np.subtract(1.0, act[:3], out=tmp[:3])
+            np.multiply(gc, i, out=dz[3])
+            dz[3] *= np.subtract(1.0, np.multiply(g, g, out=tmp[3]), out=tmp[3])
+            g_b += dz.sum(axis=1)
+            g_uh += np.matmul(hs[k].T, dz)
+            g_wx += np.matmul(x[:, k:k + 1].T, dz)
+            if k:
+                back = np.matmul(dz, uh_t, out=tmp)  # dh per gate, summed candidate first
+                gh = np.add(back[3], back[2], out=gh_next)
+                gh += back[1]
+                gh += back[0]
+                np.multiply(gc, f, out=carry)
+        return [grad[j] for j in range(4) for grad in (g_wx, g_uh, g_b)]
+
+    return _record(out, tuple(p for gate in gates for p in gate), _bwd)
 
 
 def softmax(x, mask) -> Tensor:

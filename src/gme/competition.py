@@ -97,23 +97,7 @@ class RecurrentQuantifier:
 
     def forward(self, series: np.ndarray) -> ad.Tensor:
         """(n, 24) hourly series -> (n, hidden) states, rows independent."""
-        n, steps = series.shape
-        h = ad.Tensor(np.zeros((n, self.hidden)))
-        c = ad.Tensor(np.zeros((n, self.hidden)))
-        for k in range(steps):
-            x = ad.Tensor(series[:, k:k + 1])
-
-            def gate(params, activate):
-                wx, uh, b = params
-                return activate(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, uh)), b))
-
-            i = gate(self.input_gate, ad.sigmoid)
-            f = gate(self.forget_gate, ad.sigmoid)
-            o = gate(self.output_gate, ad.sigmoid)
-            g = gate(self.candidate, ad.tanh)
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-        return h
+        return ad.lstm(series, (self.input_gate, self.forget_gate, self.output_gate, self.candidate))
 
 
 class PriorQuantifier:

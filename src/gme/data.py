@@ -19,6 +19,7 @@ import numpy as np
 
 HOUR = 3600
 DAY = 86400
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1  # times are held in int64 columns
 
 # Intra-day segment start hours, chronological. Segment k spans
 # [SEGMENT_STARTS[k], next start); the last segment ends at 24:00.
@@ -52,6 +53,9 @@ class ProjectRecord:
             raise DataError(f"project {self.id}: field 'goal' must be positive and finite")
         if self.vec is not None and any(not math.isfinite(v) for v in self.vec):
             raise DataError(f"project {self.id}: field 'vec' has non-finite entries")
+        if not (self.published_time >= INT64_MIN and self.end_time <= INT64_MAX):
+            raise DataError(f"project {self.id}: live window [{self.published_time}, "
+                            f"{self.end_time}) does not fit in 64 bits")
 
     @property
     def end_time(self) -> int:
@@ -397,6 +401,8 @@ def _typed_fields(doc, fields: dict, where: str) -> dict:
             if value is _MISSING:
                 raise DataError(f"{where}: missing field {key!r}")
             raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+        if stored is int and not INT64_MIN <= value <= INT64_MAX:
+            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}")
         out[key] = stored(value)
     return out
 

@@ -1,8 +1,10 @@
 """Straight-line numpy mirrors of the model's forward pass and of context building.
 
 Everything here is plain loops over ndarray views of the model's
-parameters: no Tensor, no tape, no batching.  Tests compare these against
-the engine to catch wiring mistakes that unit tests on single ops miss.
+parameters: no batching, and no Tensor or tape except in the engine
+references, which keep the per-step forms the fused ops replaced.  Tests
+compare these against the engine to catch wiring mistakes that unit tests
+on single ops miss.
 The data formulas work one project at a time on that project's own
 events, and tree growth attaches one candidate at a time, as the
 whole-market array code they check once did.
@@ -11,6 +13,8 @@ whole-market array code they check once did.
 import math
 
 import numpy as np
+
+from gme import autodiff as ad
 
 HOUR = 3600
 DAY = 86400
@@ -128,6 +132,40 @@ def joint_loss(model, ctx):
     loss_l = float(np.mean(np.abs(aux - ctx.aux_truths)))
     eta = model.config.eta
     return eta * loss_p + (1.0 - eta) * loss_l, loss_p, loss_l
+
+
+# --- engine references for the fused ops ---------------------------------------
+
+def piecewise_sigmoid(d):
+    """The logistic function with one exp per entry, split on the sign of d."""
+    y = np.empty_like(d)
+    pos = d >= 0.0
+    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def taped_lstm(series, gates):
+    """`ad.lstm` as the per-step taped loop: about 25 tape nodes a step."""
+    n, steps = series.shape
+    hidden = gates[0][2].shape[0]
+    h = ad.Tensor(np.zeros((n, hidden)))
+    c = ad.Tensor(np.zeros((n, hidden)))
+    for k in range(steps):
+        x = ad.Tensor(series[:, k:k + 1])
+
+        def gate(params, activate):
+            wx, uh, b = params
+            return activate(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, uh)), b))
+
+        i = gate(gates[0], ad.sigmoid)
+        f = gate(gates[1], ad.sigmoid)
+        o = gate(gates[2], ad.sigmoid)
+        g = gate(gates[3], ad.tanh)
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+    return h
 
 
 # --- per-project data formulas ------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from gme import autodiff as ad
 
 
@@ -210,6 +211,165 @@ def test_masked_softmax_properties(case, seed):
     x = ad.Parameter(scores.copy(), name="scores")
     weight = rng.normal(0, 1, scores.shape)
     assert ad.grad_check(lambda: ad.mean(ad.mul(ad.softmax(x, mask), weight)), [x]) < 1e-4
+
+
+def _same_bits(a, b):
+    """Bitwise equality, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def test_sigmoid_is_bitwise_the_piecewise_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300,
+                        36.0, -36.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    noise = np.random.default_rng(11).normal(0, 10, 100_000)
+    for d in (special, noise):
+        got = ad.sigmoid(ad.Tensor(d)).data
+        assert _same_bits(got, oracles.piecewise_sigmoid(d))
+    assert np.array_equal(ad.sigmoid(ad.Tensor([-800.0, 0.0, 800.0])).data, [0.0, 0.5, 1.0])
+
+
+def _lstm_gates(rng, hidden):
+    shapes = (("wx", (1, hidden)), ("uh", (hidden, hidden)), ("b", (hidden,)))
+    return [tuple(ad.Parameter(rng.normal(0, 0.6, shape), f"{gate}.{name}") for name, shape in shapes)
+            for gate in ("input", "forget", "output", "candidate")]
+
+
+def _lstm_loss(lstm, series, gates, weight):
+    """(loss, states); the row sum keeps the loss defined for an empty series."""
+    out = lstm(series, gates)
+    return ad.mean(ad.matmul(np.ones(len(series)), ad.mul(out, weight))), out
+
+
+def _fused_against_taped(n, hidden, steps, seed):
+    """Asserts equal outputs and gradients; returns the parameters and the loss closure."""
+    rng = np.random.default_rng(seed)
+    gates = _lstm_gates(rng, hidden)
+    params = [p for gate in gates for p in gate]
+    series = rng.uniform(0, 6, (n, steps)) * (rng.random((n, steps)) < 0.7)  # quiet hours are 0
+    weight = rng.normal(0, 1, (n, hidden))
+    runs = []
+    for lstm in (ad.lstm, oracles.taped_lstm):
+        with ad.Tape() as tape:
+            loss, out = _lstm_loss(lstm, series, gates, weight)
+        ad.backward(tape, loss)
+        runs.append((out.data.copy(), [p.grad.copy() for p in params]))
+        for p in params:
+            p.zero_grad()
+    (fused, fused_grads), (taped, taped_grads) = runs
+    assert np.array_equal(fused, taped)
+    for p, a, b in zip(params, fused_grads, taped_grads):
+        assert np.array_equal(a, b), p.name
+    return params, lambda: _lstm_loss(ad.lstm, series, gates, weight)[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), hidden=st.integers(1, 5), steps=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_lstm_equals_taped_loop_and_central_differences(n, hidden, steps, seed):
+    params, loss = _fused_against_taped(n, hidden, steps, seed)
+    assert ad.grad_check(loss, params) < 1e-4
+
+
+def test_fused_lstm_equals_taped_loop_at_model_width():
+    _fused_against_taped(n=130, hidden=50, steps=24, seed=5)
+
+
+def test_lstm_shape_errors_name_op_and_shapes():
+    gates = _lstm_gates(np.random.default_rng(0), 3)
+    with pytest.raises(ad.ShapeError, match=r"lstm: series of shape \(5,\)"):
+        ad.lstm(np.zeros(5), gates)
+    gates[2] = (gates[2][0], ad.Parameter(np.zeros((3, 4)), "output.uh"), gates[2][2])
+    with pytest.raises(ad.ShapeError) as err:
+        ad.lstm(np.zeros((2, 24)), gates)
+    assert "lstm" in str(err.value) and "(3, 4)" in str(err.value) and "(3, 3)" in str(err.value)
+    with pytest.raises(ad.ShapeError, match="lstm"):
+        ad.lstm(np.zeros((2, 24)), gates[:3])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a_vector=st.booleans(), b_vector=st.booleans(), m=st.integers(1, 4), k=st.integers(1, 4),
+       p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_matmul_gradients_in_every_rank_combination(a_vector, b_vector, m, k, p, seed):
+    rng = np.random.default_rng(seed)
+    a = ad.Parameter(rng.normal(0, 1, (k,) if a_vector else (m, k)), name="a")
+    b = ad.Parameter(rng.normal(0, 1, (k,) if b_vector else (k, p)), name="b")
+    weight = rng.normal(0, 1, ad.matmul(a, b).shape)
+
+    def loss():
+        out = ad.matmul(a, b)
+        return ad.mean(ad.mul(ad.mul(out, out), weight))
+
+    assert ad.grad_check(loss, [a, b]) < 1e-4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_take_rows_gradients_with_repeated_indices(data, seed):
+    rng = np.random.default_rng(seed)
+    rows = data.draw(st.integers(1, 5))
+    vector = data.draw(st.booleans())
+    shape = (rows,) if vector else (rows, data.draw(st.integers(1, 4)))
+    picks = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=6))
+    idx = np.array(picks + picks[:1])  # at least one index repeats
+    if vector and data.draw(st.booleans()):
+        idx = idx[:, None]  # a column of indices into a vector gives a column
+    x = ad.Parameter(rng.normal(0, 1, shape), name="x")
+    weight = rng.normal(0, 1, ad.take_rows(x, idx).shape)
+
+    def loss():
+        out = ad.take_rows(x, idx)
+        return ad.mean(ad.mul(ad.mul(out, out), weight))
+
+    assert ad.grad_check(loss, [x]) < 1e-4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_row_update_gradients(data, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    order = data.draw(st.permutations(range(rows)))
+    idx = order[:data.draw(st.integers(1, rows))]
+    x = ad.Parameter(rng.normal(0, 1, (rows, cols)), name="x")
+    new = ad.Parameter(rng.normal(0, 1, (len(idx), cols)), name="rows")
+    weight = rng.normal(0, 1, (rows, cols))
+
+    def loss():
+        out = ad.row_update(x, idx, new)
+        return ad.mean(ad.mul(ad.mul(out, out), weight))
+
+    assert ad.grad_check(loss, [x, new]) < 1e-4
+
+
+UNARY_OPS = {
+    "relu": ad.relu,
+    "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "absolute": ad.absolute,
+    "mean": ad.mean,
+    "dropout": lambda t: ad.dropout(t, 0.6, np.random.default_rng(3)),  # re-seeded: pinned mask
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(UNARY_OPS)),
+       shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_unary_gradients_away_from_kinks(op, shape, seed):
+    rng = np.random.default_rng(seed)
+    # |x| >= 0.05 keeps every entry far from the kink at 0 relative to the probe step
+    x = ad.Parameter(rng.uniform(0.05, 3.0, shape) * rng.choice([-1.0, 1.0], shape), name="x")
+    weight = rng.normal(0, 1, UNARY_OPS[op](x).shape)
+
+    def loss():
+        out = UNARY_OPS[op](x)
+        return ad.mean(ad.mul(ad.mul(out, out), weight))
+
+    assert ad.grad_check(loss, [x]) < 1e-4
 
 
 def test_sgd_single_step():

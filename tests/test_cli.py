@@ -191,6 +191,19 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"{bad}:1" in capsys.readouterr().err
 
+    def test_time_beyond_int64_is_data_error(self, tmp_path, capsys):
+        record = {"id": "a", "published_time": 0, "category": "c", "creator_type": "i",
+                  "currency": "USD", "duration_days": 3, "goal": 10.0, "text": ""}
+        projects = tmp_path / "projects.jsonl"
+        projects.write_text(json.dumps(record) + "\n" + json.dumps(
+            {**record, "id": "b", "published_time": 100000000000000000000}) + "\n")
+        inv = tmp_path / "inv.jsonl"
+        inv.write_text("")
+        code = main(["dump-tree", "--projects", str(projects),
+                     "--investments", str(inv), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{projects}:2: field 'published_time' must fit in 64 bits" in capsys.readouterr().err
+
     def test_bad_flag_values_are_usage_errors(self, tmp_path, market_dir):
         with pytest.raises(SystemExit) as exc:
             main(["train", *_data_flags(market_dir), "--t-h", "0",

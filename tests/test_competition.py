@@ -113,6 +113,15 @@ class TestRecurrentQuantifier:
             single = q.forward(series[row:row + 1]).data[0]
             np.testing.assert_allclose(batch[row], single, atol=1e-12)
 
+    def test_forward_is_one_tape_node_and_untaped_states_agree(self):
+        q = comp.RecurrentQuantifier(4, np.random.default_rng(2))
+        series = np.random.default_rng(3).uniform(0, 6, (5, 24))
+        with ad.Tape() as tape:
+            taped = q.forward(series)
+        assert len(tape) == 1
+        untaped = q.forward(series)  # reuses one step's buffers instead of keeping all 24
+        assert np.array_equal(untaped.data, taped.data)
+
     def test_deterministic_construction(self):
         a = comp.RecurrentQuantifier(4, ad.derive_rng(3, "q"))
         b = comp.RecurrentQuantifier(4, ad.derive_rng(3, "q"))

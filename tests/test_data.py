@@ -355,6 +355,26 @@ class TestIO:
         with pytest.raises(d.DataError, match=re.escape(f"{path}:2: field '{field}' must be")):
             load(path)
 
+    @pytest.mark.parametrize("loader, field, value", [
+        ("projects", "published_time", 10**20),
+        ("projects", "duration_days", -2**63 - 1),
+        ("investments", "timestamp", 2**63),
+    ])
+    def test_integers_outside_int64_are_refused(self, tmp_path, loader, field, value):
+        base = self.PROJECT_LINE if loader == "projects" else self.EVENT_LINE
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(json.dumps(base) + "\n" + json.dumps({**base, field: value}) + "\n")
+        load = d.load_projects if loader == "projects" else d.load_investments
+        with pytest.raises(d.DataError, match=re.escape(
+                f"{path}:2: field '{field}' must fit in 64 bits, got {value}")):
+            load(path)
+
+    def test_live_window_past_int64_is_refused(self, tmp_path):
+        path = tmp_path / "projects.jsonl"
+        path.write_text(json.dumps({**self.PROJECT_LINE, "published_time": 2**63 - 1}) + "\n")
+        with pytest.raises(d.DataError, match=re.escape(f"{path}:1: project a: live window")):
+            d.load_projects(path)
+
     def test_duplicate_id_names_id_and_second_line(self, tmp_path):
         path = tmp_path / "projects.jsonl"
         line = json.dumps(self.PROJECT_LINE)
