@@ -86,41 +86,8 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item: tensor of shape {self.data.shape} is not scalar")
-        return float(self.data)
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -605,16 +572,28 @@ def save_checkpoint(path, params, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name -> float64 array, meta dict)."""
+    """Read a checkpoint; returns (name -> float64 array, meta dict).
+
+    Any departure from the layout `save_checkpoint` writes raises ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if type(doc) is not dict or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')} in {path}")
+    entries, meta = doc.get("parameters"), doc.get("meta", {})
+    if type(entries) is not list or type(meta) is not dict:
+        raise ValueError(f"'parameters' must be a list and 'meta' an object in {path}")
     values = {}
-    for entry in doc["parameters"]:
+    for i, entry in enumerate(entries):
+        if not (type(entry) is dict and type(entry.get("name")) is str
+                and type(entry.get("shape")) is list
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+                and type(entry.get("data")) is str):
+            raise ValueError(f"parameter entry {i} in {path} needs a string 'name', a 'shape' "
+                             f"list of non-negative integers and a base64 string 'data'")
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         values[entry["name"]] = arr
-    return values, doc.get("meta", {})
+    return values, meta

@@ -73,7 +73,7 @@ def _load_market(args) -> gd.Market:
 def _load_checkpoint_doc(path):
     try:
         return ad.load_checkpoint(path)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise gd.DataError(f"{path}: not a readable checkpoint ({exc})") from exc
 
 
@@ -81,7 +81,7 @@ def _load_encoder(path) -> gd.EncoderConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return gd.EncoderConfig.from_json(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise gd.DataError(f"{path}: not a readable encoder file ({exc})") from exc
 
 

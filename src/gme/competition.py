@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import DAY
+from .data import DAY, SERIES_HOURS
 
 PRUNING_MODES = ("unpruned", "cate", "jf", "cate-jf")
 JUST_FUNDED_WINDOW_DAYS = 3
@@ -78,13 +78,13 @@ class RecurrentQuantifier:
     the final hidden row is the rival's competitiveness state.
     """
 
-    def __init__(self, hidden: int, rng: np.random.Generator, prefix: str = "competition.recurrent"):
+    def __init__(self, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
 
         def make(kind):
-            wx = ad.Parameter(ad.glorot_uniform(rng, (1, hidden), 1, hidden), f"{prefix}.{kind}.wx")
-            uh = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), f"{prefix}.{kind}.uh")
-            b = ad.Parameter(np.zeros(hidden), f"{prefix}.{kind}.b")
+            wx = ad.Parameter(ad.glorot_uniform(rng, (1, hidden), 1, hidden), f"competition.recurrent.{kind}.wx")
+            uh = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), f"competition.recurrent.{kind}.uh")
+            b = ad.Parameter(np.zeros(hidden), f"competition.recurrent.{kind}.b")
             return wx, uh, b
 
         self.input_gate = make("input_gate")
@@ -100,39 +100,49 @@ class RecurrentQuantifier:
         return ad.lstm(series, (self.input_gate, self.forget_gate, self.output_gate, self.candidate))
 
 
-class PriorQuantifier:
+class AffineStack:
+    """Affine layers with ReLU between them; the last layer's output stays affine.
+
+    Layer i maps dims[i - 1] to dims[i] through parameters named
+    ``{name}.layer{i}.w`` and ``{name}.layer{i}.b``, drawn in layer order.
+    """
+
+    def __init__(self, dims, rng: np.random.Generator, name: str):
+        self.layers = []
+        for li, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
+            w = ad.Parameter(ad.glorot_uniform(rng, (a, b), a, b), f"{name}.layer{li}.w")
+            bias = ad.Parameter(np.zeros(b), f"{name}.layer{li}.b")
+            self.layers.append((w, bias))
+
+    def parameters(self) -> list:
+        return [p for pair in self.layers for p in pair]
+
+    def forward(self, inputs: np.ndarray) -> ad.Tensor:
+        """(n, dims[0]) rows -> (n, dims[-1]) outputs, rows independent."""
+        out = ad.Tensor(inputs)
+        for li, (w, b) in enumerate(self.layers):
+            if li:
+                out = ad.relu(out)
+            out = ad.add(ad.matmul(out, w), b)
+        return out
+
+
+class PriorQuantifier(AffineStack):
     """Three affine layers over [hourly series ∥ trend one-hot], no recurrence.
 
     ReLU after the hidden layers, tanh after the last so the state range
     matches the recurrent quantifier's.
     """
 
-    def __init__(self, hidden: int, rng: np.random.Generator, trend_bins: int = 6,
-                 series_len: int = 24, prefix: str = "competition.prior"):
-        self.hidden = hidden
-        self.input_dim = series_len + trend_bins
-        dims = [self.input_dim, hidden, hidden, hidden]
-        self.layers = []
-        for li in range(3):
-            w = ad.Parameter(
-                ad.glorot_uniform(rng, (dims[li], dims[li + 1]), dims[li], dims[li + 1]),
-                f"{prefix}.layer{li + 1}.w",
-            )
-            b = ad.Parameter(np.zeros(dims[li + 1]), f"{prefix}.layer{li + 1}.b")
-            self.layers.append((w, b))
-
-    def parameters(self) -> list:
-        return [p for pair in self.layers for p in pair]
+    def __init__(self, hidden: int, rng: np.random.Generator, trend_bins: int = 6):
+        self.input_dim = SERIES_HOURS + trend_bins
+        super().__init__([self.input_dim, hidden, hidden, hidden], rng, "competition.prior")
 
     def forward(self, inputs: np.ndarray) -> ad.Tensor:
         """(n, series+bins) rows -> (n, hidden) states, rows independent."""
         if inputs.shape[1] != self.input_dim:
             raise ad.ShapeError(f"prior quantifier: input of shape {inputs.shape} does not have width {self.input_dim}")
-        out = ad.Tensor(inputs)
-        for li, (w, b) in enumerate(self.layers):
-            out = ad.add(ad.matmul(out, w), b)
-            out = ad.tanh(out) if li == 2 else ad.relu(out)
-        return out
+        return ad.tanh(super().forward(inputs))
 
 
 class AttentionAggregator:
@@ -146,18 +156,18 @@ class AttentionAggregator:
     """
 
     def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator,
-                 leaky_slope: float = 0.2, prefix: str = "competition.attention"):
+                 leaky_slope: float = 0.2):
         self.hidden = hidden
         self.leaky_slope = leaky_slope
         self.w_score = ad.Parameter(
-            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), f"{prefix}.w_score")
+            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), "competition.attention.w_score")
         self.v = ad.Parameter(
-            ad.glorot_uniform(rng, (2 * hidden,), 2 * hidden, 1), f"{prefix}.v")
+            ad.glorot_uniform(rng, (2 * hidden,), 2 * hidden, 1), "competition.attention.v")
         self.w_value = ad.Parameter(
-            ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), f"{prefix}.w_value")
+            ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), "competition.attention.w_value")
         self.w_embed = ad.Parameter(
-            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), f"{prefix}.w_embed")
-        self.b_embed = ad.Parameter(np.zeros(hidden), f"{prefix}.b_embed")
+            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), "competition.attention.w_embed")
+        self.b_embed = ad.Parameter(np.zeros(hidden), "competition.attention.b_embed")
 
     def parameters(self) -> list:
         return [self.w_score, self.v, self.w_value, self.w_embed, self.b_embed]

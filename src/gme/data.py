@@ -11,8 +11,9 @@ import hashlib
 import json
 import math
 import re
+import typing
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 HOUR = 3600
 DAY = 86400
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1  # times are held in int64 columns
+SERIES_HOURS = 24  # length of a rival's hourly funding series
 
 # Intra-day segment start hours, chronological. Segment k spans
 # [SEGMENT_STARTS[k], next start); the last segment ends at 24:00.
@@ -28,6 +30,18 @@ SEGMENT_STARTS = (0, 8, 12, 14, 17, 20)
 
 class DataError(ValueError):
     """Malformed or inconsistent market data."""
+
+
+def _int64(owner: str, ident: str, field: str, value) -> int:
+    """`value` as a Python int, if it is a Python or numpy integer that fits in int64.
+
+    bool, float and every other type are refused.
+    """
+    if not ((type(value) is int or isinstance(value, np.integer))
+            and INT64_MIN <= int(value) <= INT64_MAX):
+        raise DataError(f"{owner} {ident}: field {field!r} must be an integer that fits in "
+                        f"64 bits, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -47,13 +61,16 @@ class ProjectRecord:
     def __post_init__(self):
         if not self.id:
             raise DataError("project field 'id' is empty")
+        # stored as Python ints, so no later arithmetic wraps around in a numpy type
+        for field in ("published_time", "duration_days"):
+            object.__setattr__(self, field, _int64("project", self.id, field, getattr(self, field)))
         if self.duration_days < 1:
             raise DataError(f"project {self.id}: field 'duration_days' must be a positive integer")
         if not (math.isfinite(self.goal) and self.goal > 0):
             raise DataError(f"project {self.id}: field 'goal' must be positive and finite")
         if self.vec is not None and any(not math.isfinite(v) for v in self.vec):
             raise DataError(f"project {self.id}: field 'vec' has non-finite entries")
-        if not (self.published_time >= INT64_MIN and self.end_time <= INT64_MAX):
+        if self.end_time > INT64_MAX:
             raise DataError(f"project {self.id}: live window [{self.published_time}, "
                             f"{self.end_time}) does not fit in 64 bits")
 
@@ -71,6 +88,11 @@ class InvestmentEvent:
     def __post_init__(self):
         if not self.project_id:
             raise DataError("investment field 'project_id' is empty")
+        # Nearly every event holds an in-range Python int; testing that in line
+        # instead of calling _int64 keeps a market load about 10% faster.
+        if not (type(self.timestamp) is int and INT64_MIN <= self.timestamp <= INT64_MAX):
+            object.__setattr__(self, "timestamp",
+                               _int64("investment in", self.project_id, "timestamp", self.timestamp))
         if not (math.isfinite(self.amount) and self.amount > 0):
             raise DataError(f"investment in {self.project_id}: field 'amount' must be positive and finite")
 
@@ -107,7 +129,9 @@ class Market:
         self.projects[:] = ordered
         self.row = {p.id: i for i, p in enumerate(ordered)}
         if len(self.row) != n:
-            raise DataError("duplicate project ids")
+            # row keeps each id's last row, so a repeated id's earlier row disagrees
+            pid = next(p.id for i, p in enumerate(ordered) if self.row[p.id] != i)
+            raise DataError(f"duplicate project id {pid!r}")
         self.published = np.fromiter((p.published_time for p in ordered), np.int64, n)
         self.ends = np.fromiter((p.end_time for p in ordered), np.int64, n)
         self.goals = np.fromiter((p.goal for p in ordered), np.float64, n)
@@ -177,12 +201,12 @@ def early_stage_amount(market: Market, rows, tau_hours: int) -> np.ndarray:
 
 
 def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
-    """24 hourly log2(1 + amount) values before t_obs per row, newest first.
+    """SERIES_HOURS hourly log2(1 + amount) values before t_obs per row, newest first.
 
     Entry k covers [t_obs - (k+1)h, t_obs - k*h); hours before a row's
     first event are zero by construction.
     """
-    bounds = t_obs - HOUR * np.arange(24, -1, -1, dtype=np.int64)
+    bounds = t_obs - HOUR * np.arange(SERIES_HOURS, -1, -1, dtype=np.int64)
     totals = market.raised_before(np.asarray(rows, dtype=np.int64)[:, None], bounds)
     return np.log2(1.0 + np.diff(totals, axis=1)[:, ::-1])
 
@@ -267,7 +291,9 @@ class EncoderConfig:
     Categorical vocabularies come from the training split; every block keeps
     one extra overflow slot so unseen values still encode.  Goal bins are
     half-open on log2(goal) with the first and last bins absorbing under- and
-    overflow.
+    overflow.  The text block is either the hashed `text` or the
+    precomputed `vec` of each project, and every project must carry the
+    form in use.
     """
 
     categories: tuple[str, ...]
@@ -282,19 +308,24 @@ class EncoderConfig:
     def __post_init__(self):
         if self.text_mode not in ("hashed", "precomputed"):
             raise DataError(f"unknown text mode {self.text_mode!r}")
+        if self.text_dim < (1 if self.text_mode == "hashed" else 0):
+            raise DataError(f"text_dim {self.text_dim} is too small for {self.text_mode} text")
         if list(self.goal_log2_edges) != sorted(set(self.goal_log2_edges)):
             raise DataError("goal bin edges must be strictly increasing")
         if list(self.duration_day_edges) != sorted(set(self.duration_day_edges)):
             raise DataError("duration bin edges must be strictly increasing")
 
     @classmethod
-    def fit(cls, projects, text_mode: str = "hashed", **overrides) -> "EncoderConfig":
+    def fit(cls, projects, **overrides) -> "EncoderConfig":
+        """Vocabularies from `projects`; the text block is their precomputed `vec`
+        (as wide as the first) when any carries one, and their hashed `text` otherwise."""
+        vec = next((p.vec for p in projects if p.vec is not None), None)
+        text = {} if vec is None else {"text_mode": "precomputed", "text_dim": len(vec)}
         return cls(
             categories=tuple(sorted({p.category for p in projects})),
             creator_types=tuple(sorted({p.creator_type for p in projects})),
             currencies=tuple(sorted({p.currency for p in projects})),
-            text_mode=text_mode,
-            **overrides,
+            **{**text, **overrides},
         )
 
     @property
@@ -337,6 +368,9 @@ class EncoderConfig:
                 raise DataError(f"project {project.id}: field 'vec' has length {len(project.vec)}, expected {self.text_dim}")
             text = np.asarray(project.vec, dtype=np.float64)
         else:
+            if project.text is None and project.vec is not None:
+                raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
+                                f"(the project carries only 'vec')")
             text = hashed_text_embedding(project.text or "", self.text_dim, self.text_seed)
         duration = np.zeros(self.duration_bins)
         duration[bisect_right(self.duration_day_edges, project.duration_days)] = 1.0
@@ -352,29 +386,36 @@ class EncoderConfig:
         ])
 
     def to_json(self) -> dict:
-        return {
-            "categories": list(self.categories),
-            "creator_types": list(self.creator_types),
-            "currencies": list(self.currencies),
-            "goal_log2_edges": list(self.goal_log2_edges),
-            "duration_day_edges": list(self.duration_day_edges),
-            "text_mode": self.text_mode,
-            "text_dim": self.text_dim,
-            "text_seed": self.text_seed,
-        }
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "EncoderConfig":
-        return cls(
-            categories=tuple(doc["categories"]),
-            creator_types=tuple(doc["creator_types"]),
-            currencies=tuple(doc["currencies"]),
-            goal_log2_edges=tuple(doc["goal_log2_edges"]),
-            duration_day_edges=tuple(doc["duration_day_edges"]),
-            text_mode=doc["text_mode"],
-            text_dim=doc["text_dim"],
-            text_seed=doc["text_seed"],
-        )
+    def from_json(cls, doc) -> "EncoderConfig":
+        """Rebuild a config from `to_json` output; every field must have its JSON type."""
+        if type(doc) is not dict:
+            raise DataError("encoder config is not a JSON object")
+        hints = typing.get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            hint = hints[f.name]
+            array = typing.get_origin(hint) is tuple  # a tuple[X, ...] field is a JSON array of X
+            stored, accepted, name = _JSON_TYPES[typing.get_args(hint)[0] if array else hint]
+            value = doc.get(f.name, _MISSING)
+            if value is _MISSING:
+                raise DataError(f"encoder field {f.name!r} is missing")
+            if array:
+                ok = type(value) is list and all(type(v) in accepted for v in value)
+            else:
+                ok = type(value) in accepted
+            if not ok:
+                expected = f"an array, each entry {name}" if array else name
+                raise DataError(f"encoder field {f.name!r} must be {expected}, "
+                                f"got {json.dumps(value)}")
+            values[f.name] = tuple(stored(v) for v in value) if array else stored(value)
+        return cls(**values)
 
 
 # Required JSONL fields: name -> (stored type, accepted JSON value types, description).
@@ -383,6 +424,7 @@ class EncoderConfig:
 _STRING = (str, (str,), "a string")
 _INTEGER = (int, (int,), "an integer")
 _NUMBER = (float, (int, float), "a number")
+_JSON_TYPES = {str: _STRING, int: _INTEGER, float: _NUMBER}  # by stored type
 _PROJECT_FIELDS = {"id": _STRING, "published_time": _INTEGER, "category": _STRING,
                    "creator_type": _STRING, "currency": _STRING, "duration_days": _INTEGER,
                    "goal": _NUMBER}
@@ -465,15 +507,7 @@ def load_investments(path) -> list[InvestmentEvent]:
 def save_projects(path, projects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in projects:
-            doc = {
-                "id": p.id,
-                "published_time": p.published_time,
-                "category": p.category,
-                "creator_type": p.creator_type,
-                "currency": p.currency,
-                "duration_days": p.duration_days,
-                "goal": p.goal,
-            }
+            doc = {key: getattr(p, key) for key in _PROJECT_FIELDS}
             if p.vec is not None:
                 doc["vec"] = list(p.vec)
             else:
@@ -484,5 +518,5 @@ def save_projects(path, projects) -> None:
 def save_investments(path, events) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            doc = {"project_id": e.project_id, "timestamp": e.timestamp, "amount": e.amount}
+            doc = {key: getattr(e, key) for key in _INVESTMENT_FIELDS}
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")

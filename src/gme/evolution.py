@@ -139,19 +139,19 @@ class GatedTreeUpdater:
     states plus a per-node update count for auditing.
     """
 
-    def __init__(self, width: int, rng, prefix="evolution.updater"):
+    def __init__(self, width: int, rng):
         if width < 1:
             raise ValueError(f"state width must be >= 1, got {width}")
         self.width = width
 
         def gate(name):
             w = ad.Parameter(ad.glorot_uniform(rng, (width, width), width, width),
-                             name=f"{prefix}.{name}.w")
+                             name=f"evolution.updater.{name}.w")
             u = ad.Parameter(ad.glorot_uniform(rng, (width, width), width, width),
-                             name=f"{prefix}.{name}.u")
+                             name=f"evolution.updater.{name}.u")
             return w, u
 
-        self.b_agg = ad.Parameter(np.zeros(width), name=f"{prefix}.b_agg")
+        self.b_agg = ad.Parameter(np.zeros(width), name="evolution.updater.b_agg")
         self.w_z, self.u_z = gate("update_gate")
         self.w_r, self.u_r = gate("reset_gate")
         self.w_c, self.u_c = gate("candidate")

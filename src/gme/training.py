@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as gd
-from .competition import build_competitiveness_graph
+from .competition import AffineStack, build_competitiveness_graph
 from .evolution import build_propagation_tree, init_states
 from .model import GMEModel, TargetSetContext, TrainConfig
 
@@ -67,7 +67,6 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
 
 
 def build_contexts(market: gd.Market, config: TrainConfig,
-                   text_mode: str = "hashed",
                    encoder_overrides: dict | None = None,
                    encoder: gd.EncoderConfig | None = None) -> ContextBundle:
     """Split target sets chronologically and precompute both spans.
@@ -85,8 +84,7 @@ def build_contexts(market: gd.Market, config: TrainConfig,
     if encoder is None:
         # sets follow launch time, so the training span is a prefix of the rows
         n_seen = sum(len(ts.project_ids) for ts in train_sets)
-        encoder = gd.EncoderConfig.fit(market.projects[:n_seen], text_mode=text_mode,
-                                       **(encoder_overrides or {}))
+        encoder = gd.EncoderConfig.fit(market.projects[:n_seen], **(encoder_overrides or {}))
 
     features = encoder.encode(market.projects)
     train = tuple(build_context(market, ts, config, features) for ts in train_sets)
@@ -196,34 +194,6 @@ def evaluate_model(model: GMEModel, contexts: Sequence[TargetSetContext]) -> dic
 BASELINES = ("mean", "linear", "mlp")
 
 
-class _MlpBaseline:
-    """Static-feature regressor trained with the same per-set protocol."""
-
-    def __init__(self, feature_dim: int, seed: int, widths=(150, 50)):
-        rng = ad.derive_rng(seed, "baseline-mlp")
-        dims = [feature_dim, *widths, 1]
-        self.layers = []
-        for i, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
-            w = ad.Parameter(ad.glorot_uniform(rng, (a, b), a, b), name=f"mlp.layer{i}.w")
-            bias = ad.Parameter(np.zeros(b), name=f"mlp.layer{i}.b")
-            self.layers.append((w, bias))
-
-    def parameters(self):
-        return [p for pair in self.layers for p in pair]
-
-    def forward(self, features: np.ndarray) -> ad.Tensor:
-        h = ad.Tensor(np.asarray(features, dtype=np.float64))
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = ad.add(ad.matmul(h, w), b)
-            if i != last:
-                h = ad.relu(h)
-        return h
-
-    def predict(self, ctx: TargetSetContext) -> np.ndarray:
-        return self.forward(ctx.target_features).data[:, 0].copy()
-
-
 def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
                  config: TrainConfig):
     """Return predict_fn for one reference model fitted on the train span."""
@@ -246,7 +216,9 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
         return lambda ctx: np.concatenate(
             [ctx.target_features, np.ones((len(ctx.target_ids), 1))], axis=1) @ coef
 
-    mlp = _MlpBaseline(train_contexts[0].target_features.shape[1], config.seed)
+    # a static-feature regressor trained with the same per-set protocol
+    dims = [train_contexts[0].target_features.shape[1], 150, 50, 1]
+    mlp = AffineStack(dims, ad.derive_rng(config.seed, "baseline-mlp"), "mlp")
     params = mlp.parameters()
     schedule = ad.SgdSchedule(config.learning_rate, config.lr_decay, len(train_contexts))
     step = 0
@@ -259,4 +231,4 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
                 ad.backward(tape, err)
             ad.sgd_step(params, schedule, step)
             step += 1
-    return mlp.predict
+    return lambda ctx: mlp.forward(ctx.target_features).data[:, 0]

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from gme.data import Market
+from gme.model import TrainConfig
+from gme.training import build_contexts
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,92 @@ class TestEval:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "head.out.b" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("artifact, edit", [
+        ("checkpoint.json", lambda doc: [doc]),
+        ("checkpoint.json", lambda doc: {**doc, "parameters": {"head.out.b": [0.0]}}),
+        ("checkpoint.json", lambda doc: {**doc, "parameters": [5, *doc["parameters"][1:]]}),
+        ("checkpoint.json", lambda doc: _edit_first_parameter(doc, shape="8")),
+        ("checkpoint.json", lambda doc: _edit_first_parameter(doc, data=5)),
+        ("encoder.json", lambda doc: {**doc, "text_dim": "50"}),
+        ("encoder.json", lambda doc: {**doc, "goal_log2_edges": ["7", "8"]}),
+        ("encoder.json", lambda doc: {**doc, "text_seed": 5}),
+    ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
+            "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number"])
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
+                                                          trained_dir, capsys, command,
+                                                          artifact, edit):
+        files = {name: trained_dir / name for name in ("checkpoint.json", "encoder.json")}
+        files[artifact] = tmp_path / artifact
+        files[artifact].write_text(json.dumps(edit(json.loads((trained_dir / artifact).read_text()))))
+        code = main([command, *_data_flags(market_dir),
+                     "--checkpoint", str(files["checkpoint.json"]),
+                     "--encoder", str(files["encoder.json"]),
+                     "--out", str(tmp_path / "bad")])
+        assert code == EXIT_DATA
+        assert f"data error: {files[artifact]}: " in capsys.readouterr().err
+
+
+def _edit_first_parameter(doc, **changes):
+    return {**doc, "parameters": [{**doc["parameters"][0], **changes}, *doc["parameters"][1:]]}
+
+
+def _rewrite_descriptions(src, dst, describe):
+    """Copy a projects file with each record's description replaced by describe(i, record)."""
+    records = sorted((json.loads(line) for line in src.read_text().splitlines()),
+                     key=lambda r: (r["published_time"], r["id"]))
+    with open(dst, "w", encoding="utf-8") as fh:
+        for i, record in enumerate(records):
+            record.pop("text", None)
+            fh.write(json.dumps({**record, **describe(i, record)}) + "\n")
+    return records
+
+
+class TestTextForm:
+    def test_vec_only_market_trains_on_its_vectors(self, tmp_path, market_dir):
+        vecs = {}
+
+        def describe(i, record):
+            vecs[record["id"]] = np.random.default_rng(i).normal(size=8).tolist()
+            return {"vec": vecs[record["id"]]}
+
+        projects = tmp_path / "projects.jsonl"
+        _rewrite_descriptions(market_dir / "projects.jsonl", projects, describe)
+        investments = market_dir / "investments.jsonl"
+        out = tmp_path / "trained"
+        code = main(["train", "--projects", str(projects), "--investments", str(investments),
+                     "--epochs", "1", "--hidden", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        encoder = json.loads((out / "encoder.json").read_text())
+        assert (encoder["text_mode"], encoder["text_dim"]) == ("precomputed", 8)
+
+        market = Market.from_files(projects, investments)
+        bundle = build_contexts(market, TrainConfig())
+        assert bundle.encoder.to_json() == encoder
+        want = np.array([vecs[p.id] for p in market.projects])
+        for ctx in (*bundle.train, *bundle.test):
+            np.testing.assert_array_equal(ctx.features[:, :8], want)
+
+    @pytest.mark.parametrize("vec_row, named_row, missing", [
+        (0, 1, "'vec' required in precomputed text mode"),
+        (-1, -1, "'text' required in hashed text mode"),
+    ], ids=["vec-in-train-span", "vec-only-in-test-span"])
+    def test_mixed_market_names_first_project_of_other_form(self, tmp_path, market_dir, capsys,
+                                                            vec_row, named_row, missing):
+        """One project carries only `vec`, the rest `text`; rows are in launch order."""
+        n = len((market_dir / "projects.jsonl").read_text().splitlines())
+
+        def describe(i, record):
+            return {"vec": [0.5] * 8} if i == vec_row % n else {"text": f"project {i}"}
+
+        projects = tmp_path / "projects.jsonl"
+        records = _rewrite_descriptions(market_dir / "projects.jsonl", projects, describe)
+        code = main(["train", "--projects", str(projects),
+                     "--investments", str(market_dir / "investments.jsonl"),
+                     "--epochs", "1", "--hidden", "4", "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"project {records[named_row]['id']}: field {missing}" in capsys.readouterr().err
 
 
 class TestDumpTree:

@@ -400,8 +400,46 @@ class TestIO:
             d.Market([make_project(pid="a")], [d.InvestmentEvent("ghost", 5, 1.0)])
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(d.DataError, match="duplicate"):
+        with pytest.raises(d.DataError, match="duplicate project id 'a'"):
             d.Market([make_project(pid="a"), make_project(pid="a")], [])
+        apart = [make_project(pid="b", t=100), make_project(pid="a", t=200),
+                 make_project(pid="c", t=300), make_project(pid="a", t=400)]
+        with pytest.raises(d.DataError, match="duplicate project id 'a'"):
+            d.Market(apart, [])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("published_time", 1000.7),
+    ("published_time", True),
+    ("published_time", 2**63),
+    ("published_time", np.uint64(2**64 - 1)),
+    ("duration_days", 7.0),
+    ("duration_days", np.True_),
+    ("timestamp", 1500.9),
+    ("timestamp", 2**70),
+    ("timestamp", -2**63 - 1),
+    ("timestamp", False),
+    ("timestamp", np.float64(1500.0)),
+])
+def test_api_times_must_be_int64_integers(field, value):
+    """Records built in Python refuse what the JSONL loader refuses, naming the id and value."""
+    if field == "timestamp":
+        owner, build = "investment in a", lambda: d.InvestmentEvent("a", value, 5.0)
+    else:
+        keyword = {"published_time": "t", "duration_days": "dur"}[field]
+        owner, build = "project a", lambda: make_project(pid="a", **{keyword: value})
+    with pytest.raises(d.DataError, match=re.escape(
+            f"{owner}: field '{field}' must be an integer that fits in 64 bits, got {value!r}")):
+        build()
+
+
+def test_api_times_take_numpy_integers_as_python_ints():
+    p = make_project(pid="a", t=np.int64(1_000_000), dur=np.int8(2))
+    e = d.InvestmentEvent("a", np.int32(1_000_500), 5.0)
+    assert (type(p.published_time), type(p.duration_days), type(e.timestamp)) == (int, int, int)
+    assert p.end_time == 1_000_000 + 2 * d.DAY
+    market = d.Market([p], [e])
+    assert market.published[0] == 1_000_000 and market.raised_before([0], 1_000_501)[0] == 5.0
 
 
 def test_hashed_embedding_properties():
