@@ -33,12 +33,11 @@ __all__ = [
     "mul",
     "matmul",
     "take_rows",
-    "row_update",
     "relu",
     "leaky_relu",
     "tanh",
-    "sigmoid",
     "lstm",
+    "tree_gru",
     "softmax",
     "dropout",
     "absolute",
@@ -236,46 +235,29 @@ def matmul(a, b) -> Tensor:
 
 
 def take_rows(x, indices) -> Tensor:
-    """Gather rows (2-D input) or entries (1-D input) by an integer index array.
+    """Gather rows (2-D input) or entries (1-D input) by an integer index array or a slice.
 
     The output takes the index array's shape, so a column of indices into a
-    vector gives a column.
+    vector gives a column.  A slice reads one block, and its backward writes
+    the block back without a scatter.
     """
     x = _as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
+    block = isinstance(indices, slice)
+    idx = indices if block else np.asarray(indices, dtype=np.intp)
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"take_rows: input of shape {x.data.shape} is not 1-D or 2-D")
-    out = Tensor(x.data[idx])
+    out = Tensor(x.data[idx].copy() if block else x.data[idx])
     xshape = x.data.shape
 
     def _bwd(g):
         gx = np.zeros(xshape)
-        np.add.at(gx, idx, g)
+        if block:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _record(out, (x,), _bwd)
-
-
-def row_update(x, indices, rows) -> Tensor:
-    """Functional row replacement: out = x with out[indices] = rows."""
-    x, rows = _as_tensor(x), _as_tensor(rows)
-    idx = np.asarray(indices, dtype=np.intp)
-    if x.data.ndim != 2 or rows.data.ndim != 2:
-        raise ShapeError(f"row_update: shapes {x.data.shape} and {rows.data.shape} must be 2-D")
-    if rows.data.shape != (idx.size, x.data.shape[1]):
-        raise ShapeError(f"row_update: rows of shape {rows.data.shape} do not fit {idx.size} slots of width {x.data.shape[1]}")
-    if np.unique(idx).size != idx.size:
-        raise ShapeError("row_update: duplicate row indices")
-    data = x.data.copy()
-    data[idx] = rows.data
-    out = Tensor(data)
-
-    def _bwd(g):
-        gx = g.copy()
-        gx[idx] = 0.0
-        return gx, g[idx]
-
-    return _record(out, (x, rows), _bwd)
 
 
 def relu(x) -> Tensor:
@@ -312,13 +294,6 @@ def _logistic(d: np.ndarray, out=None) -> np.ndarray:
     den = 1.0 + e
     np.maximum(e, pos, out=e)
     return np.divide(e, den, out=e)
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(_logistic(x.data))
-    y = out.data
-    return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def lstm(series, gates) -> Tensor:
@@ -399,6 +374,100 @@ def lstm(series, gates) -> Tensor:
         return [grad[j] for j in range(4) for grad in (g_wx, g_uh, g_b)]
 
     return _record(out, tuple(p for gate in gates for p in gate), _bwd)
+
+
+def tree_gru(states, levels, b_agg, gates) -> Tensor:
+    """An (n, width) state matrix after a gated child-sum roll-up, level by level.
+
+    `levels` lists (rows, child_sum) pairs in update order: increasing node
+    numbers and their (len(rows), n) 0/1 child rows.  `gates` holds the
+    (w, u) pairs of the update gate, the reset gate and the candidate, each
+    (width, width).  Per level, with a = child_sum @ states + b_agg and
+    h = states[rows], z = sigmoid(a w_z + h u_z), r = sigmoid(a w_r + h u_r),
+    c = tanh(a w_c + (r h) u_c), and the rows become (h - z h) + z c before
+    the next level reads the states.  The whole roll-up is one tape node.
+    Its backward adds terms in the order the per-op tape of these equations
+    would (the row replacement, the cell's ops in reverse, then the
+    child-sum product), so values and parameter gradients equal that
+    tape's bit for bit.  The states and child sums are constants: no
+    gradient reaches them.  A level's rows still hold their input states
+    when the level reads them (each node is refreshed once, after every
+    deeper level), so no gradient flows through those reads either.
+    """
+    h = np.array(_as_tensor(states).data)  # a copy, updated in place
+    b_agg = _as_tensor(b_agg)
+    gates = [tuple(_as_tensor(p) for p in gate) for gate in gates]
+    width = h.shape[-1] if h.ndim == 2 else 0
+    want = ((width, width), (width, width))
+    shapes = [tuple(p.data.shape for p in gate) for gate in gates]
+    if h.ndim != 2 or b_agg.data.shape != (width,) or shapes != [want] * 3:
+        raise ShapeError(f"tree_gru: states of shape {h.shape} need 2-D, and b_agg of shape "
+                         f"{b_agg.data.shape} and gates of shapes {shapes} need ({width},) and "
+                         f"three (w, u) pairs shaped {want}")
+    n = h.shape[0]
+    levels = [(np.asarray(rows, dtype=np.intp), np.asarray(child_sum, dtype=np.float64))
+              for rows, child_sum in levels]
+    for rows, child_sum in levels:
+        if (rows.ndim != 1 or child_sum.shape != (rows.size, n) or rows.size and not (
+                0 <= rows[0] and rows[-1] < n and np.all(rows[1:] > rows[:-1]))):
+            raise ShapeError(f"tree_gru: a level needs increasing rows in [0, {n}) and a "
+                             f"child-sum matrix of shape ({rows.size}, {n}), got rows "
+                             f"{rows.tolist()} and shape {child_sum.shape}")
+    (w_z, u_z), (w_r, u_r), (w_c, u_c) = [(w.data, u.data) for w, u in gates]
+    saved = [] if _tape_stack() else None
+    for rows, child_sum in levels:
+        agg = child_sum @ h
+        agg += b_agg.data
+        hp = h[rows]
+        z = agg @ w_z
+        z += hp @ u_z
+        _logistic(z, out=z)
+        r = agg @ w_r
+        r += hp @ u_r
+        _logistic(r, out=r)
+        rh = r * hp
+        cand = agg @ w_c
+        cand += rh @ u_c
+        np.tanh(cand, out=cand)
+        new = hp - z * hp
+        new += z * cand
+        h[rows] = new
+        if saved is not None:
+            saved.append((agg, hp, z, r, rh, cand))
+    out = Tensor(h)
+
+    def _bwd(gout):
+        g_b = np.zeros(width)
+        g_wz, g_uz, g_wr, g_ur, g_wc, g_uc = np.zeros((6, width, width))
+        grad = gout.copy()  # d(loss)/d(states) between levels
+        for k in range(len(levels) - 1, -1, -1):
+            (rows, child_sum), (agg, hp, z, r, rh, cand) = levels[k], saved[k]
+            g_new = grad[rows]
+            g_z = g_new * cand
+            g_z -= g_new * hp
+            g_c = g_new * z  # through tanh
+            g_c *= 1.0 - cand * cand
+            g_rh = g_c @ u_c.T
+            g_uc += rh.T @ g_c
+            g_r = g_rh * hp
+            g_agg = g_c @ w_c.T
+            g_wc += agg.T @ g_c
+            g_r *= r  # through sigmoid
+            g_r *= 1.0 - r
+            g_ur += hp.T @ g_r
+            g_agg += g_r @ w_r.T
+            g_wr += agg.T @ g_r
+            g_z *= z
+            g_z *= 1.0 - z
+            g_uz += hp.T @ g_z
+            g_agg += g_z @ w_z.T
+            g_wz += agg.T @ g_z
+            g_b += g_agg.sum(axis=0)
+            if k:  # the first level's input is `states`, which takes no gradient
+                grad += child_sum.T @ g_agg
+        return g_b, g_wz, g_uz, g_wr, g_ur, g_wc, g_uc
+
+    return _record(out, (b_agg, *(p for gate in gates for p in gate)), _bwd)
 
 
 def softmax(x, mask) -> Tensor:
@@ -574,14 +643,16 @@ def save_checkpoint(path, params, meta: dict | None = None) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns (name -> float64 array, meta dict).
 
-    Any departure from the layout `save_checkpoint` writes raises ValueError.
+    Any departure from the layout `save_checkpoint` writes, a parameter
+    name listed twice included, raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if type(doc) is not dict or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')} in {path}")
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {json.dumps(version)} in {path}")
     entries, meta = doc.get("parameters"), doc.get("meta", {})
     if type(entries) is not list or type(meta) is not dict:
         raise ValueError(f"'parameters' must be a list and 'meta' an object in {path}")
@@ -593,6 +664,8 @@ def load_checkpoint(path):
                 and type(entry.get("data")) is str):
             raise ValueError(f"parameter entry {i} in {path} needs a string 'name', a 'shape' "
                              f"list of non-negative integers and a base64 string 'data'")
+        if entry["name"] in values:
+            raise ValueError(f"parameter {entry['name']!r} appears twice in {path}")
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         values[entry["name"]] = arr

@@ -508,10 +508,10 @@ def save_projects(path, projects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in projects:
             doc = {key: getattr(p, key) for key in _PROJECT_FIELDS}
+            if p.text is not None or p.vec is None:
+                doc["text"] = p.text
             if p.vec is not None:
                 doc["vec"] = list(p.vec)
-            else:
-                doc["text"] = p.text or ""
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 

@@ -123,6 +123,23 @@ def init_states(tree: PropagationTree, early_amounts: np.ndarray) -> np.ndarray:
     return amounts
 
 
+def update_levels(tree: PropagationTree) -> list:
+    """The roll-up schedule: (rows, their adjacency rows) per depth, deepest first.
+
+    A level holds the nodes of one depth that have children and, at depth
+    0, every root.
+    """
+    updated = tree.adjacency.any(axis=1)
+    updated[:tree.n_roots] = True  # a root updates even with no children
+    levels = []
+    # deepest possible parents sit one level above the deepest leaves
+    for d in range(max(tree.max_depth, 1) - 1, -1, -1):
+        rows = np.nonzero(updated & (tree.depth == d))[0]
+        if rows.size:
+            levels.append((rows, tree.adjacency[rows]))
+    return levels
+
+
 class PropagationResult(NamedTuple):
     roots: ad.Tensor
     states: ad.Tensor
@@ -135,8 +152,9 @@ class GatedTreeUpdater:
     Walks depths from the deepest parents toward the roots.  At each
     depth the nodes that have children (and, at depth 0, every root)
     absorb the sum of their children's current states through a gated
-    cell; leaves are left untouched.  `propagate` returns the root
-    states plus a per-node update count for auditing.
+    cell; leaves are left untouched.  The whole walk is one
+    `autodiff.tree_gru` node.  `propagate` returns the root states, all
+    states, and a per-node update count for auditing.
     """
 
     def __init__(self, width: int, rng):
@@ -159,13 +177,6 @@ class GatedTreeUpdater:
     def parameters(self):
         return [self.b_agg, self.w_z, self.u_z, self.w_r, self.u_r, self.w_c, self.u_c]
 
-    def _cell(self, agg, h):
-        z = ad.sigmoid(ad.add(ad.matmul(agg, self.w_z), ad.matmul(h, self.u_z)))
-        r = ad.sigmoid(ad.add(ad.matmul(agg, self.w_r), ad.matmul(h, self.u_r)))
-        cand = ad.tanh(ad.add(ad.matmul(agg, self.w_c),
-                              ad.matmul(ad.mul(r, h), self.u_c)))
-        return ad.add(ad.sub(h, ad.mul(z, h)), ad.mul(z, cand))
-
     def propagate(self, tree: PropagationTree, states):
         if not isinstance(states, ad.Tensor):
             states = ad.Tensor(np.asarray(states, dtype=np.float64))
@@ -173,20 +184,11 @@ class GatedTreeUpdater:
             raise ad.ShapeError(
                 f"propagate expected states {(tree.n_nodes, self.width)}, got {states.shape}")
 
-        h_all = states
+        levels = update_levels(tree)
         counts = np.zeros(tree.n_nodes, dtype=np.int64)
-        updated = tree.adjacency.any(axis=1)
-        updated[:tree.n_roots] = True  # a root updates even with no children
-        # deepest possible parents sit one level above the deepest leaves
-        for d in range(max(tree.max_depth, 1) - 1, -1, -1):
-            rows = np.nonzero(updated & (tree.depth == d))[0]
-            if not rows.size:
-                continue
-            child_sum = ad.Tensor(tree.adjacency[rows].astype(np.float64))
-            agg = ad.add(ad.matmul(child_sum, h_all), self.b_agg)
-            h_prev = ad.take_rows(h_all, rows)
-            h_all = ad.row_update(h_all, rows, self._cell(agg, h_prev))
+        for rows, _ in levels:
             counts[rows] += 1
-
-        roots = ad.take_rows(h_all, np.arange(tree.n_roots))
+        h_all = ad.tree_gru(states, levels, self.b_agg,
+                            [(self.w_z, self.u_z), (self.w_r, self.u_r), (self.w_c, self.u_c)])
+        roots = ad.take_rows(h_all, slice(0, tree.n_roots))
         return PropagationResult(roots, h_all, counts)

@@ -230,8 +230,7 @@ class GMEModel:
             parts.append(ad.add(ad.matmul(roots, self.proj_w), self.proj_b))
             n_aux = ctx.tree.n_nodes - ctx.tree.n_roots
             if n_aux > 0:
-                nonroot = ad.take_rows(
-                    rolled.states, list(range(ctx.tree.n_roots, ctx.tree.n_nodes)))
+                nonroot = ad.take_rows(rolled.states, slice(ctx.tree.n_roots, ctx.tree.n_nodes))
                 aux_pred = ad.relu(ad.add(ad.matmul(nonroot, self.aux_w), self.aux_b))
 
         combined = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])

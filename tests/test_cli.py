@@ -31,6 +31,13 @@ def trained_dir(tmp_path_factory, market_dir):
     return out
 
 
+def _repeat_aux_bias(doc):
+    """A second `head.aux.b` entry, holding 7.0, after every other parameter."""
+    entry = next(e for e in doc["parameters"] if e["name"] == "head.aux.b")
+    seven = base64.b64encode(np.asarray([7.0], dtype="<f8").tobytes()).decode()
+    return {**doc, "parameters": [*doc["parameters"], {**entry, "data": seven}]}
+
+
 def _data_flags(market_dir):
     return ["--projects", str(market_dir / "projects.jsonl"),
             "--investments", str(market_dir / "investments.jsonl")]
@@ -140,8 +147,11 @@ class TestEval:
         ("encoder.json", lambda doc: {**doc, "text_dim": "50"}),
         ("encoder.json", lambda doc: {**doc, "goal_log2_edges": ["7", "8"]}),
         ("encoder.json", lambda doc: {**doc, "text_seed": 5}),
+        ("checkpoint.json", lambda doc: {**doc, "version": True}),
+        ("checkpoint.json", _repeat_aux_bias),
     ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
-            "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number"])
+            "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number",
+            "version-true", "parameter-twice"])
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
                                                           trained_dir, capsys, command,

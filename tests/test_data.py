@@ -1,6 +1,5 @@
 """Data-layer tests: targets, series, trend bins, selections, segmentation, encoding, IO."""
 
-import dataclasses
 import json
 import re
 
@@ -8,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+from gme import autodiff as ad
+from gme import cli
 from gme import data as d
 
 
@@ -541,21 +543,78 @@ def test_whole_set_helpers_match_per_project_references(market, data):
                                       max_size=4).map(tuple)),
 ), max_size=5, unique_by=lambda p: p.id), data=st.data())
 def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, projects, data):
-    # the loader needs a description, and save_projects writes "" for a missing text
-    projects = [p if p.vec is not None or p.text is not None else
-                dataclasses.replace(p, text="") for p in projects]
     events = [d.InvestmentEvent(p.id, data.draw(st.integers(p.published_time, p.end_time - 1)),
                                 data.draw(st.floats(min_value=1e-9, max_value=1e9)))
               for p in projects for _ in range(data.draw(st.integers(0, 3)))]
     folder = tmp_path_factory.mktemp("roundtrip")
     d.save_projects(folder / "p.jsonl", projects)
     d.save_investments(folder / "i.jsonl", events)
-    loaded = d.load_projects(folder / "p.jsonl")
-    assert loaded == [dataclasses.replace(p, text=None) if p.vec is not None else p
-                      for p in projects]
+    assert d.load_projects(folder / "p.jsonl") == projects
     assert d.load_investments(folder / "i.jsonl") == events
     a, b = d.Market(projects, events), d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
     assert [p.id for p in a.projects] == [p.id for p in b.projects]
     for p in projects:
         np.testing.assert_array_equal(a.log(p.id).times, b.log(p.id).times)
         np.testing.assert_array_equal(a.log(p.id).amounts, b.log(p.id).amounts)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(d.INT64_MIN, d.INT64_MAX), FINITE,
+              st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def project_records(text, vec):
+    return st.builds(
+        d.ProjectRecord, id=st.text(min_size=1, max_size=6),
+        published_time=st.integers(-2**62, 2**62), duration_days=st.integers(1, 10**5),
+        category=st.text(max_size=5), creator_type=st.text(max_size=5),
+        currency=st.text(max_size=3), goal=st.floats(min_value=0.0, exclude_min=True,
+                                                     allow_infinity=False),
+        text=text, vec=vec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(both=project_records(st.text(max_size=12), st.lists(FINITE, min_size=1, max_size=4).map(tuple)),
+       projects=st.lists(project_records(st.none() | st.text(max_size=12),
+                                         st.none() | st.lists(FINITE, max_size=4).map(tuple)),
+                         max_size=4),
+       events=st.lists(st.builds(d.InvestmentEvent, project_id=st.text(min_size=1, max_size=6),
+                                 timestamp=st.integers(d.INT64_MIN, d.INT64_MAX),
+                                 amount=st.floats(min_value=0.0, exclude_min=True,
+                                                  allow_infinity=False)), max_size=4),
+       arrays=st.dictionaries(st.text(max_size=8), hnp.arrays(
+           np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+           max_size=4),
+       meta=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4),
+       encoder=st.builds(
+           d.EncoderConfig, categories=st.lists(st.text(max_size=5), max_size=3).map(tuple),
+           creator_types=st.lists(st.text(max_size=5), max_size=3).map(tuple),
+           currencies=st.lists(st.text(max_size=3), max_size=3).map(tuple),
+           goal_log2_edges=st.sets(FINITE, max_size=4).map(sorted).map(tuple),
+           duration_day_edges=st.sets(st.integers(-2**70, 2**70), max_size=4).map(sorted).map(tuple),
+           text_mode=st.sampled_from(["hashed", "precomputed"]), text_dim=st.integers(1, 10**6),
+           text_seed=st.text(max_size=8)))
+def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, events, arrays,
+                                             meta, encoder):
+    folder = tmp_path_factory.mktemp("written")
+    projects = [both, *(p for p in projects if p.id != both.id)]
+    projects = list({p.id: p for p in projects}.values())  # loading refuses a repeated id
+    d.save_projects(folder / "projects.jsonl", projects)
+    assert d.load_projects(folder / "projects.jsonl") == projects
+    d.save_investments(folder / "investments.jsonl", events)
+    assert d.load_investments(folder / "investments.jsonl") == events
+
+    params = [ad.Parameter(a, name) for name, a in arrays.items()]
+    ad.save_checkpoint(folder / "checkpoint.json", params, meta=meta)
+    values, loaded_meta = ad.load_checkpoint(folder / "checkpoint.json")
+    assert loaded_meta == meta and list(values) == list(arrays)
+    for p in params:  # bit for bit, NaN payloads and signed zeros included
+        assert values[p.name].shape == p.data.shape
+        assert values[p.name].tobytes() == p.data.tobytes()
+
+    cli._write_json(folder / "encoder.json", encoder.to_json())
+    assert cli._load_encoder(folder / "encoder.json") == encoder

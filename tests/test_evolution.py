@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -310,3 +310,72 @@ class TestGatedRollUp:
         a = upd.propagate(tree, s).roots
         b = upd.propagate(tree, s).roots
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def _rollup_loss(rollup, states, levels, upd, weight):
+    out = rollup(states, levels, upd.b_agg,
+                 [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)])
+    return ad.mean(ad.mul(ad.mul(out, out), weight)), out
+
+
+# launch hours on a 6 h grid over ten days, so chains reach depth t_h
+LAUNCH_HOURS = st.lists(st.integers(0, 40).map(lambda k: 6 * k), max_size=14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(roots=LAUNCH_HOURS.filter(bool), observed=LAUNCH_HOURS, t_h=st.integers(1, 5),
+       width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(roots=[0], observed=[], t_h=1, width=3, seed=0)  # a bare root
+@example(roots=[0, 6], observed=[36, 66], t_h=2, width=2, seed=1)  # one child, two root parents
+@example(roots=[0], observed=[30, 60, 90, 120, 150], t_h=5, width=4, seed=2)  # depth t_h
+def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
+    targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
+    obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
+    tree = evo.build_propagation_tree(targets, obs, t_h, 24)
+    levels = evo.update_levels(tree)
+    rng = np.random.default_rng(seed)
+    upd = evo.GatedTreeUpdater(width, rng)
+    upd.b_agg.data[...] = rng.normal(0, 0.5, width)
+    states = rng.normal(0, 1, (tree.n_nodes, width))
+    weight = rng.normal(0, 1, (tree.n_nodes, width))
+    params = upd.parameters()
+    runs = []
+    for rollup in (ad.tree_gru, oracles.taped_rollup):
+        with ad.Tape() as tape:
+            loss, out = _rollup_loss(rollup, states, levels, upd, weight)
+        ad.backward(tape, loss)
+        runs.append((len(tape), out.data.copy(), [p.grad.copy() for p in params]))
+        for p in params:
+            p.zero_grad()
+    (fused_nodes, fused, fused_grads), (taped_nodes, taped, taped_grads) = runs
+    assert fused_nodes == 4 and taped_nodes == 3 + 21 * len(levels)
+    assert np.array_equal(fused, taped)
+    for p, a, b in zip(params, fused_grads, taped_grads):
+        assert np.array_equal(a, b), p.name
+    assert ad.grad_check(lambda: _rollup_loss(ad.tree_gru, states, levels, upd, weight)[0],
+                         params) < 1e-4
+
+
+def test_propagate_records_two_tape_nodes():
+    tree, _ = chain_fixture()
+    upd = evo.GatedTreeUpdater(3, np.random.default_rng(0))
+    with ad.Tape() as tape:
+        upd.propagate(tree, np.ones((3, 3)))
+    assert len(tape) == 2  # the roll-up and the block read of the roots
+
+
+def test_tree_gru_shape_errors_name_the_op():
+    upd = evo.GatedTreeUpdater(3, np.random.default_rng(0))
+    gates = [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)]
+    level = (np.array([0]), np.array([[0, 1]]))
+    bad = [
+        (np.zeros(3), [level], upd.b_agg, gates),  # 1-D states
+        (np.zeros((2, 4)), [level], upd.b_agg, gates),  # states wider than the gates
+        (np.zeros((2, 3)), [level], upd.b_agg, gates[:2]),  # a gate missing
+        (np.zeros((2, 3)), [(np.array([0]), np.array([[0, 1, 1]]))], upd.b_agg, gates),
+        (np.zeros((2, 3)), [(np.array([0, 0]), np.zeros((2, 2)))], upd.b_agg, gates),
+        (np.zeros((2, 3)), [(np.array([2]), np.zeros((1, 2)))], upd.b_agg, gates),
+    ]
+    for args in bad:
+        with pytest.raises(ad.ShapeError, match="tree_gru"):
+            ad.tree_gru(*args)
