@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import base64
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from gme.data import Market
@@ -41,6 +46,24 @@ def _repeat_aux_bias(doc):
 def _data_flags(market_dir):
     return ["--projects", str(market_dir / "projects.jsonl"),
             "--investments", str(market_dir / "investments.jsonl")]
+
+
+FUZZ_T0 = 1_700_000_000
+# Six projects in six launch buckets over three days, each with two pledges:
+# refusing any one record still leaves a market of at least two target sets.
+FUZZ_PROJECTS = [{"id": f"p{k}", "published_time": FUZZ_T0 + k * 13 * 3600, "category": "art",
+                  "creator_type": "individual", "currency": "USD", "duration_days": 3,
+                  "goal": 100.0 * (k + 1), "text": f"project {k}"} for k in range(6)]
+FUZZ_EVENTS = [{"project_id": f"p{k}", "timestamp": FUZZ_T0 + k * 13 * 3600 + h * 3600,
+                "amount": 2.5 * (h + 1)} for k in range(6) for h in (1, 30)]
+
+
+def _write_fuzz_market(folder, projects, events, newline="\n"):
+    paths = {"projects": folder / "projects.jsonl", "investments": folder / "investments.jsonl"}
+    for name, records in (("projects", projects), ("investments", events)):
+        lines = [json.dumps(r, separators=(",", ":")) for r in records]
+        paths[name].write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+    return paths
 
 
 class TestSynth:
@@ -303,6 +326,58 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"{projects}:2: field 'published_time' must fit in 64 bits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which, field, token, message", [
+        ("projects", "goal", "1" + "0" * 400, "field 'goal' must fit in 64 bits, got 1000"),
+        ("investments", "amount", "1" + "0" * 400, "field 'amount' must fit in 64 bits, got 1000"),
+        ("projects", "duration_days", "1" + "0" * 5000,
+         "invalid JSON (an integer of more than 4300 digits)"),
+        ("investments", "timestamp", "1" + "0" * 5000,
+         "invalid JSON (an integer of more than 4300 digits)"),
+    ], ids=["goal-past-float", "amount-past-float", "duration-past-digit-limit",
+            "timestamp-past-digit-limit"])
+    def test_oversized_integers_are_data_errors_naming_line(self, tmp_path, capsys, which,
+                                                            field, token, message):
+        """Integers past float range or past int()'s digit limit are refused, not crashes."""
+        paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, FUZZ_EVENTS)
+        lines = paths[which].read_text().splitlines()
+        lines[1] = re.sub(rf'"{field}":[^,}}]+', f'"{field}":{token}', lines[1])
+        paths[which].write_text("\n".join(lines) + "\n")
+        code = main(["dump-tree", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{paths[which]}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("event, message", [
+        ({"project_id": "ghost", "timestamp": FUZZ_T0, "amount": 1.0},
+         "investment references unknown project id 'ghost'"),
+        ({"project_id": "p0", "timestamp": FUZZ_T0 - 1, "amount": 1.0},
+         f"investment in 'p0' at {FUZZ_T0 - 1} lies outside its live window"),
+    ], ids=["unknown-id", "outside-window"])
+    def test_market_refusals_name_investment_line(self, tmp_path, capsys, event, message):
+        events = [*FUZZ_EVENTS[:3], event, *FUZZ_EVENTS[3:]]
+        paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, events)
+        text = paths["investments"].read_text()
+        paths["investments"].write_text("\n" + text)  # a blank line still counts
+        code = main(["dump-tree", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{paths['investments']}:5: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("separator, line", [
+        ("\r\n", 3), ("\r", 3), ("\n \u2028 \n", 5), ("\n\f\n", 5), ("\n\x1c\n", 5)])
+    def test_lines_are_numbered_as_text_mode_reads_them(self, tmp_path, capsys, separator, line):
+        """CR and CR LF end a line; a line holding only U+2028, a form feed or \\x1c is one
+        blank line, not several, so a refusal names the line a text editor shows."""
+        paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, FUZZ_EVENTS)
+        lines = paths["investments"].read_text().splitlines()
+        lines[2] = lines[2].replace('"amount":', '"amount":-')
+        paths["investments"].write_bytes(separator.join(lines).encode("utf-8"))
+        code = main(["dump-tree", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert (f"{paths['investments']}:{line}: investment in p1: field 'amount' must be positive"
+                in capsys.readouterr().err)
+
     def test_bad_flag_values_are_usage_errors(self, tmp_path, market_dir):
         with pytest.raises(SystemExit) as exc:
             main(["train", *_data_flags(market_dir), "--t-h", "0",
@@ -329,3 +404,90 @@ class TestAblate:
         assert set(doc["baselines"]) == {"mean", "linear", "mlp"}
         for row in (*doc["variants"].values(), *doc["baselines"].values()):
             assert row["rmse"] >= row["mae"] >= 0
+
+
+# --- mutated JSONL inputs through the CLI ------------------------------------
+
+# Values that are no field's JSON type, or only some fields' type.
+WRONG_TYPES = ["null", "true", '"5"', "[]", "{}", "1.5", "7"]
+# Integers outside int64, one past the float range, one past int()'s digit limit.
+HUGE_INTEGERS = [str(2 ** 63), str(-2 ** 63 - 1), str(10 ** 20), "1" + "0" * 400, "1" + "0" * 5000]
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+@st.composite
+def mutated_lines(draw, records):
+    """The records' compact JSONL lines, mutated, and the line terminator to join them with."""
+    lines = [json.dumps(r, separators=(",", ":")) for r in records]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        try:  # a line already mutated past JSON can still be truncated
+            record = json.loads(lines[i]) if lines[i].strip().startswith("{") else None
+        except ValueError:
+            record = None
+        kind = draw(st.sampled_from(["value", "missing", "duplicate", "truncate", "blank",
+                                     "leading", "u2028"]))
+        if record is None or kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif kind == "value":  # a wrong type, an oversized integer or a non-finite number
+            key = draw(st.sampled_from(sorted(record)))
+            token = draw(st.sampled_from(WRONG_TYPES + HUGE_INTEGERS + NON_FINITE))
+            lines[i] = re.sub(rf'"{key}": ?(?:"[^"]*"|[^,}}]*)', lambda m: f'"{key}":{token}',
+                              lines[i], count=1)
+        elif kind == "missing":
+            del record[draw(st.sampled_from(sorted(record)))]
+            lines[i] = json.dumps(record)
+        elif kind == "duplicate":  # the key again, with its own value or a wrong type
+            key = draw(st.sampled_from(sorted(record)))
+            token = draw(st.sampled_from([json.dumps(record[key]), *WRONG_TYPES]))
+            lines[i] = lines[i][:-1] + f',"{key}":{token}}}'
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t \t"])))
+        elif kind == "leading":
+            lines[i] = draw(st.sampled_from([" ", "\t", "  \t"])) + lines[i]
+        elif strings := sorted(k for k, v in record.items() if type(v) is str):
+            key = draw(st.sampled_from(strings))  # a raw line separator inside a string
+            record[key] = record[key][:1] + "\u2028" + record[key][1:]
+            lines[i] = json.dumps(record, ensure_ascii=False)
+    return lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _run_dump_tree(paths, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["dump-tree", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def _check_outcome(code, err, paths):
+    """Exit 0, or exit 2 naming `path:lineno` of one of the inputs; exit 1 never."""
+    assert code in (EXIT_OK, EXIT_DATA), err
+    if code == EXIT_DATA:
+        located = "|".join(re.escape(str(p)) for p in paths.values())
+        assert re.search(rf"^data error: (?:{located}):\d+: ", err), err
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutated=mutated_lines(FUZZ_PROJECTS))
+def test_mutated_projects_file_loads_or_is_refused_with_its_line(tmp_path_factory, mutated):
+    lines, newline = mutated
+    folder = tmp_path_factory.mktemp("fuzz-projects")
+    paths = _write_fuzz_market(folder, FUZZ_PROJECTS, FUZZ_EVENTS)
+    paths["projects"].write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+    _check_outcome(*_run_dump_tree(paths, folder / "out"), paths)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutated=mutated_lines(FUZZ_EVENTS))
+def test_mutated_investments_file_loads_or_is_refused_with_its_line(tmp_path_factory, mutated):
+    lines, newline = mutated
+    folder = tmp_path_factory.mktemp("fuzz-investments")
+    paths = _write_fuzz_market(folder, FUZZ_PROJECTS, FUZZ_EVENTS)
+    paths["investments"].write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+    _check_outcome(*_run_dump_tree(paths, folder / "out"), paths)
+
+
+def test_unmutated_fuzz_market_loads(tmp_path):
+    paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, FUZZ_EVENTS, newline="\r\n")
+    assert _run_dump_tree(paths, tmp_path / "out")[0] == EXIT_OK

@@ -558,6 +558,59 @@ def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, proj
         np.testing.assert_array_equal(a.log(p.id).amounts, b.log(p.id).amounts)
 
 
+MARKET_TABLES = ("published", "ends", "goals", "_times", "_amounts", "_starts", "_prefix", "_keys")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(market=random_markets(), layout=st.lists(st.sampled_from(
+    ["compact", "spaced", "reordered", "escaped", "blank"]), min_size=1, max_size=4),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_from_files_builds_the_tables_the_records_build(tmp_path_factory, market, layout, newline):
+    """The columnar load and the record path agree bit for bit, whatever the line layout."""
+    projects, events = market
+    folder = tmp_path_factory.mktemp("columnar")
+    d.save_projects(folder / "p.jsonl", projects)
+    lines = []
+    for k, e in enumerate(events):
+        doc = {"project_id": e.project_id, "timestamp": e.timestamp, "amount": e.amount}
+        form = layout[k % len(layout)]
+        if form == "blank":  # a blank line, then the record as written
+            lines.append(" ")
+        if form == "spaced":
+            lines.append(json.dumps(doc))
+        elif form == "reordered":
+            lines.append(json.dumps(dict(reversed(doc.items())), separators=(",", ":")))
+        elif form == "escaped":  # the id spelled with a \u escape
+            lines.append(json.dumps(doc, separators=(",", ":")).replace(':"p', ':"\\u0070', 1))
+        else:
+            lines.append(json.dumps(doc, separators=(",", ":")))
+    (folder / "i.jsonl").write_bytes("".join(line + newline for line in lines).encode())
+    loaded = d.load_investments(folder / "i.jsonl")
+    assert loaded == events
+    a = d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
+    b = d.Market(d.load_projects(folder / "p.jsonl"), loaded)
+    for name in MARKET_TABLES:
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
+    projects = [make_project(pid=f"p{k}", t=T0 + k * d.HOUR, dur=2) for k in range(4)]
+    events = [d.InvestmentEvent(p.id, p.published_time + h, 1.5 * h)
+              for p in projects for h in (1, 60, 3600)]
+    d.save_projects(tmp_path / "p.jsonl", projects)
+    d.save_investments(tmp_path / "i.jsonl", events)
+    want = d.Market(projects, events)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Market.from_files built an InvestmentEvent")
+
+    monkeypatch.setattr(d.InvestmentEvent, "__init__", refuse)
+    got = d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+    for name in MARKET_TABLES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(d.INT64_MIN, d.INT64_MAX), FINITE,
