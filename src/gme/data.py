@@ -8,10 +8,8 @@ UTC.  Monetary windows are half-open [lo, hi) unless stated otherwise.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
-import mmap
 import re
 import sys
 import typing
@@ -469,16 +467,18 @@ def _typed_fields(doc, fields: dict, where: str) -> dict:
     out = {}
     for key, (stored, accepted, name) in fields.items():
         value = doc.get(key, _MISSING)
-        if type(value) not in accepted:
-            if value is _MISSING:
-                raise DataError(f"{where}: missing field {key!r}")
-            raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
-        try:
-            if stored is int and not INT64_MIN <= value <= INT64_MAX:
-                raise OverflowError
-            out[key] = stored(value)  # float() of an integer past the float range overflows
-        except OverflowError:
-            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}") from None
+        if type(value) is not stored:
+            if type(value) not in accepted:
+                if value is _MISSING:
+                    raise DataError(f"{where}: missing field {key!r}")
+                raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+            try:
+                value = stored(value)  # float() of an integer past the float range overflows
+            except OverflowError:
+                raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}") from None
+        elif stored is int and not INT64_MIN <= value <= INT64_MAX:
+            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}")
+        out[key] = value
     return out
 
 
@@ -502,32 +502,31 @@ def _project_from_doc(doc, where: str) -> ProjectRecord:
         raise DataError(f"{where}: field 'vec' must hold numbers that fit in 64 bits") from None
 
 
-def _read_jsonl(path):
-    """A JSONL file's bytes, each CR LF and lone CR read as LF, as text mode reads them.
+def _line_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): line k of a JSONL file is raw[starts[k]:ends[k]], its line end left out.
 
-    Its lines are then numbered as text mode's line iterator numbers them:
-    split on LF only, so a U+2028 or a form feed inside a line does not end it.
-    A regular file is mapped, not read into a heap buffer: freeing a buffer
-    that large would raise glibc's dynamic mmap and trim thresholds, and so
-    change the page faults and resident size of all the work that follows.
-    The mapping is released with the last reference to it.
+    Lines are split as text mode's line iterator splits them: at LF, CR LF or a
+    lone CR only, so a U+2028 or a form feed inside a line does not end it.  The
+    last line runs to the end of the file (it is empty if the file ends a line).
     """
-    with open(path, "rb") as fh:
-        try:
-            raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # an empty file, or a pipe
-            raw = fh.read()
-    return raw[:].replace(b"\r\n", b"\n").replace(b"\r", b"\n") if raw.find(b"\r") >= 0 else raw
-
-
-def _where(buf: np.ndarray, byte: str) -> np.ndarray:
-    """Offsets of `byte` in buf, found 64 KiB at a time so no file-sized mask is made."""
-    return np.concatenate([np.flatnonzero(buf[k:k + 65536] == ord(byte)) + k
-                           for k in range(0, buf.size, 65536)] or [np.zeros(0, np.int64)])
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    step = 1
+    if raw.find(b"\r") >= 0:
+        cr = np.flatnonzero(buf == ord("\r"))
+        crlf = cr[buf[np.minimum(cr + 1, buf.size - 1)] == ord("\n")]
+        ends = np.union1d(cr, np.setdiff1d(ends, crlf + 1))  # a CR LF ends one line, at its CR
+        step = 1 + np.isin(ends, crlf)
+    return np.append(0, ends + step), np.append(ends, len(raw))
 
 
 def _decode_line(where: str, line: bytes):
-    """The JSON value on one line (with its line feed, as json sees it), or None if it is blank."""
+    """The JSON value on one line, or None if it is blank.
+
+    The line comes with the first byte of its line end, LF or CR: json reads
+    either as it reads the LF that text mode gives (whitespace outside a
+    string, a control character inside one).
+    """
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -538,7 +537,7 @@ def _decode_line(where: str, line: bytes):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # an integer literal longer than int() converts
+    except ValueError as exc:  # an integer literal longer than int() converts (Python 3.10.7+)
         raise DataError(f"{where}: invalid JSON (an integer of more than "
                         f"{sys.get_int_max_str_digits()} digits)") from exc
     except RecursionError as exc:
@@ -547,9 +546,12 @@ def _decode_line(where: str, line: bytes):
 
 def _jsonl_records(path):
     """(path:lineno, decoded record) for every non-blank line of a JSONL file."""
-    for lineno, line in enumerate(io.BytesIO(_read_jsonl(path)), start=1):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    starts, ends = _line_bounds(raw)
+    for lineno, (start, end) in enumerate(zip(starts.tolist(), ends.tolist()), start=1):
         where = f"{path}:{lineno}"
-        doc = _decode_line(where, line)
+        doc = _decode_line(where, raw[start:end + 1])
         if doc is not None:
             yield where, doc
 
@@ -574,7 +576,10 @@ def load_projects(path) -> list[ProjectRecord]:
 # line's last two colons open its timestamp and its amount.
 _COMPACT_EVENT = (rb'\{"project_id":"[ !#-\[\]-\x7f]{0,64}","timestamp":-?(?:0|[1-9][0-9]{0,17}),'
                   rb'"amount":-?(?:0|[1-9][0-9]{0,31})(?:\.[0-9]{1,32})?(?:[eE][-+]?[0-9]{1,4})?\}')
-_COMPACT_RUN = re.compile(rb"(?:" + _COMPACT_EVENT + rb"(?:\n|\Z))*+")
+# A run of at most 256 such lines: a bounded repeat keeps the regular
+# expression engine's backtracking stack small (an unbounded `*` holds one
+# entry per line matched, over 200 MB on a 250,000-line file).
+_COMPACT_RUN = re.compile(rb"(?:" + _COMPACT_EVENT + rb"(?:\n|\r\n?|\Z)){0,256}")
 
 
 def _spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -595,27 +600,31 @@ def _read_investments(path) -> _Events:
     reordered, escaped or malformed) is decoded on its own.  The first
     refusal in file order is raised, naming ``path:lineno``.
     """
-    raw = _read_jsonl(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     buf = np.frombuffer(raw, np.uint8)
-    ends = np.append(_where(buf, "\n"), len(raw))  # line i is raw[starts[i]:ends[i]]
-    starts = np.append(0, ends[:-1] + 1)
+    starts, ends = _line_bounds(raw)
     compact = ends > starts
-    others, failure, pos = {}, None, 0  # others: line index -> fields of a record in another layout
-    while (pos := _COMPACT_RUN.match(raw, pos).end()) < len(raw):
-        i = int(np.searchsorted(ends, pos))
-        compact[i] = False
+    others, records, failure = [], {}, None  # records: line index -> fields of a record in another layout
+    pos = i = 0  # line i starts at byte pos
+    while pos < len(raw):
+        if (run_end := _COMPACT_RUN.match(raw, pos).end()) > pos:
+            pos, i = run_end, int(starts.searchsorted(run_end))
+            continue
+        others.append(i)
         where = f"{path}:{i + 1}"
         try:
-            doc = _decode_line(where, raw[pos:ends[i] + 1])
+            doc = _decode_line(where, raw[pos:ends.item(i) + 1])
             if doc is not None:
-                others[i] = _typed_fields(doc, _INVESTMENT_FIELDS, where)
+                records[i] = _typed_fields(doc, _INVESTMENT_FIELDS, where)
         except DataError as exc:
             failure, compact[i:] = exc, False  # later lines are not read
             break
-        pos = int(ends[i]) + 1
+        pos, i = starts.item(i + 1) if i + 1 < starts.size else len(raw), i + 1
+    compact[others] = False
 
     lines = np.flatnonzero(compact)
-    colons = _where(buf, ":")
+    colons = np.flatnonzero(buf == ord(":"))
     last = np.searchsorted(colons, ends[lines]) - 1
     at_time, at_amount = colons[last - 1], colons[last]
     ids = _spans(buf, starts[lines] + len('{"project_id":"'), at_time - len('","timestamp"'))
@@ -626,11 +635,12 @@ def _read_investments(path) -> _Events:
     code_at[lines] = codes
     time_at[lines] = _spans(buf, at_time + 1, at_amount - len(',"amount"')).astype(np.int64)
     amount_at[lines] = _spans(buf, at_amount + 1, ends[lines] - 1).astype(np.float64)
-    del raw, buf  # unmap the file
-    for i, fields in others.items():
-        code_at[i] = index.setdefault(fields["project_id"], len(index))
-        time_at[i], amount_at[i] = fields["timestamp"], fields["amount"]
-    compact[list(others)] = True
+    del raw, buf  # free the file's bytes before the tables are built
+    at = np.fromiter(records, np.int64, len(records))
+    code_at[at] = [index.setdefault(fields["project_id"], len(index)) for fields in records.values()]
+    time_at[at] = [fields["timestamp"] for fields in records.values()]
+    amount_at[at] = [fields["amount"] for fields in records.values()]
+    compact[at] = True
     events = _Events(list(index), code_at[compact], time_at[compact], amount_at[compact], path,
                      np.flatnonzero(compact) + 1)
 

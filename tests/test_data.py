@@ -611,6 +611,28 @@ def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_long_compact_runs_load_every_line_once(tmp_path, newline):
+    """Compact lines are matched a bounded run at a time; runs meet without losing a line."""
+    projects = [make_project(pid=f"p{k}") for k in range(3)]
+    events = [d.InvestmentEvent(f"p{k % 3}", 1_000_000 + k, 1.0 + k / 7) for k in range(1000)]
+    lines = [json.dumps({"project_id": e.project_id, "timestamp": e.timestamp, "amount": e.amount},
+                        separators=(",", ":")) for e in events]
+    lines[513] = json.dumps(json.loads(lines[513]))  # one spaced line inside a run
+    d.save_projects(tmp_path / "p.jsonl", projects)
+    (tmp_path / "i.jsonl").write_bytes(newline.join(lines).encode())  # no line end at the end
+    assert d.load_investments(tmp_path / "i.jsonl") == events
+    got = d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+    want = d.Market(projects, events)
+    for name in MARKET_TABLES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    lines[700] = lines[700][:-1]  # truncated: the refusal names line 701
+    (tmp_path / "i.jsonl").write_bytes(newline.join(lines).encode())
+    with pytest.raises(d.DataError, match=re.escape(f"{tmp_path / 'i.jsonl'}:701: invalid JSON")):
+        d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(d.INT64_MIN, d.INT64_MAX), FINITE,
