@@ -27,12 +27,12 @@ observables = [project("a", 30), project("b", 40), project("c", 66),
                project("d", 95), project("o_far", 300)]
 
 tree = build_propagation_tree(targets, observables, t_h=4, tau_hours=24)
-print(f"tree: {tree.n_nodes} nodes, {int(tree.adjacency.sum())} edges, "
+print(f"tree: {tree.n_nodes} nodes, {tree.edges.shape[1]} edges, "
       f"max depth {tree.max_depth}, dropped {list(tree.dropped_ids)}")
 for d in range(tree.max_depth + 1):
     ids = [tree.node_ids[i] for i in np.nonzero(tree.depth == d)[0]]
     print(f"  depth {d}: {ids}")
-for parent, child in np.argwhere(tree.adjacency):
+for parent, child in tree.edges.T:
     gap = tree.node_times[parent] - tree.node_times[child]
     print(f"  edge {tree.node_ids[parent]} <- {tree.node_ids[child]} "
           f"(gap {gap / HOUR:.0f}h)")

@@ -94,6 +94,13 @@ def _restored_model(args):
         raise gd.DataError(
             f"{args.checkpoint}: checkpoint meta lacks a usable config ({exc})") from exc
     encoder = _load_encoder(args.encoder)
+    width = meta.get("feature_dim", encoder.feature_dim)
+    if type(width) is not int:
+        raise gd.DataError(f"{args.checkpoint}: checkpoint meta 'feature_dim' must be an "
+                           f"integer, got {json.dumps(width)}")
+    if width != encoder.feature_dim:  # refused before any array of either width is built
+        raise gd.DataError(f"{args.checkpoint} was fit on {width} features, but "
+                           f"{args.encoder} encodes {encoder.feature_dim}")
     market = _load_market(args)
     bundle = build_contexts(market, config, encoder=encoder)
     model = GMEModel(encoder.feature_dim, config)
@@ -241,7 +248,7 @@ def cmd_dump_tree(args) -> int:
                       for i in range(tree.n_nodes)],
             "edges": [{"parent": tree.node_ids[p], "child": tree.node_ids[c],
                        "gap_hours": int(tree.node_times[p] - tree.node_times[c]) / 3600.0}
-                      for c, p in zip(*np.nonzero(tree.adjacency.T))],
+                      for p, c in tree.edges.T.tolist()],
             "dropped": list(tree.dropped_ids),
         })
     out = _out_dir(args)

@@ -45,6 +45,14 @@ def _int64(owner: str, ident: str, field: str, value) -> int:
     return int(value)
 
 
+def _finite(owner: str, ident: str, field: str, values) -> bool:
+    """Whether every number in `values` is finite; an integer past the float range is refused."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        raise DataError(f"{owner} {ident}: field {field!r} must fit in 64 bits") from None
+
+
 @dataclass(frozen=True)
 class ProjectRecord:
     """Static project attributes known before launch."""
@@ -67,9 +75,9 @@ class ProjectRecord:
             object.__setattr__(self, field, _int64("project", self.id, field, getattr(self, field)))
         if self.duration_days < 1:
             raise DataError(f"project {self.id}: field 'duration_days' must be a positive integer")
-        if not (math.isfinite(self.goal) and self.goal > 0):
+        if not (_finite("project", self.id, "goal", [self.goal]) and self.goal > 0):
             raise DataError(f"project {self.id}: field 'goal' must be positive and finite")
-        if self.vec is not None and any(not math.isfinite(v) for v in self.vec):
+        if self.vec is not None and not _finite("project", self.id, "vec", self.vec):
             raise DataError(f"project {self.id}: field 'vec' has non-finite entries")
         if self.end_time > INT64_MAX:
             raise DataError(f"project {self.id}: live window [{self.published_time}, "
@@ -91,7 +99,8 @@ class InvestmentEvent:
             raise DataError("investment field 'project_id' is empty")
         object.__setattr__(self, "timestamp",
                            _int64("investment in", self.project_id, "timestamp", self.timestamp))
-        if not (math.isfinite(self.amount) and self.amount > 0):
+        if not (_finite("investment in", self.project_id, "amount", [self.amount])
+                and self.amount > 0):
             raise DataError(f"investment in {self.project_id}: field 'amount' must be positive and finite")
 
 
@@ -240,10 +249,12 @@ def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
 
 
 def prior_trend(market: Market, rows, t_obs: int, bins: int = 6):
-    """Achieved-progress trend in [0, 1] per row, plus its one-hot bin rows.
+    """Achieved-progress trend in [0, 1] per row, plus its bin index.
 
     trend = clamp((raised_so_far / goal) / log2(days_funded + 1), 0, 1) with
-    days_funded = ceil(elapsed days), at least 1.
+    days_funded = ceil(elapsed days), at least 1.  Bin k of `bins` holds
+    trends in [k / bins, (k + 1) / bins), and the last bin holds 1 as well;
+    indices come in the narrowest unsigned type that holds bins - 1.
     """
     elapsed = t_obs - market.published[rows]
     if np.any(elapsed < 0):
@@ -252,8 +263,8 @@ def prior_trend(market: Market, rows, t_obs: int, bins: int = 6):
     days = np.maximum(1, -(-elapsed // DAY))
     trend = (market.raised_before(rows, t_obs) / market.goals[rows]) / np.log2(days + 1)
     trend = np.clip(trend, 0.0, 1.0)
-    onehot = np.eye(bins)[np.minimum(bins - 1, (trend * bins).astype(np.int64))]
-    return trend, onehot
+    index = np.minimum(bins - 1, (trend * bins).astype(np.int64))
+    return trend, index.astype(np.min_scalar_type(bins - 1))
 
 
 def running_set(market: Market, t: int) -> np.ndarray:
@@ -430,7 +441,7 @@ class EncoderConfig:
         for f in fields(cls):
             hint = hints[f.name]
             array = typing.get_origin(hint) is tuple  # a tuple[X, ...] field is a JSON array of X
-            stored, accepted, name = _JSON_TYPES[typing.get_args(hint)[0] if array else hint]
+            stored, accepted, name = JSON_TYPES[typing.get_args(hint)[0] if array else hint]
             value = doc.get(f.name, _MISSING)
             if value is _MISSING:
                 raise DataError(f"encoder field {f.name!r} is missing")
@@ -442,7 +453,11 @@ class EncoderConfig:
                 expected = f"an array, each entry {name}" if array else name
                 raise DataError(f"encoder field {f.name!r} must be {expected}, "
                                 f"got {json.dumps(value)}")
-            values[f.name] = tuple(stored(v) for v in value) if array else stored(value)
+            try:  # float() of an integer past the float range overflows
+                values[f.name] = tuple(stored(v) for v in value) if array else stored(value)
+            except OverflowError:
+                raise DataError(f"encoder field {f.name!r} must hold numbers that fit in "
+                                f"64 bits") from None
         return cls(**values)
 
 
@@ -452,7 +467,7 @@ class EncoderConfig:
 _STRING = (str, (str,), "a string")
 _INTEGER = (int, (int,), "an integer")
 _NUMBER = (float, (int, float), "a number")
-_JSON_TYPES = {str: _STRING, int: _INTEGER, float: _NUMBER}  # by stored type
+JSON_TYPES = {str: _STRING, int: _INTEGER, float: _NUMBER}  # by stored type
 _PROJECT_FIELDS = {"id": _STRING, "published_time": _INTEGER, "category": _STRING,
                    "creator_type": _STRING, "currency": _STRING, "duration_days": _INTEGER,
                    "goal": _NUMBER}
@@ -460,8 +475,8 @@ _INVESTMENT_FIELDS = {"project_id": _STRING, "timestamp": _INTEGER, "amount": _N
 _MISSING = object()
 
 
-def _typed_fields(doc, fields: dict, where: str) -> dict:
-    """Required fields of one JSONL record, each checked against its JSON type."""
+def typed_fields(doc, fields: dict, where: str) -> dict:
+    """Required fields of one JSON record, each checked against its JSON type."""
     if type(doc) is not dict:
         raise DataError(f"{where}: record is not a JSON object")
     out = {}
@@ -483,7 +498,7 @@ def _typed_fields(doc, fields: dict, where: str) -> dict:
 
 
 def _project_from_doc(doc, where: str) -> ProjectRecord:
-    fields = _typed_fields(doc, _PROJECT_FIELDS, where)
+    fields = typed_fields(doc, _PROJECT_FIELDS, where)
     if "text" not in doc and "vec" not in doc:
         raise DataError(f"{where}: needs a 'text' or 'vec' description field")
     text = doc.get("text")
@@ -616,7 +631,7 @@ def _read_investments(path) -> _Events:
         try:
             doc = _decode_line(where, raw[pos:ends.item(i) + 1])
             if doc is not None:
-                records[i] = _typed_fields(doc, _INVESTMENT_FIELDS, where)
+                records[i] = typed_fields(doc, _INVESTMENT_FIELDS, where)
         except DataError as exc:
             failure, compact[i:] = exc, False  # later lines are not read
             break

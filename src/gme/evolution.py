@@ -26,16 +26,18 @@ from .data import HOUR, ProjectRecord
 class PropagationTree:
     """Static structure of one grown tree. Roots occupy indices [0, n_roots).
 
-    ``adjacency[p, c] == 1`` when node c hangs under node p; nodes are
-    numbered in attachment order, so child indices always exceed parent ones.
-    Node i is record ``source[i]`` of the input targets followed by the
-    input observables.
+    ``edges`` is a (2, n_edges) int32 array of (parent, child) node
+    numbers, one column per edge in attachment order: by child, then by
+    parent.  Nodes are numbered in attachment order, so depth never
+    decreases with the node number and child numbers always exceed their
+    parents'.  Node i is record ``source[i]`` of the input targets followed
+    by the input observables, and ``node_ids[i]`` is that record's own id.
     """
 
     node_ids: tuple
     node_times: np.ndarray
     depth: np.ndarray
-    adjacency: np.ndarray
+    edges: np.ndarray
     n_roots: int
     dropped_ids: tuple
     tau_hours: int
@@ -49,6 +51,14 @@ class PropagationTree:
     @property
     def max_depth(self):
         return int(self.depth.max()) if self.depth.size else 0
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense (n, n) uint8 form of the edges, built on each call:
+        ``adjacency[p, c] == 1`` when node c hangs under node p."""
+        adjacency = np.zeros((self.n_nodes, self.n_nodes), dtype=np.uint8)
+        adjacency[self.edges[0], self.edges[1]] = 1
+        return adjacency
 
 
 def build_propagation_tree(targets: Sequence[ProjectRecord],
@@ -97,15 +107,13 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
         depth = np.concatenate([depth, np.full(np.count_nonzero(attached), k, dtype=np.int64)])
         remaining = remaining[~attached]
 
-    adjacency = np.zeros((nodes.size, nodes.size), dtype=np.uint8)
-    adjacency[edges[0], edges[1]] = 1
     return PropagationTree(
-        node_ids=tuple(ids[nodes].tolist()),
+        node_ids=tuple(records[i].id for i in nodes.tolist()),
         node_times=times[nodes],
         depth=depth,
-        adjacency=adjacency,
+        edges=edges.astype(np.int32),
         n_roots=n_roots,
-        dropped_ids=tuple(ids[remaining].tolist()),
+        dropped_ids=tuple(records[i].id for i in remaining.tolist()),
         tau_hours=tau_hours,
         t_h=t_h,
         source=nodes,
@@ -124,20 +132,25 @@ def init_states(tree: PropagationTree, early_amounts: np.ndarray) -> np.ndarray:
 
 
 def update_levels(tree: PropagationTree) -> list:
-    """The roll-up schedule: (rows, their adjacency rows) per depth, deepest first.
+    """The roll-up schedule: (rows, child-sum block) per depth, deepest first.
 
     A level holds the nodes of one depth that have children and, at depth
-    0, every root.
+    0, every root; its block is the (len(rows), n) float64 0/1 matrix whose
+    row i marks the children of ``rows[i]``.  Nodes are numbered by depth,
+    so each level is one run of all levels' rows and its block the same
+    run of rows of one shared child-sum matrix, built from the edges.
     """
-    updated = tree.adjacency.any(axis=1)
+    parent, child = tree.edges
+    updated = np.zeros(tree.n_nodes, dtype=bool)
+    updated[parent] = True
     updated[:tree.n_roots] = True  # a root updates even with no children
-    levels = []
+    rows = np.flatnonzero(updated)
+    child_sums = np.zeros((rows.size, tree.n_nodes))
+    child_sums.ravel()[(np.cumsum(updated)[parent] - 1) * tree.n_nodes + child] = 1.0
     # deepest possible parents sit one level above the deepest leaves
-    for d in range(max(tree.max_depth, 1) - 1, -1, -1):
-        rows = np.nonzero(updated & (tree.depth == d))[0]
-        if rows.size:
-            levels.append((rows, tree.adjacency[rows]))
-    return levels
+    top = max(tree.max_depth, 1)
+    lo = np.searchsorted(tree.depth[rows], np.arange(top + 1)).tolist()  # depth d: [lo[d], lo[d + 1])
+    return [(rows[a:b], child_sums[a:b]) for a, b in zip(lo[-2::-1], lo[:0:-1]) if b > a]
 
 
 class PropagationResult(NamedTuple):

@@ -13,6 +13,7 @@ unused branch simply never enters the computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .competition import (PRUNING_MODES, AttentionAggregator, CompetitivenessGraph,
                           PriorQuantifier, RecurrentQuantifier)
+from .data import JSON_TYPES, typed_fields
 from .evolution import GatedTreeUpdater, PropagationTree
 
 QUANTIFIERS = ("recurrent", "prior-mlp")
@@ -74,11 +76,18 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**doc)
+        """Rebuild a config from `to_json` output: every field, with its JSON type.
+
+        Integers must fit in 64 bits and numbers must be finite.
+        """
+        kinds = {f.name: JSON_TYPES[type(f.default)] for f in fields(cls)}
+        if type(doc) is dict and set(doc) - set(kinds):
+            raise ValueError(f"unknown config keys: {sorted(set(doc) - set(kinds))}")
+        values = typed_fields(doc, kinds, "config")
+        for name, value in values.items():
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"config: field {name!r} must be finite, got {value}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,8 @@ class TargetSetContext:
     """Precomputed inputs for one target set, shared across epochs and models.
 
     `features` is the market's static-feature matrix, shared by every set;
-    the `*_rows` fields index it.  `tree_rows[i]` and `tree_amounts[i]`
+    the `*_rows` fields index it.  `rival_trend_bins[j]` is rival j's
+    trend bin, one of `trend_bins`.  `tree_rows[i]` and `tree_amounts[i]`
     belong to tree node i, and `aux_truths[i]` to node `n_roots + i`: the
     log2-scaled funds that node's project collected in the tau hours after
     the set's observation time.
@@ -100,7 +110,8 @@ class TargetSetContext:
     truths: np.ndarray
     rival_rows: np.ndarray
     rival_series: np.ndarray
-    rival_trends: np.ndarray
+    rival_trend_bins: np.ndarray
+    trend_bins: int
     graph: CompetitivenessGraph
     tree: PropagationTree
     tree_rows: np.ndarray
@@ -126,6 +137,11 @@ class TargetSetContext:
     @property
     def rival_features(self) -> np.ndarray:
         return self.features[self.rival_rows]
+
+    @property
+    def rival_trends(self) -> np.ndarray:
+        """The trend bins as (rivals, trend_bins) float64 one-hot rows."""
+        return np.eye(self.trend_bins)[self.rival_trend_bins]
 
     @property
     def tree_init(self) -> np.ndarray:

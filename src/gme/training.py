@@ -56,7 +56,8 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         truths=gd.fundraising_target(market, target_rows, config.tau),
         rival_rows=rival_rows,
         rival_series=gd.hourly_series(market, rival_rows, t_ref),
-        rival_trends=gd.prior_trend(market, rival_rows, t_ref, config.trend_bins)[1],
+        rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref, config.trend_bins)[1],
+        trend_bins=config.trend_bins,
         graph=build_competitiveness_graph(market.projects[target_rows],
                                           market.projects[rival_rows], config.pruning),
         tree=tree,

@@ -85,6 +85,20 @@ def tree_rollup(updater, tree, init):
     return h
 
 
+def dense_levels(tree):
+    """The roll-up schedule read from the dense adjacency: (rows, their
+    adjacency rows) per depth, deepest first, as the model once built it."""
+    adjacency = tree.adjacency
+    updated = adjacency.any(axis=1)
+    updated[:tree.n_roots] = True  # a root updates even with no children
+    levels = []
+    for d in range(max(tree.max_depth, 1) - 1, -1, -1):
+        rows = np.nonzero(updated & (tree.depth == d))[0]
+        if rows.size:
+            levels.append((rows, adjacency[rows]))
+    return levels
+
+
 def rival_states(model, ctx):
     if not ctx.rival_ids:
         return np.zeros((0, model.config.hidden))
@@ -247,9 +261,7 @@ def prior_trend(project, log, t_obs, bins=6):
     raised = log.total_before(t_obs)
     days = max(1, -(-(t_obs - project.published_time) // DAY))
     trend = min(1.0, max(0.0, (raised / project.goal) / math.log2(days + 1)))
-    onehot = np.zeros(bins)
-    onehot[min(bins - 1, int(trend * bins))] = 1.0
-    return trend, onehot
+    return trend, min(bins - 1, int(trend * bins))
 
 
 def running_set(projects, t):
@@ -262,7 +274,10 @@ def observable_set(projects, t_ref, history_days, tau_hours):
 
 
 def grow_tree(targets, observables, t_h, tau_hours):
-    """(node_ids, node_times, depth, adjacency, dropped_ids), one candidate at a time."""
+    """(node_ids, node_times, depth, edges, dropped_ids), one candidate at a time.
+
+    edges is a (2, n_edges) array of (parent, child) node numbers in the
+    order the edges attached."""
     tau_s = tau_hours * HOUR
     node_ids = [p.id for p in targets]
     times = [p.published_time for p in targets]
@@ -289,8 +304,6 @@ def grow_tree(targets, observables, t_h, tau_hours):
         remaining = leftover
         if not remaining:
             break
-    adjacency = np.zeros((len(node_ids), len(node_ids)), dtype=np.uint8)
-    for parent, child in edges:
-        adjacency[parent, child] = 1
     return (tuple(node_ids), np.asarray(times, dtype=np.int64),
-            np.asarray(depth, dtype=np.int64), adjacency, tuple(p.id for p in remaining))
+            np.asarray(depth, dtype=np.int64), np.array(edges, dtype=np.int64).reshape(-1, 2).T,
+            tuple(p.id for p in remaining))

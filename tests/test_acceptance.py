@@ -13,7 +13,7 @@ import numpy as np
 
 import oracles
 from test_competition import make_project as make_cat_project
-from test_evolution import (HOUR, T0, chain_fixture, make_project,
+from test_evolution import (HOUR, T0, chain_fixture, has_children, make_project,
                             random_tree_inputs, scan_tree_invariants)
 
 from gme import autodiff as ad
@@ -57,7 +57,7 @@ def test_02_tree_invariants():
         scan_tree_invariants(tree)
         markets += 1
         nodes += tree.n_nodes
-        edges += int(tree.adjacency.sum())
+        edges += tree.edges.shape[1]
 
     tree, _ = chain_fixture(tau=24, t_h=3)
     depth = {tree.node_ids[i]: int(tree.depth[i]) for i in range(tree.n_nodes)}
@@ -77,10 +77,9 @@ def test_03_one_touch_hierarchy():
         tree = build_propagation_tree(targets, obs, t_h, tau)
         states = rng.normal(0, 1, (tree.n_nodes, width))
         counts = updater.propagate(tree, ad.Tensor(states)).counts
-        for i in range(tree.n_nodes):
-            non_leaf = i < tree.n_roots or tree.adjacency[i].any()
-            if counts[i] != (1 if non_leaf else 0):
-                violations += 1
+        non_leaf = has_children(tree)
+        non_leaf[:tree.n_roots] = True
+        violations += int(np.count_nonzero(counts != non_leaf))
         trees += 1
         updates += int(counts.sum())
     _report(3, "one-touch-hierarchy", violations == 0,

@@ -132,6 +132,21 @@ class TestEval:
         assert (out / "eval_report.json").read_bytes() == \
             (trained_dir / "eval_report.json").read_bytes()
 
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_encoder_width_is_checked_against_the_checkpoint(self, tmp_path, market_dir,
+                                                             trained_dir, capsys, command):
+        doc = json.loads((trained_dir / "encoder.json").read_text())
+        doc["categories"].append("one more")  # one more feature than the checkpoint was fit on
+        wider = tmp_path / "wider_encoder.json"
+        wider.write_text(json.dumps(doc))
+        checkpoint = trained_dir / "checkpoint.json"
+        width = json.loads(checkpoint.read_text())["meta"]["feature_dim"]
+        code = main([command, *_data_flags(market_dir), "--checkpoint", str(checkpoint),
+                     "--encoder", str(wider), "--out", str(tmp_path / "bad")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: {checkpoint} was fit on {width} "
+                                           f"features, but {wider} encodes {width + 1}\n")
+
     def test_mismatched_encoder_is_data_error(self, tmp_path, market_dir,
                                               trained_dir, capsys):
         doc = json.loads((trained_dir / "encoder.json").read_text())
@@ -170,11 +185,19 @@ class TestEval:
         ("encoder.json", lambda doc: {**doc, "text_dim": "50"}),
         ("encoder.json", lambda doc: {**doc, "goal_log2_edges": ["7", "8"]}),
         ("encoder.json", lambda doc: {**doc, "text_seed": 5}),
+        ("encoder.json", lambda doc: {**doc, "goal_log2_edges": [7.0, 10**400]}),
         ("checkpoint.json", lambda doc: {**doc, "version": True}),
         ("checkpoint.json", _repeat_aux_bias),
+        ("checkpoint.json", lambda doc: _edit_config(doc, t_h=1.5)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, hidden=10**20)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, tz_offset=True)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, leaky_slope=10**400)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, ablation=None)),
     ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
             "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number",
-            "version-true", "parameter-twice"])
+            "goal-edge-huge",
+            "version-true", "parameter-twice", "config-t_h-float", "config-hidden-huge",
+            "config-tz_offset-true", "config-slope-huge", "config-ablation-missing"])
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
                                                           trained_dir, capsys, command,
@@ -188,6 +211,13 @@ class TestEval:
                      "--out", str(tmp_path / "bad")])
         assert code == EXIT_DATA
         assert f"data error: {files[artifact]}: " in capsys.readouterr().err
+
+
+def _edit_config(doc, **changes):
+    """The checkpoint with config fields changed; a field set to None is left out."""
+    config = {**doc["meta"]["config"], **changes}
+    config = {k: v for k, v in config.items() if v is not None}
+    return {**doc, "meta": {**doc["meta"], "config": config}}
 
 
 def _edit_first_parameter(doc, **changes):
@@ -491,3 +521,98 @@ def test_mutated_investments_file_loads_or_is_refused_with_its_line(tmp_path_fac
 def test_unmutated_fuzz_market_loads(tmp_path):
     paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, FUZZ_EVENTS, newline="\r\n")
     assert _run_dump_tree(paths, tmp_path / "out")[0] == EXIT_OK
+
+
+# --- mutated JSON artifacts through the CLI ----------------------------------
+
+class _Twice:
+    """A key written a second time into its JSON object, with its own value."""
+
+    def __init__(self, key):
+        self.key = key
+
+
+def _dump_raw(node) -> str:
+    """JSON text of a tree whose leaves may be raw tokens (str in a 1-tuple)."""
+    if isinstance(node, tuple):
+        return node[0]
+    if isinstance(node, dict):
+        return "{" + ",".join(f"{json.dumps(getattr(k, 'key', k))}:{_dump_raw(v)}"
+                              for k, v in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(_dump_raw(v) for v in node) + "]"
+    return json.dumps(node)
+
+
+@st.composite
+def json_slot(draw, node):
+    """A (container, key) reached by a random walk down from the root of a JSON tree."""
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) or draw(st.booleans()):
+            return node, key
+        node = child
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """The text of a JSON document with one to three mutations."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        container, key = draw(json_slot(doc))
+        kind = draw(st.sampled_from(["value", "missing", "duplicate"]))
+        if kind == "value":  # a wrong type, an oversized integer or a non-finite number
+            container[key] = (draw(st.sampled_from(WRONG_TYPES + HUGE_INTEGERS + NON_FINITE)),)
+        elif kind == "missing":
+            del container[key]
+        elif isinstance(container, dict):  # the key again, with its own value or a wrong type
+            container[_Twice(getattr(key, "key", key))] = draw(st.sampled_from(
+                [container[key], *((t,) for t in WRONG_TYPES)]))
+    text = _dump_raw(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_trained(tmp_path_factory):
+    """A fuzz market and the artifacts of a small model trained on it."""
+    folder = tmp_path_factory.mktemp("fuzz-trained")
+    paths = _write_fuzz_market(folder, FUZZ_PROJECTS, FUZZ_EVENTS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--epochs", "1",
+                     "--hidden", "3", "--t-h", "2", "--out", str(folder / "model")])
+    assert code == EXIT_OK
+    return paths, {name: json.loads((folder / "model" / name).read_text())
+                   for name in ("checkpoint.json", "encoder.json")}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), artifact=st.sampled_from(["checkpoint.json", "encoder.json"]),
+       command=st.sampled_from(["eval", "inspect-attention"]))
+def test_mutated_artifact_loads_or_is_refused_naming_it(tmp_path_factory, fuzz_trained,
+                                                        data, artifact, command):
+    """Exit 0, or exit 2 naming the mutated file; exit 1 never.
+
+    A width the two files disagree on is refused naming both."""
+    market, docs = fuzz_trained
+    folder = tmp_path_factory.mktemp("fuzz-artifact")
+    files = {}
+    for name, doc in docs.items():
+        files[name] = folder / name
+        text = data.draw(mutated_json(doc)) if name == artifact else json.dumps(doc)
+        files[name].write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--projects", str(market["projects"]),
+                     "--investments", str(market["investments"]),
+                     "--checkpoint", str(files["checkpoint.json"]),
+                     "--encoder", str(files["encoder.json"]), "--out", str(folder / "out")])
+    assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
+    if code == EXIT_DATA:
+        assert re.match(rf"data error: .*{re.escape(str(files[artifact]))}\b", err.getvalue()), \
+            err.getvalue()

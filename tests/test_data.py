@@ -105,8 +105,8 @@ class TestEarlyStageAmount:
 
 
 def trend_of(p, pairs, t_obs, bins=6):
-    trend, onehot = d.prior_trend(market_of(pairs, p), [0], t_obs, bins)
-    return trend[0], onehot[0]
+    trend, index = d.prior_trend(market_of(pairs, p), [0], t_obs, bins)
+    return trend[0], index[0]
 
 
 class TestPriorTrend:
@@ -119,22 +119,22 @@ class TestPriorTrend:
     def test_clamped_to_unit_interval(self):
         p = make_project(goal=1.0)
         t_obs = p.published_time + 2 * d.HOUR
-        trend, onehot = trend_of(p, [(p.published_time + 1, 1000.0)], t_obs)
+        trend, index = trend_of(p, [(p.published_time + 1, 1000.0)], t_obs)
         assert trend == 1.0
-        assert onehot[-1] == 1.0 and onehot.sum() == 1.0
+        assert index == 5  # the last of six bins holds 1.0 too
 
     def test_bin_with_five_bins(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 6 * d.HOUR
-        trend, onehot = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=5)
+        trend, index = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=5)
         assert trend == pytest.approx(0.1, abs=1e-12)
-        np.testing.assert_array_equal(onehot, [1, 0, 0, 0, 0])
+        assert index == 0
 
     def test_bin_with_six_bins(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 6 * d.HOUR
-        _, onehot = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=6)
-        np.testing.assert_array_equal(onehot, [1, 0, 0, 0, 0, 0])
+        _, index = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=6)
+        assert index == 0
 
     def test_days_funded_rounds_up(self):
         p = make_project(goal=100.0)
@@ -435,6 +435,27 @@ def test_api_times_must_be_int64_integers(field, value):
         build()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amount", 10**400),
+    ("amount", -10**400),
+    ("goal", 10**400),
+    ("vec", 10**400),
+    ("vec", 10**5000),  # past the digits an int may print in
+], ids=["amount", "negative-amount", "goal", "vec", "vec-5001-digits"])
+def test_api_numbers_past_the_float_range_are_refused(field, value):
+    """An integer float() cannot hold is refused by name, as the JSONL loader refuses it."""
+    if field == "amount":
+        owner, build = "investment in a", lambda: d.InvestmentEvent("a", 0, value)
+    elif field == "goal":
+        owner, build = "project a", lambda: make_project(pid="a", goal=value)
+    else:
+        owner, build = "project a", lambda: d.ProjectRecord(
+            id="a", published_time=0, category="art", creator_type="individual",
+            currency="USD", duration_days=3, goal=5.0, vec=(0.5, value))
+    with pytest.raises(d.DataError, match=re.escape(f"{owner}: field '{field}' must fit in 64 bits")):
+        build()
+
+
 def test_api_times_take_numpy_integers_as_python_ints():
     p = make_project(pid="a", t=np.int64(1_000_000), dur=np.int8(2))
     e = d.InvestmentEvent("a", np.int32(1_000_500), 5.0)
@@ -524,10 +545,11 @@ def test_whole_set_helpers_match_per_project_references(market, data):
         with pytest.raises(d.DataError, match="predates publication"):
             d.prior_trend(market, rows, t)
         return
-    trend, onehot = d.prior_trend(market, rows, t)
+    trend, index = d.prior_trend(market, rows, t)
     want = [oracles.prior_trend(p, log, t) for p, log in zip(projects, logs)]
     np.testing.assert_allclose(trend, [w[0] for w in want], rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(onehot, np.reshape([w[1] for w in want], (len(rows), 6)))
+    np.testing.assert_array_equal(index, [w[1] for w in want])
+    assert index.dtype == np.uint8
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

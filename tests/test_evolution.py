@@ -24,7 +24,13 @@ def node(tree, pid):
 
 
 def parents_of(tree, i):
-    return np.nonzero(tree.adjacency[:, i])[0]
+    parent, child = tree.edges
+    return parent[child == i]
+
+
+def has_children(tree):
+    """Per node: does any edge hang under it?"""
+    return np.isin(np.arange(tree.n_nodes), tree.edges[0])
 
 
 def chain_fixture(tau=24, t_h=3):
@@ -39,10 +45,10 @@ class TestTreeGrowth:
         tree, _ = chain_fixture()
         assert tree.node_ids == ("g", "a", "b")
         np.testing.assert_array_equal(tree.depth, [0, 1, 2])
-        np.testing.assert_array_equal(np.argwhere(tree.adjacency), [[0, 1], [1, 2]])
+        np.testing.assert_array_equal(tree.edges, [[0, 1], [1, 2]])
         np.testing.assert_array_equal(tree.node_times[[0, 1]] - tree.node_times[[1, 2]],
                                       [30 * HOUR, 30 * HOUR])
-        assert tree.adjacency[0, 2] == 0  # 60h gap is outside (24h, 48h)
+        np.testing.assert_array_equal(parents_of(tree, 2), [1])  # 60h gap is outside (24h, 48h)
         assert tree.dropped_ids == ()
 
     def test_window_is_strict_on_both_ends(self):
@@ -118,7 +124,7 @@ class TestTreeGrowth:
         a = evo.build_propagation_tree(targets, obs, t_h, tau)
         b = evo.build_propagation_tree(targets, obs, t_h, tau)
         assert a.node_ids == b.node_ids
-        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        np.testing.assert_array_equal(a.edges, b.edges)
 
 
 def random_tree_inputs(rng, t_h=None):
@@ -143,12 +149,15 @@ def scan_tree_invariants(tree):
     """Re-check every growth rule from the finished structure alone."""
     tau_s, n = tree.tau_hours * HOUR, tree.n_nodes
     t = tree.node_times
-    assert tree.adjacency.shape == (n, n)
-    assert set(np.unique(tree.adjacency)) <= {0, 1}
+    assert tree.edges.shape[0] == 2 and tree.edges.dtype == np.int32
+    # attachment order: by child, then parent, so no edge is listed twice
+    keys = tree.edges[1].astype(np.int64) * n + tree.edges[0]
+    assert np.all(np.diff(keys) > 0)
     assert np.all(tree.depth[:tree.n_roots] == 0)
+    assert np.all(np.diff(tree.depth) >= 0)
     assert tree.max_depth <= tree.t_h
 
-    for p, c in np.argwhere(tree.adjacency):
+    for p, c in tree.edges.T:
         assert tau_s < t[p] - t[c] < 2 * tau_s
         assert tree.depth[c] == tree.depth[p] + 1
 
@@ -198,13 +207,13 @@ def test_growth_matches_per_candidate_reference(data, t_h, tau):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
     tree = evo.build_propagation_tree(targets, obs, t_h, tau)
-    node_ids, node_times, depth, adjacency, dropped = oracles.grow_tree(targets, obs, t_h, tau)
+    node_ids, node_times, depth, edges, dropped = oracles.grow_tree(targets, obs, t_h, tau)
     assert tree.node_ids == node_ids
     assert tree.dropped_ids == dropped
     np.testing.assert_array_equal(tree.node_times, node_times)
     np.testing.assert_array_equal(tree.depth, depth)
-    np.testing.assert_array_equal(tree.adjacency, adjacency)
-    assert tree.depth.dtype == depth.dtype and tree.adjacency.dtype == adjacency.dtype
+    np.testing.assert_array_equal(tree.edges, edges)
+    assert tree.depth.dtype == depth.dtype
     records = targets + obs
     assert tuple(records[i].id for i in tree.source) == node_ids
 
@@ -281,9 +290,9 @@ class TestGatedRollUp:
             upd = evo.GatedTreeUpdater(2, np.random.default_rng(1))
             s = rng.normal(0, 1, (tree.n_nodes, 2))
             counts = upd.propagate(tree, s).counts
-            for i in range(tree.n_nodes):
-                want = 1 if (i < tree.n_roots or tree.adjacency[i].any()) else 0
-                assert counts[i] == want
+            want = has_children(tree)
+            want[:tree.n_roots] = True
+            np.testing.assert_array_equal(counts, want)
 
     def test_wrong_state_width_rejected(self):
         tree, _ = chain_fixture()
@@ -354,6 +363,44 @@ def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
         assert np.array_equal(a, b), p.name
     assert ad.grad_check(lambda: _rollup_loss(ad.tree_gru, states, levels, upd, weight)[0],
                          params) < 1e-4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(roots=LAUNCH_HOURS.filter(bool), observed=LAUNCH_HOURS, t_h=st.integers(1, 5),
+       tau=st.sampled_from([24, 48]))
+@example(roots=[0], observed=[], t_h=1, tau=24)  # a bare root
+@example(roots=[0], observed=[120], t_h=3, tau=24)  # a root whose candidate drops
+@example(roots=[0, 6], observed=[36, 66], t_h=2, tau=24)  # one child, two root parents
+@example(roots=[0, 6, 12], observed=[36, 42, 66, 96], t_h=4, tau=24)
+def test_update_levels_equals_dense_schedule(roots, observed, t_h, tau):
+    targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
+    obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
+    tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+    levels, dense = evo.update_levels(tree), oracles.dense_levels(tree)
+    assert len(levels) == len(dense)
+    for (rows, block), (want_rows, want_block) in zip(levels, dense):
+        assert np.array_equal(rows, want_rows)
+        assert block.dtype == np.float64 and np.array_equal(block, want_block)
+
+
+def test_two_root_candidate_sums_into_both_roots():
+    r1, r2 = make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)
+    tree = evo.build_propagation_tree([r1, r2], [make_project("c", T0 - 36 * HOUR)], 1, 24)
+    np.testing.assert_array_equal(tree.edges, [[0, 1], [2, 2]])
+    [(rows, block)] = evo.update_levels(tree)
+    np.testing.assert_array_equal(rows, [0, 1])
+    np.testing.assert_array_equal(block, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+
+def test_adjacency_is_the_dense_form_of_the_edges():
+    tree = evo.build_propagation_tree([make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)],
+                                      [make_project("c", T0 - 36 * HOUR),
+                                       make_project("d", T0 - 66 * HOUR)], 2, 24)
+    adjacency = tree.adjacency
+    assert adjacency.dtype == np.uint8 and adjacency.shape == (4, 4)
+    np.testing.assert_array_equal(np.argwhere(adjacency), [[0, 2], [1, 2], [2, 3]])
+    with pytest.raises(AttributeError):
+        tree.adjacency = adjacency
 
 
 def test_propagate_records_two_tape_nodes():

@@ -9,6 +9,7 @@ import pytest
 from gme import data as gd
 from gme.data import DAY, HOUR, InvestmentEvent, Market, ProjectRecord
 from gme.model import GMEModel, TrainConfig
+from gme.synth import SynthConfig, generate_market
 from gme.toy import TOY_ENCODER, build_toy_market
 from gme.training import (BASELINES, build_contexts, evaluate_model, evaluation_report,
                           fit_baseline, train_model)
@@ -111,6 +112,45 @@ class TestContextBuilding:
                           duration_days=7, goal=100.0, text="x")
         with pytest.raises(gd.DataError, match="target sets"):
             build_contexts(Market([p], []), TrainConfig())
+
+
+@pytest.fixture(scope="module")
+def synth_contexts():
+    market, _ = generate_market(SynthConfig(n_projects=240, days=16, seed=2))
+    return market, build_contexts(market, TrainConfig(t_h=3))
+
+
+def test_contexts_hold_edges_bins_and_the_records_ids(synth_contexts):
+    """No tree or context stores an n x n array, and no tree array has n^2 entries;
+    trends take one byte per rival; tree ids are the records' own strings, not copies."""
+    market, bundle = synth_contexts
+    contexts = (*bundle.train, *bundle.test)
+    assert max(c.tree.n_nodes for c in contexts) >= 20
+    for ctx in contexts:
+        tree, n = ctx.tree, ctx.tree.n_nodes
+        for owner in (ctx, tree):
+            for f in dataclasses.fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray) and n > 1:
+                    assert value.shape[-2:] != (n, n), f.name
+                    assert owner is ctx or value.size < n * n, f.name
+        assert ctx.rival_trend_bins.nbytes == len(ctx.rival_ids)
+        rows = market.row
+        assert all(pid is market.projects[rows[pid]].id for pid in tree.node_ids + tree.dropped_ids)
+        assert all(pid is market.projects[r].id for pid, r in zip(tree.node_ids, ctx.tree_rows))
+
+
+@pytest.mark.parametrize("bins", [6, 5, 300])
+def test_rival_trends_are_one_hot_rows_of_the_bins(synth_contexts, bins):
+    market, _ = synth_contexts
+    bundle = build_contexts(market, TrainConfig(t_h=2, trend_bins=bins))
+    for ctx in (*bundle.train, *bundle.test):
+        index = gd.prior_trend(market, ctx.rival_rows, ctx.observation_time, bins)[1]
+        np.testing.assert_array_equal(ctx.rival_trend_bins, index)
+        assert ctx.rival_trend_bins.itemsize == (1 if bins <= 256 else 2)
+        trends = ctx.rival_trends
+        assert trends.dtype == np.float64 and trends.shape == (len(ctx.rival_ids), bins)
+        assert np.array_equal(trends, np.eye(bins)[index])
 
 
 class TestTrainLoop:
