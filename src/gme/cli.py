@@ -60,10 +60,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_config(args) -> TrainConfig:
-    fields = ("tau", "t_h", "eta", "pruning", "quantifier", "ablation", "hidden",
-              "dropout_keep", "learning_rate", "lr_decay", "epochs", "seed", "tz_offset")
-    return TrainConfig(**{name: getattr(args, name) for name in fields})
+def _train_config(args) -> TrainConfig:  # a field with no flag keeps its default
+    return TrainConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
 
 
 def _load_market(args) -> gd.Market:
@@ -94,13 +93,19 @@ def _restored_model(args):
         raise gd.DataError(
             f"{args.checkpoint}: checkpoint meta lacks a usable config ({exc})") from exc
     encoder = _load_encoder(args.encoder)
-    width = meta.get("feature_dim", encoder.feature_dim)
-    if type(width) is not int:
-        raise gd.DataError(f"{args.checkpoint}: checkpoint meta 'feature_dim' must be an "
-                           f"integer, got {json.dumps(width)}")
+    width = gd.typed_fields({"feature_dim": encoder.feature_dim, **meta},
+                            {"feature_dim": gd.JSON_KINDS[int]},
+                            f"{args.checkpoint}: checkpoint meta")["feature_dim"]
     if width != encoder.feature_dim:  # refused before any array of either width is built
         raise gd.DataError(f"{args.checkpoint} was fit on {width} features, but "
                            f"{args.encoder} encodes {encoder.feature_dim}")
+    # The config and the encoder size the arrays built below: check them against the checkpoint's.
+    widths = {"head.proj.b": (config.hidden,), "evolution.updater.b_agg": (width + 1,),
+              "competition.prior.layer1.w": (gd.SERIES_HOURS + config.trend_bins, config.hidden)}
+    for name, shape in widths.items():
+        if name not in values or values[name].shape != shape:
+            raise gd.DataError(f"{args.checkpoint}: its config and encoder call for a parameter "
+                               f"{name} of shape {shape}, which it does not hold")
     market = _load_market(args)
     bundle = build_contexts(market, config, encoder=encoder)
     model = GMEModel(encoder.feature_dim, config)

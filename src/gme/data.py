@@ -104,6 +104,98 @@ class InvestmentEvent:
             raise DataError(f"investment in {self.project_id}: field 'amount' must be positive and finite")
 
 
+_MISSING = object()
+
+
+class _Kind(typing.NamedTuple):
+    """What a JSON field may hold: its JSON types, the type it is stored as, a description,
+    its entries' kind if it is an array, and its value when absent (`_MISSING`: refused)."""
+
+    accepted: tuple
+    stored: type
+    name: str
+    entry: _Kind | None = None
+    absent: object = _MISSING
+
+
+JSON_KINDS = {str: _Kind((str,), str, "a string"), int: _Kind((int,), int, "an integer"),
+              float: _Kind((int, float), float, "a number")}  # by stored type
+
+
+def _kind(hint) -> _Kind:
+    """The kind of a field annotated `hint`: str, int, float, tuple[X, ...] or X | None."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # null-able: null or absent
+        kind = _kind(args[0])
+        return kind._replace(name=f"null or {kind.name}", absent=None)
+    if typing.get_origin(hint) is tuple:
+        entry = _kind(args[0])
+        return _Kind((list,), tuple, f"an array, each entry {entry.name}", entry)
+    return JSON_KINDS[hint]
+
+
+def _kinds(cls) -> dict:
+    """Field name -> kind, for every field of dataclass `cls`, from its annotations."""
+    return {name: _kind(hint) for name, hint in typing.get_type_hints(cls).items()}
+
+
+_PROJECT_FIELDS = _kinds(ProjectRecord)
+_INVESTMENT_FIELDS = _kinds(InvestmentEvent)
+
+
+def typed_fields(doc, kinds: dict, where: str) -> dict:
+    """The fields of one JSON object, each checked against its kind in `kinds`.
+
+    Types compare exactly and values are never coerced: a boolean is not a number.
+    Integers must fit in int64, and numbers must be finite and within the float range."""
+    if type(doc) is not dict:
+        raise DataError(f"{where}: record is not a JSON object")
+    out = {}
+    for key, kind in kinds.items():
+        value = doc.get(key, kind.absent)
+        if type(value) is not str or kind.stored is not str:  # a string needs only its type checked
+            value = _typed(value, kind, key, where)
+        out[key] = value
+    return out
+
+
+def _typed(value, kind: _Kind, key: str, where: str):
+    """`value` as `kind` stores it, if it is of that kind."""
+    accepted, stored, name, entry, absent = kind
+    if type(value) not in accepted or (entry and not all(type(v) in entry.accepted for v in value)):
+        if value is None and absent is None:  # a null-able kind
+            return None
+        if value is _MISSING:
+            raise DataError(f"{where}: missing field {key!r}")
+        raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+    if entry:
+        return tuple(_typed(v, entry, key, where) for v in value)
+    if stored is int and not INT64_MIN <= value <= INT64_MAX:
+        raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}")
+    if stored is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{where}: field {key!r} must be finite, got {value}")
+    return value
+
+
+def config_from_json(cls, doc):
+    """Config dataclass `cls` from `config_json` output: every field, of the kind its
+    annotation names (see `typed_fields`), and no other key."""
+    kinds = _kinds(cls)
+    if type(doc) is dict and doc.keys() - kinds:
+        raise DataError(f"{cls.__name__}: unknown config keys: {sorted(doc.keys() - kinds)}")
+    return cls(**typed_fields(doc, kinds, cls.__name__))
+
+
+def config_json(obj) -> dict:
+    """A dataclass as a JSON object: its fields by name, a tuple as an array."""
+    return {f.name: list(v) if type(v := getattr(obj, f.name)) is tuple else v for f in fields(obj)}
+
+
 class _Events(typing.NamedTuple):
     """An event table as columns, in input order: event k is in project ``ids[codes[k]]``.
 
@@ -345,6 +437,8 @@ class EncoderConfig:
     text_seed: str = "gme-text-v1"
 
     def __post_init__(self):
+        # build only what `from_json` loads
+        typed_fields(config_json(self), _kinds(EncoderConfig), "EncoderConfig")
         if self.text_mode not in ("hashed", "precomputed"):
             raise DataError(f"unknown text mode {self.text_mode!r}")
         if self.text_dim < (1 if self.text_mode == "hashed" else 0):
@@ -424,97 +518,18 @@ class EncoderConfig:
             goal,
         ])
 
-    def to_json(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
-        return doc
-
-    @classmethod
-    def from_json(cls, doc) -> "EncoderConfig":
-        """Rebuild a config from `to_json` output; every field must have its JSON type."""
-        if type(doc) is not dict:
-            raise DataError("encoder config is not a JSON object")
-        hints = typing.get_type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            hint = hints[f.name]
-            array = typing.get_origin(hint) is tuple  # a tuple[X, ...] field is a JSON array of X
-            stored, accepted, name = JSON_TYPES[typing.get_args(hint)[0] if array else hint]
-            value = doc.get(f.name, _MISSING)
-            if value is _MISSING:
-                raise DataError(f"encoder field {f.name!r} is missing")
-            if array:
-                ok = type(value) is list and all(type(v) in accepted for v in value)
-            else:
-                ok = type(value) in accepted
-            if not ok:
-                expected = f"an array, each entry {name}" if array else name
-                raise DataError(f"encoder field {f.name!r} must be {expected}, "
-                                f"got {json.dumps(value)}")
-            try:  # float() of an integer past the float range overflows
-                values[f.name] = tuple(stored(v) for v in value) if array else stored(value)
-            except OverflowError:
-                raise DataError(f"encoder field {f.name!r} must hold numbers that fit in "
-                                f"64 bits") from None
-        return cls(**values)
-
-
-# Required JSONL fields: name -> (stored type, accepted JSON value types, description).
-# Values are never coerced, and types compare exactly, so a JSON boolean is
-# neither an integer nor a number.
-_STRING = (str, (str,), "a string")
-_INTEGER = (int, (int,), "an integer")
-_NUMBER = (float, (int, float), "a number")
-JSON_TYPES = {str: _STRING, int: _INTEGER, float: _NUMBER}  # by stored type
-_PROJECT_FIELDS = {"id": _STRING, "published_time": _INTEGER, "category": _STRING,
-                   "creator_type": _STRING, "currency": _STRING, "duration_days": _INTEGER,
-                   "goal": _NUMBER}
-_INVESTMENT_FIELDS = {"project_id": _STRING, "timestamp": _INTEGER, "amount": _NUMBER}
-_MISSING = object()
-
-
-def typed_fields(doc, fields: dict, where: str) -> dict:
-    """Required fields of one JSON record, each checked against its JSON type."""
-    if type(doc) is not dict:
-        raise DataError(f"{where}: record is not a JSON object")
-    out = {}
-    for key, (stored, accepted, name) in fields.items():
-        value = doc.get(key, _MISSING)
-        if type(value) is not stored:
-            if type(value) not in accepted:
-                if value is _MISSING:
-                    raise DataError(f"{where}: missing field {key!r}")
-                raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
-            try:
-                value = stored(value)  # float() of an integer past the float range overflows
-            except OverflowError:
-                raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}") from None
-        elif stored is int and not INT64_MIN <= value <= INT64_MAX:
-            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}")
-        out[key] = value
-    return out
+    to_json = config_json
+    from_json = classmethod(config_from_json)
 
 
 def _project_from_doc(doc, where: str) -> ProjectRecord:
     fields = typed_fields(doc, _PROJECT_FIELDS, where)
     if "text" not in doc and "vec" not in doc:
         raise DataError(f"{where}: needs a 'text' or 'vec' description field")
-    text = doc.get("text")
-    if text is not None and not isinstance(text, str):
-        raise DataError(f"{where}: field 'text' must be a string or null, got {json.dumps(text)}")
-    vec = doc.get("vec")
-    if vec is not None and (type(vec) is not list or any(type(v) not in _NUMBER[1] for v in vec)):
-        raise DataError(f"{where}: field 'vec' must be an array of numbers or null, "
-                        f"got {json.dumps(vec)}")
     try:
-        return ProjectRecord(**fields, text=text,
-                             vec=None if vec is None else tuple(float(v) for v in vec))
+        return ProjectRecord(**fields)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
-    except OverflowError:  # an integer in `vec` past the float range
-        raise DataError(f"{where}: field 'vec' must hold numbers that fit in 64 bits") from None
 
 
 def _line_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -679,11 +694,9 @@ def load_investments(path) -> list[InvestmentEvent]:
 def save_projects(path, projects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in projects:
-            doc = {key: getattr(p, key) for key in _PROJECT_FIELDS}
-            if p.text is not None or p.vec is None:
-                doc["text"] = p.text
-            if p.vec is not None:
-                doc["vec"] = list(p.vec)
+            # a None `vec` is left out, and so is a None `text` beside a `vec`
+            drop = "vec" if p.vec is None else "text" if p.text is None else None
+            doc = {key: value for key, value in config_json(p).items() if key != drop}
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 

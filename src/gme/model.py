@@ -13,8 +13,7 @@ unused branch simply never enters the computation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .competition import (PRUNING_MODES, AttentionAggregator, CompetitivenessGraph,
                           PriorQuantifier, RecurrentQuantifier)
-from .data import JSON_TYPES, typed_fields
+from .data import config_from_json, config_json
 from .evolution import GatedTreeUpdater, PropagationTree
 
 QUANTIFIERS = ("recurrent", "prior-mlp")
@@ -71,23 +70,8 @@ class TrainConfig:
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        """Rebuild a config from `to_json` output: every field, with its JSON type.
-
-        Integers must fit in 64 bits and numbers must be finite.
-        """
-        kinds = {f.name: JSON_TYPES[type(f.default)] for f in fields(cls)}
-        if type(doc) is dict and set(doc) - set(kinds):
-            raise ValueError(f"unknown config keys: {sorted(set(doc) - set(kinds))}")
-        values = typed_fields(doc, kinds, "config")
-        for name, value in values.items():
-            if type(value) is float and not math.isfinite(value):
-                raise ValueError(f"config: field {name!r} must be finite, got {value}")
-        return cls(**values)
+    to_json = config_json
+    from_json = classmethod(config_from_json)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ so equal configs give byte-identical markets.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DAY, InvestmentEvent, Market, ProjectRecord
+from .data import DAY, InvestmentEvent, Market, ProjectRecord, config_json
 
 EVENTS_PER_DAY = 6
 HORIZON_PAD_DAYS = 3
@@ -62,11 +62,7 @@ class SynthConfig:
         if self.budget <= 0 or self.decay_shape < 0:
             raise ValueError("budget must be positive and decay_shape non-negative")
 
-    def to_json(self) -> dict:
-        doc = asdict(self)
-        for key in ("categories", "creator_types", "goals", "durations"):
-            doc[key] = list(doc[key])
-        return doc
+    to_json = config_json
 
 
 def generate_market(config: SynthConfig):

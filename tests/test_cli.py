@@ -193,11 +193,19 @@ class TestEval:
         ("checkpoint.json", lambda doc: _edit_config(doc, tz_offset=True)),
         ("checkpoint.json", lambda doc: _edit_config(doc, leaky_slope=10**400)),
         ("checkpoint.json", lambda doc: _edit_config(doc, ablation=None)),
+        ("encoder.json", lambda doc: {**doc, "goal_log2_edges": [*doc["goal_log2_edges"][:-1],
+                                                                 float("nan")]}),
+        ("encoder.json", lambda doc: {**doc, "text_sed": doc["text_seed"]}),
+        # widths no machine could allocate: refused before the model is built
+        ("checkpoint.json", lambda doc: _edit_config(doc, hidden=10**12)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, trend_bins=10**15)),
     ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
             "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number",
             "goal-edge-huge",
             "version-true", "parameter-twice", "config-t_h-float", "config-hidden-huge",
-            "config-tz_offset-true", "config-slope-huge", "config-ablation-missing"])
+            "config-tz_offset-true", "config-slope-huge", "config-ablation-missing",
+            "goal-edge-nan-last", "encoder-unknown-key", "config-hidden-large",
+            "config-trend-bins-large"])
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
                                                           trained_dir, capsys, command,

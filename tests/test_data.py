@@ -13,6 +13,7 @@ import oracles
 from gme import autodiff as ad
 from gme import cli
 from gme import data as d
+from gme.model import TrainConfig
 
 
 def make_project(pid="p0", t=1_000_000, cat="art", creator="individual", cur="USD",
@@ -301,6 +302,12 @@ class TestEncoder:
         enc, projects = self.fit()
         clone = d.EncoderConfig.from_json(enc.to_json())
         assert np.array_equal(clone.encode(projects), enc.encode(projects))
+
+    @pytest.mark.parametrize("field, value", [("text_dim", 2**63), ("duration_day_edges", (16, 2**63))])
+    def test_integers_outside_int64_are_refused(self, field, value):
+        """An encoder is built only if its `encoder.json` would load again."""
+        with pytest.raises(d.DataError, match=f"EncoderConfig: field '{field}' must fit in 64 bits"):
+            self.fit(**{field: value})
 
 
 class TestIO:
@@ -692,7 +699,7 @@ def project_records(text, vec):
            creator_types=st.lists(st.text(max_size=5), max_size=3).map(tuple),
            currencies=st.lists(st.text(max_size=3), max_size=3).map(tuple),
            goal_log2_edges=st.sets(FINITE, max_size=4).map(sorted).map(tuple),
-           duration_day_edges=st.sets(st.integers(-2**70, 2**70), max_size=4).map(sorted).map(tuple),
+           duration_day_edges=st.sets(st.integers(d.INT64_MIN, d.INT64_MAX), max_size=4).map(sorted).map(tuple),
            text_mode=st.sampled_from(["hashed", "precomputed"]), text_dim=st.integers(1, 10**6),
            text_seed=st.text(max_size=8)))
 def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, events, arrays,
@@ -715,3 +722,32 @@ def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, e
 
     cli._write_json(folder / "encoder.json", encoder.to_json())
     assert cli._load_encoder(folder / "encoder.json") == encoder
+
+
+ENCODER = d.EncoderConfig(categories=("art", "games"), creator_types=("individual",),
+                          currencies=("USD",))
+
+
+def _field_refusals(config):
+    """(field, doc) pairs: `config.to_json()` with one field left out or holding a wrong value.
+
+    Every field gets a boolean; an integer field an integer outside int64; a number
+    field NaN and the infinities.  In an array the wrong value replaces the last entry.
+    """
+    good = config.to_json()
+    for name, value in good.items():
+        yield name, {k: v for k, v in good.items() if k != name}
+        sample = value[-1] if type(value) is list else value
+        wrong = [True, *{int: [2**63, -2**63 - 1],
+                         float: [float("nan"), float("inf"), float("-inf")]}.get(type(sample), [])]
+        for bad in wrong:
+            yield name, {**good, name: [*value[:-1], bad] if type(value) is list else bad}
+
+
+@pytest.mark.parametrize("config", [TrainConfig(), ENCODER], ids=["train", "encoder"])
+def test_config_json_refuses_each_bad_field_by_name(config):
+    """Every field is required, of its JSON type, within int64 and finite; `to_json` reloads."""
+    assert type(config).from_json(config.to_json()) == config
+    for name, doc in _field_refusals(config):
+        with pytest.raises(d.DataError, match=f"field '{name}'"):
+            type(config).from_json(json.loads(json.dumps(doc)))  # NaN as JSON writes it
