@@ -61,8 +61,11 @@ def _out_dir(args) -> Path:
 
 
 def _train_config(args) -> TrainConfig:  # a field with no flag keeps its default
-    return TrainConfig(**{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
+    try:
+        return TrainConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
+    except gd.DataError as exc:  # a flag's value, not the data, is at fault
+        raise ValueError(str(exc)) from exc
 
 
 def _load_market(args) -> gd.Market:
@@ -133,13 +136,10 @@ def cmd_synth(args) -> int:
     market, trace = generate_market(config)
     out = _out_dir(args)
     gd.save_projects(out / "projects.jsonl", market.projects)
-    events = [gd.InvestmentEvent(p.id, int(t), float(a))
-              for p in market.projects
-              for t, a in zip(market.log(p.id).times, market.log(p.id).amounts)]
-    gd.save_investments(out / "investments.jsonl", events)
+    n_events = gd.save_investments(out / "investments.jsonl", market)
     write_trace(out / "trace.jsonl", trace)
     _echo(out, "synth", config.to_json())
-    print(f"synth: wrote {len(market.projects)} projects, {len(events)} investments to {out}")
+    print(f"synth: wrote {len(market.projects)} projects, {n_events} investments to {out}")
     return EXIT_OK
 
 
@@ -237,8 +237,7 @@ def cmd_inspect_attention(args) -> int:
 
 
 def cmd_dump_tree(args) -> int:
-    config = TrainConfig(tau=args.tau, t_h=args.t_h, tz_offset=args.tz_offset)
-    bundle = build_contexts(_load_market(args), config)
+    bundle = build_contexts(_load_market(args), _train_config(args))
     docs = []
     for ctx in _select_contexts(bundle, args.set):
         tree = ctx.tree

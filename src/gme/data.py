@@ -7,6 +7,7 @@ UTC.  Monetary windows are half-open [lo, hi) unless stated otherwise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,26 +34,6 @@ class DataError(ValueError):
     """Malformed or inconsistent market data."""
 
 
-def _int64(owner: str, ident: str, field: str, value) -> int:
-    """`value` as a Python int, if it is a Python or numpy integer that fits in int64.
-
-    bool, float and every other type are refused.
-    """
-    if not ((type(value) is int or isinstance(value, np.integer))
-            and INT64_MIN <= int(value) <= INT64_MAX):
-        raise DataError(f"{owner} {ident}: field {field!r} must be an integer that fits in "
-                        f"64 bits, got {value!r}")
-    return int(value)
-
-
-def _finite(owner: str, ident: str, field: str, values) -> bool:
-    """Whether every number in `values` is finite; an integer past the float range is refused."""
-    try:
-        return all(math.isfinite(v) for v in values)
-    except OverflowError:
-        raise DataError(f"{owner} {ident}: field {field!r} must fit in 64 bits") from None
-
-
 @dataclass(frozen=True)
 class ProjectRecord:
     """Static project attributes known before launch."""
@@ -68,17 +49,13 @@ class ProjectRecord:
     vec: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        check_fields(self, f"project {self.id}" if isinstance(self.id, str) and self.id else "project")
         if not self.id:
             raise DataError("project field 'id' is empty")
-        # stored as Python ints, so no later arithmetic wraps around in a numpy type
-        for field in ("published_time", "duration_days"):
-            object.__setattr__(self, field, _int64("project", self.id, field, getattr(self, field)))
         if self.duration_days < 1:
             raise DataError(f"project {self.id}: field 'duration_days' must be a positive integer")
-        if not (_finite("project", self.id, "goal", [self.goal]) and self.goal > 0):
+        if not self.goal > 0:
             raise DataError(f"project {self.id}: field 'goal' must be positive and finite")
-        if self.vec is not None and not _finite("project", self.id, "vec", self.vec):
-            raise DataError(f"project {self.id}: field 'vec' has non-finite entries")
         if self.end_time > INT64_MAX:
             raise DataError(f"project {self.id}: live window [{self.published_time}, "
                             f"{self.end_time}) does not fit in 64 bits")
@@ -95,12 +72,11 @@ class InvestmentEvent:
     amount: float
 
     def __post_init__(self):
+        pid = self.project_id
+        check_fields(self, f"investment in {pid}" if isinstance(pid, str) and pid else "investment")
         if not self.project_id:
             raise DataError("investment field 'project_id' is empty")
-        object.__setattr__(self, "timestamp",
-                           _int64("investment in", self.project_id, "timestamp", self.timestamp))
-        if not (_finite("investment in", self.project_id, "amount", [self.amount])
-                and self.amount > 0):
+        if not self.amount > 0:
             raise DataError(f"investment in {self.project_id}: field 'amount' must be positive and finite")
 
 
@@ -128,19 +104,23 @@ def _kind(hint) -> _Kind:
     if type(None) in args:  # null-able: null or absent
         kind = _kind(args[0])
         return kind._replace(name=f"null or {kind.name}", absent=None)
-    if typing.get_origin(hint) is tuple:
+    if typing.get_origin(hint) is tuple:  # a JSON array, or the tuple a dataclass holds
         entry = _kind(args[0])
-        return _Kind((list,), tuple, f"an array, each entry {entry.name}", entry)
+        return _Kind((list, tuple), tuple, f"an array, each entry {entry.name}", entry)
     return JSON_KINDS[hint]
 
 
+@functools.cache
 def _kinds(cls) -> dict:
     """Field name -> kind, for every field of dataclass `cls`, from its annotations."""
     return {name: _kind(hint) for name, hint in typing.get_type_hints(cls).items()}
 
 
-_PROJECT_FIELDS = _kinds(ProjectRecord)
-_INVESTMENT_FIELDS = _kinds(InvestmentEvent)
+def _arguments(doc, kinds: dict, where: str) -> dict:
+    """The value of each field in `kinds` in one JSON object, an absent one as its kind's `absent`."""
+    if type(doc) is not dict:
+        raise DataError(f"{where}: record is not a JSON object")
+    return {key: doc.get(key, kind.absent) for key, kind in kinds.items()}
 
 
 def typed_fields(doc, kinds: dict, where: str) -> dict:
@@ -148,47 +128,71 @@ def typed_fields(doc, kinds: dict, where: str) -> dict:
 
     Types compare exactly and values are never coerced: a boolean is not a number.
     Integers must fit in int64, and numbers must be finite and within the float range."""
-    if type(doc) is not dict:
-        raise DataError(f"{where}: record is not a JSON object")
-    out = {}
+    out = _arguments(doc, kinds, where)
     for key, kind in kinds.items():
-        value = doc.get(key, kind.absent)
-        if type(value) is not str or kind.stored is not str:  # a string needs only its type checked
-            value = _typed(value, kind, key, where)
-        out[key] = value
+        if type(out[key]) is not str or kind.stored is not str:  # a string needs only its type checked
+            out[key] = _typed(out[key], kind, key, where)
     return out
 
 
+def check_fields(obj, where: str) -> None:
+    """Check each field of frozen dataclass `obj` as `typed_fields` checks a JSON value, and
+    store it as its kind stores it: `obj` is built only if its JSON form loads."""
+    vars(obj).update(typed_fields(vars(obj), _kinds(type(obj)), where))
+
+
 def _typed(value, kind: _Kind, key: str, where: str):
-    """`value` as `kind` stores it, if it is of that kind."""
+    """`value` as `kind` stores it, if it is of that kind.
+
+    A numpy scalar counts as the Python value it holds; it is converted only on
+    the way to a refusal, so a plain value costs nothing more."""
     accepted, stored, name, entry, absent = kind
     if type(value) not in accepted or (entry and not all(type(v) in entry.accepted for v in value)):
         if value is None and absent is None:  # a null-able kind
             return None
         if value is _MISSING:
             raise DataError(f"{where}: missing field {key!r}")
-        raise DataError(f"{where}: field {key!r} must be {name}, got {json.dumps(value)}")
+        if (plain := _plain(value)) is not value:
+            return _typed(plain, kind, key, where)
+        raise DataError(f"{where}: field {key!r} must be {name}, got {_shown(value)}")
     if entry:
         return tuple(_typed(v, entry, key, where) for v in value)
     if stored is int and not INT64_MIN <= value <= INT64_MAX:
-        raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}")
+        raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {_shown(value)}")
     if stored is float:
         try:
             value = float(value)
         except OverflowError:  # an integer past the float range
-            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {value}") from None
+            raise DataError(f"{where}: field {key!r} must fit in 64 bits, got {_shown(value)}") from None
         if not math.isfinite(value):
             raise DataError(f"{where}: field {key!r} must be finite, got {value}")
     return value
 
 
+def _plain(value):
+    """A numpy scalar, or a list or tuple holding one, with each as the Python value it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if type(value) in (list, tuple) and any(isinstance(v, np.generic) for v in value):
+        return [v.item() if isinstance(v, np.generic) else v for v in value]
+    return value
+
+
+def _shown(value) -> str:
+    """`value` as JSON writes it, or its type where JSON cannot write it."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError, RecursionError):  # not JSON, too many digits, nested too deep
+        return f"a value of type {type(value).__name__}"
+
+
 def config_from_json(cls, doc):
-    """Config dataclass `cls` from `config_json` output: every field, of the kind its
-    annotation names (see `typed_fields`), and no other key."""
-    kinds = _kinds(cls)
-    if type(doc) is dict and doc.keys() - kinds:
-        raise DataError(f"{cls.__name__}: unknown config keys: {sorted(doc.keys() - kinds)}")
-    return cls(**typed_fields(doc, kinds, cls.__name__))
+    """Config dataclass `cls` from `config_json` output: every field, which the
+    constructor checks (see `check_fields`), and no other key."""
+    values = _arguments(doc, _kinds(cls), cls.__name__)
+    if doc.keys() - values:
+        raise DataError(f"{cls.__name__}: unknown config keys: {sorted(doc.keys() - values)}")
+    return cls(**values)
 
 
 def config_json(obj) -> dict:
@@ -248,9 +252,9 @@ class Market:
     """
 
     def __init__(self, projects, events):
-        self._build(projects, _Events.of(events))
-
-    def _build(self, projects, events: _Events) -> None:
+        """`events`: `InvestmentEvent` records, or an event table as `_Events` columns."""
+        if not isinstance(events, _Events):
+            events = _Events.of(events)
         ordered = sorted(projects, key=lambda p: (p.published_time, p.id))
         n = len(ordered)
         self.projects = np.empty(n, dtype=object)
@@ -309,9 +313,7 @@ class Market:
 
     @classmethod
     def from_files(cls, projects_path, investments_path) -> "Market":
-        market = cls.__new__(cls)
-        market._build(load_projects(projects_path), _read_investments(investments_path))
-        return market
+        return cls(load_projects(projects_path), _read_investments(investments_path))
 
 
 def fundraising_target(market: Market, rows, tau_hours: int) -> np.ndarray:
@@ -437,8 +439,7 @@ class EncoderConfig:
     text_seed: str = "gme-text-v1"
 
     def __post_init__(self):
-        # build only what `from_json` loads
-        typed_fields(config_json(self), _kinds(EncoderConfig), "EncoderConfig")
+        check_fields(self, "EncoderConfig")
         if self.text_mode not in ("hashed", "precomputed"):
             raise DataError(f"unknown text mode {self.text_mode!r}")
         if self.text_dim < (1 if self.text_mode == "hashed" else 0):
@@ -523,13 +524,14 @@ class EncoderConfig:
 
 
 def _project_from_doc(doc, where: str) -> ProjectRecord:
-    fields = typed_fields(doc, _PROJECT_FIELDS, where)
+    values = _arguments(doc, _kinds(ProjectRecord), where)
+    try:
+        project = ProjectRecord(**values)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
     if "text" not in doc and "vec" not in doc:
         raise DataError(f"{where}: needs a 'text' or 'vec' description field")
-    try:
-        return ProjectRecord(**fields)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+    return project
 
 
 def _line_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -646,7 +648,7 @@ def _read_investments(path) -> _Events:
         try:
             doc = _decode_line(where, raw[pos:ends.item(i) + 1])
             if doc is not None:
-                records[i] = typed_fields(doc, _INVESTMENT_FIELDS, where)
+                records[i] = typed_fields(doc, _kinds(InvestmentEvent), where)
         except DataError as exc:
             failure, compact[i:] = exc, False  # later lines are not read
             break
@@ -685,12 +687,6 @@ def _read_investments(path) -> _Events:
     return events
 
 
-def load_investments(path) -> list[InvestmentEvent]:
-    events = _read_investments(path)
-    return [InvestmentEvent(events.ids[c], t, a) for c, t, a in
-            zip(events.codes.tolist(), events.times.tolist(), events.amounts.tolist())]
-
-
 def save_projects(path, projects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in projects:
@@ -700,8 +696,12 @@ def save_projects(path, projects) -> None:
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def save_investments(path, events) -> None:
+def save_investments(path, market: Market) -> int:
+    """Write a market's event table, one investment a line in `_COMPACT_EVENT`'s layout, by
+    project row and in time order within it; returns the number of lines written."""
+    ids = [json.dumps(p.id) for p in market.projects]
+    rows = np.repeat(np.arange(len(ids)), np.diff(market._starts)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            doc = {key: getattr(e, key) for key in _INVESTMENT_FIELDS}
-            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        fh.writelines(f'{{"project_id":{ids[r]},"timestamp":{t},"amount":{a!r}}}\n'
+                      for r, t, a in zip(rows, market._times.tolist(), market._amounts.tolist()))
+    return len(rows)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .competition import (PRUNING_MODES, AttentionAggregator, CompetitivenessGraph,
                           PriorQuantifier, RecurrentQuantifier)
-from .data import config_from_json, config_json
+from .data import check_fields, config_from_json, config_json
 from .evolution import GatedTreeUpdater, PropagationTree
 
 QUANTIFIERS = ("recurrent", "prior-mlp")
@@ -49,6 +49,7 @@ class TrainConfig:
     tz_offset: int = 0
 
     def __post_init__(self):
+        check_fields(self, "TrainConfig")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive hours, got {self.tau}")
         if self.t_h < 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DAY, InvestmentEvent, Market, ProjectRecord, config_json
+from .data import DAY, Market, ProjectRecord, _Events, config_json
 
 EVENTS_PER_DAY = 6
 HORIZON_PAD_DAYS = 3
@@ -122,8 +122,8 @@ def generate_market(config: SynthConfig):
 
     cat_index = {c: i for i, c in enumerate(config.categories)}
 
-    # 5. events, project by project, day by day
-    events = []
+    # 5. events, project by project, day by day, gathered as columns
+    codes, times, amounts = [], [], []
     for idx, p in enumerate(projects):
         d0 = launch_day[idx]
         d1 = min(d0 + p.duration_days, horizon)
@@ -132,18 +132,17 @@ def generate_market(config: SynthConfig):
                   * (1.0 + (day - d0)) ** (-config.decay_shape) / divisor[day])
             lo = max(p.published_time, config.start_time + day * DAY)
             hi = config.start_time + (day + 1) * DAY
-            span = hi - lo
             base_amount = mu / EVENTS_PER_DAY
             if config.noise == 0.0:
-                for k in range(EVENTS_PER_DAY):
-                    t = lo + (2 * k + 1) * span // (2 * EVENTS_PER_DAY)
-                    events.append(InvestmentEvent(p.id, int(t), base_amount))
+                times.append(lo + (2 * np.arange(EVENTS_PER_DAY) + 1) * (hi - lo)
+                             // (2 * EVENTS_PER_DAY))
+                amounts.append(np.full(EVENTS_PER_DAY, base_amount))
             else:
                 n_ev = int(rng.poisson(EVENTS_PER_DAY))
-                factors = rng.lognormal(-config.noise ** 2 / 2.0, config.noise, n_ev)
-                times = rng.integers(lo, hi, n_ev)
-                for t, f in zip(times, factors):
-                    events.append(InvestmentEvent(p.id, int(t), base_amount * float(f)))
+                amounts.append(base_amount * rng.lognormal(-config.noise ** 2 / 2.0, config.noise, n_ev))
+                times.append(rng.integers(lo, hi, n_ev))
+            codes.append(np.full(times[-1].size, idx))
+    events = _Events([p.id for p in projects], *map(np.concatenate, (codes, times, amounts)))
 
     trace = {
         "config": config.to_json(),

@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from gme.data import Market
+from gme.data import InvestmentEvent, Market
 from gme.model import TrainConfig
 from gme.training import build_contexts
 
@@ -82,6 +83,28 @@ class TestSynth:
                      "--out", str(out)]) == EXIT_OK
         for name in ("projects.jsonl", "investments.jsonl", "trace.jsonl"):
             assert (out / name).read_bytes() == (market_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, digests", [
+        (["--n", "200", "--days", "30", "--seed", "4", "--noise", "0.3"],
+         ["a296955d5fcacdfffb6453677a90a053757e86e7db9e58ba670da070e42d5ddb",
+          "a72755b48405b2313795140ec04029e2ab441f1df9bd929f2da94269798a6f82",
+          "e193a201d38f1c39c58110aeccc551482d8dda9c3f70183cafe7b4bc30e2bef2"]),
+        (["--n", "60", "--days", "10", "--seed", "1"],
+         ["bd21ede848a2ca9d545a0dcf17ead44ddc4e413abd5d8dac6f6bce86cb39a6b8",
+          "96231be911a54b45c735cd3a94de21d86845b1e05738b8df8b6f4628eb9f176c",
+          "0f0a5a65be7d873b6e70c5b5116c45212d6c1d1d19f93807831130d8306c7c2e"]),
+    ], ids=["noise", "no-noise"])
+    def test_writes_pinned_bytes_without_investment_events(self, tmp_path, monkeypatch, flags,
+                                                           digests):
+        """The market files keep the bytes the record-by-record writer gave, and no
+        InvestmentEvent is built on the way."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("gme synth built an InvestmentEvent")
+
+        monkeypatch.setattr(InvestmentEvent, "__init__", refuse)
+        assert main(["synth", *flags, "--out", str(tmp_path)]) == EXIT_OK
+        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("projects.jsonl", "investments.jsonl", "trace.jsonl")] == digests
 
 
 class TestTrain:
@@ -362,10 +385,11 @@ class TestExitCodes:
         code = main(["dump-tree", "--projects", str(projects),
                      "--investments", str(inv), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert f"{projects}:2: field 'published_time' must fit in 64 bits" in capsys.readouterr().err
+        assert (f"{projects}:2: project b: field 'published_time' must fit in 64 bits"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("which, field, token, message", [
-        ("projects", "goal", "1" + "0" * 400, "field 'goal' must fit in 64 bits, got 1000"),
+        ("projects", "goal", "1" + "0" * 400, "project p1: field 'goal' must fit in 64 bits, got 1000"),
         ("investments", "amount", "1" + "0" * 400, "field 'amount' must fit in 64 bits, got 1000"),
         ("projects", "duration_days", "1" + "0" * 5000,
          "invalid JSON (an integer of more than 4300 digits)"),
@@ -421,9 +445,9 @@ class TestExitCodes:
             main(["train", *_data_flags(market_dir), "--t-h", "0",
                   "--out", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
-        code = main(["train", *_data_flags(market_dir), "--eta", "1.5",
-                     "--out", str(tmp_path)])
-        assert code == EXIT_USAGE
+        for flag, value in (("--eta", "1.5"), ("--learning-rate", "inf"), ("--seed", str(2**64))):
+            code = main(["train", *_data_flags(market_dir), flag, value, "--out", str(tmp_path)])
+            assert code == EXIT_USAGE, flag
 
     def test_unknown_flag_rejected(self, tmp_path, market_dir):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -316,7 +317,7 @@ class TestIO:
         events = [d.InvestmentEvent("a", 150, 10.0), d.InvestmentEvent("b", 260, 2.5)]
         pp, ip = tmp_path / "projects.jsonl", tmp_path / "investments.jsonl"
         d.save_projects(pp, projects)
-        d.save_investments(ip, events)
+        d.save_investments(ip, d.Market(projects, events))
         market = d.Market.from_files(pp, ip)
         assert [p.id for p in market.projects] == ["a", "b"]
         assert market.raised_before([market.row["a"]], 10**9)[0] == 10.0
@@ -340,7 +341,7 @@ class TestIO:
         path = tmp_path / "inv.jsonl"
         path.write_text('{"project_id":"a","timestamp":5,"amount":-3.0}\n')
         with pytest.raises(d.DataError, match="amount"):
-            d.load_investments(path)
+            d._read_investments(path)
 
     PROJECT_LINE = {"id": "a", "published_time": 1, "category": "c", "creator_type": "i",
                     "currency": "USD", "duration_days": 3, "goal": 10.0, "text": ""}
@@ -360,8 +361,8 @@ class TestIO:
         base = self.PROJECT_LINE if loader == "projects" else self.EVENT_LINE
         path = tmp_path / f"{loader}.jsonl"
         path.write_text(json.dumps(base) + "\n" + json.dumps({**base, field: value}) + "\n")
-        load = d.load_projects if loader == "projects" else d.load_investments
-        with pytest.raises(d.DataError, match=re.escape(f"{path}:2: field '{field}' must be")):
+        load, owner = (d.load_projects, "project a: ") if loader == "projects" else (d._read_investments, "")
+        with pytest.raises(d.DataError, match=re.escape(f"{path}:2: {owner}field '{field}' must be")):
             load(path)
 
     @pytest.mark.parametrize("loader, field, value", [
@@ -373,9 +374,9 @@ class TestIO:
         base = self.PROJECT_LINE if loader == "projects" else self.EVENT_LINE
         path = tmp_path / f"{loader}.jsonl"
         path.write_text(json.dumps(base) + "\n" + json.dumps({**base, field: value}) + "\n")
-        load = d.load_projects if loader == "projects" else d.load_investments
+        load, owner = (d.load_projects, "project a: ") if loader == "projects" else (d._read_investments, "")
         with pytest.raises(d.DataError, match=re.escape(
-                f"{path}:2: field '{field}' must fit in 64 bits, got {value}")):
+                f"{path}:2: {owner}field '{field}' must fit in 64 bits, got {value}")):
             load(path)
 
     def test_live_window_past_int64_is_refused(self, tmp_path):
@@ -437,8 +438,9 @@ def test_api_times_must_be_int64_integers(field, value):
     else:
         keyword = {"published_time": "t", "duration_days": "dur"}[field]
         owner, build = "project a", lambda: make_project(pid="a", **{keyword: value})
-    with pytest.raises(d.DataError, match=re.escape(
-            f"{owner}: field '{field}' must be an integer that fits in 64 bits, got {value!r}")):
+    shown = json.dumps(value.item() if isinstance(value, np.generic) else value)
+    with pytest.raises(d.DataError, match=re.escape(f"{owner}: field '{field}' must ")
+                       + "(be an integer|fit in 64 bits)" + re.escape(f", got {shown}")):
         build()
 
 
@@ -461,6 +463,24 @@ def test_api_numbers_past_the_float_range_are_refused(field, value):
             currency="USD", duration_days=3, goal=5.0, vec=(0.5, value))
     with pytest.raises(d.DataError, match=re.escape(f"{owner}: field '{field}' must fit in 64 bits")):
         build()
+
+
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("category", object(), "must be a string, got a value of type object"),
+    ("category", nested(100_000), "must be a string, got a value of type list"),
+    ("published_time", 10**5000, "must fit in 64 bits, got a value of type int"),
+], ids=["category-object", "category-nested", "time-5001-digits"])
+def test_api_values_json_cannot_write_are_refused_by_name(field, value, message):
+    """A refusal names the field even when its value has no JSON form to print."""
+    with pytest.raises(d.DataError, match=re.escape(f"project a: field '{field}' {message}")):
+        d.ProjectRecord(**{**vars(make_project(pid="a")), field: value})
 
 
 def test_api_times_take_numpy_integers_as_python_ints():
@@ -559,35 +579,68 @@ def test_whole_set_helpers_match_per_project_references(market, data):
     assert index.dtype == np.uint8
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(projects=st.lists(st.builds(
-    d.ProjectRecord,
-    id=st.text(min_size=1, max_size=6),
-    published_time=st.integers(-10**12, 10**12),
-    category=st.text(max_size=5), creator_type=st.text(max_size=5), currency=st.text(max_size=3),
-    duration_days=st.integers(1, 60),
-    goal=st.floats(min_value=1e-6, max_value=1e12),
-    text=st.one_of(st.none(), st.text(max_size=12)),
-    vec=st.one_of(st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                      max_size=4).map(tuple)),
-), max_size=5, unique_by=lambda p: p.id), data=st.data())
-def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, projects, data):
-    events = [d.InvestmentEvent(p.id, data.draw(st.integers(p.published_time, p.end_time - 1)),
-                                data.draw(st.floats(min_value=1e-9, max_value=1e9)))
-              for p in projects for _ in range(data.draw(st.integers(0, 3)))]
-    folder = tmp_path_factory.mktemp("roundtrip")
-    d.save_projects(folder / "p.jsonl", projects)
-    d.save_investments(folder / "i.jsonl", events)
-    assert d.load_projects(folder / "p.jsonl") == projects
-    assert d.load_investments(folder / "i.jsonl") == events
-    a, b = d.Market(projects, events), d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
-    assert [p.id for p in a.projects] == [p.id for p in b.projects]
-    for p in projects:
-        np.testing.assert_array_equal(a.log(p.id).times, b.log(p.id).times)
-        np.testing.assert_array_equal(a.log(p.id).amounts, b.log(p.id).amounts)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(d.INT64_MIN, d.INT64_MAX), FINITE,
+              st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def kind_values(kind):
+    """Values of one field kind (`data._Kind`), as a dataclass holds them."""
+    if kind.entry:
+        values = st.lists(kind_values(kind.entry), max_size=4).map(tuple)
+    else:
+        values = {str: st.text(max_size=6), int: st.integers(d.INT64_MIN, d.INT64_MAX),
+                  float: FINITE}[kind.stored]
+    return st.none() | values if kind.absent is None else values
+
+
+def records(cls, **rules):
+    """Instances of dataclass `cls`, each field drawn by its kind (`data._kinds`) or by `rules`
+    where a value rule narrows it: a field added later is drawn with no edit here."""
+    return st.builds(cls, **{name: rules.get(name, kind_values(kind))
+                             for name, kind in d._kinds(cls).items()})
+
+
+def events_in(projects, data):
+    """Up to three investments inside each project's live window."""
+    return [data.draw(records(d.InvestmentEvent, project_id=st.just(p.id), amount=POSITIVE,
+                              timestamp=st.integers(p.published_time, p.end_time - 1)))
+            for p in projects for _ in range(data.draw(st.integers(0, 3)))]
+
+
+def read_events(path):
+    """(project id, timestamp, amount) of each investment in a JSONL file, in file order."""
+    events = d._read_investments(path)
+    return list(zip([events.ids[c] for c in events.codes.tolist()], events.times.tolist(),
+                    events.amounts.tolist()))
 
 
 MARKET_TABLES = ("published", "ends", "goals", "_times", "_amounts", "_starts", "_prefix", "_keys")
+
+
+def assert_same_tables(a, b):
+    for name in MARKET_TABLES:
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(projects=st.lists(records(
+    d.ProjectRecord, id=st.text(min_size=1, max_size=6), published_time=st.integers(-10**12, 10**12),
+    duration_days=st.integers(1, 60), goal=st.floats(min_value=1e-6, max_value=1e12),
+), max_size=5, unique_by=lambda p: p.id), data=st.data())
+def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, projects, data):
+    market = d.Market(projects, events_in(projects, data))
+    folder = tmp_path_factory.mktemp("roundtrip")
+    d.save_projects(folder / "p.jsonl", projects)
+    d.save_investments(folder / "i.jsonl", market)
+    assert d.load_projects(folder / "p.jsonl") == projects
+    assert_same_tables(d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl"), market)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -614,30 +667,24 @@ def test_from_files_builds_the_tables_the_records_build(tmp_path_factory, market
         else:
             lines.append(json.dumps(doc, separators=(",", ":")))
     (folder / "i.jsonl").write_bytes("".join(line + newline for line in lines).encode())
-    loaded = d.load_investments(folder / "i.jsonl")
-    assert loaded == events
-    a = d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
-    b = d.Market(d.load_projects(folder / "p.jsonl"), loaded)
-    for name in MARKET_TABLES:
-        assert getattr(a, name).dtype == getattr(b, name).dtype, name
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert read_events(folder / "i.jsonl") == [astuple(e) for e in events]
+    assert_same_tables(d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl"),
+                       d.Market(d.load_projects(folder / "p.jsonl"), events))
 
 
 def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
     projects = [make_project(pid=f"p{k}", t=T0 + k * d.HOUR, dur=2) for k in range(4)]
     events = [d.InvestmentEvent(p.id, p.published_time + h, 1.5 * h)
               for p in projects for h in (1, 60, 3600)]
-    d.save_projects(tmp_path / "p.jsonl", projects)
-    d.save_investments(tmp_path / "i.jsonl", events)
     want = d.Market(projects, events)
+    d.save_projects(tmp_path / "p.jsonl", projects)
+    d.save_investments(tmp_path / "i.jsonl", want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("Market.from_files built an InvestmentEvent")
 
     monkeypatch.setattr(d.InvestmentEvent, "__init__", refuse)
-    got = d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
-    for name in MARKET_TABLES:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert_same_tables(d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl"), want)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -650,11 +697,9 @@ def test_long_compact_runs_load_every_line_once(tmp_path, newline):
     lines[513] = json.dumps(json.loads(lines[513]))  # one spaced line inside a run
     d.save_projects(tmp_path / "p.jsonl", projects)
     (tmp_path / "i.jsonl").write_bytes(newline.join(lines).encode())  # no line end at the end
-    assert d.load_investments(tmp_path / "i.jsonl") == events
-    got = d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
-    want = d.Market(projects, events)
-    for name in MARKET_TABLES:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert read_events(tmp_path / "i.jsonl") == [astuple(e) for e in events]
+    assert_same_tables(d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl"),
+                       d.Market(projects, events))
 
     lines[700] = lines[700][:-1]  # truncated: the refusal names line 701
     (tmp_path / "i.jsonl").write_bytes(newline.join(lines).encode())
@@ -662,55 +707,37 @@ def test_long_compact_runs_load_every_line_once(tmp_path, newline):
         d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(d.INT64_MIN, d.INT64_MAX), FINITE,
-              st.text(max_size=6)),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=8)
-
-
-def project_records(text, vec):
-    return st.builds(
-        d.ProjectRecord, id=st.text(min_size=1, max_size=6),
-        published_time=st.integers(-2**62, 2**62), duration_days=st.integers(1, 10**5),
-        category=st.text(max_size=5), creator_type=st.text(max_size=5),
-        currency=st.text(max_size=3), goal=st.floats(min_value=0.0, exclude_min=True,
-                                                     allow_infinity=False),
-        text=text, vec=vec)
+# Launches near one shared time anywhere in int64, so a market of them can index its events.
+PROJECT_RULES = dict(
+    id=st.text(min_size=1, max_size=6), duration_days=st.integers(1, 10**5), goal=POSITIVE,
+    published_time=st.shared(st.integers(-2**62, 2**62), key="launch").flatmap(
+        lambda t: st.integers(t, t + 2**40)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(both=project_records(st.text(max_size=12), st.lists(FINITE, min_size=1, max_size=4).map(tuple)),
-       projects=st.lists(project_records(st.none() | st.text(max_size=12),
-                                         st.none() | st.lists(FINITE, max_size=4).map(tuple)),
-                         max_size=4),
-       events=st.lists(st.builds(d.InvestmentEvent, project_id=st.text(min_size=1, max_size=6),
-                                 timestamp=st.integers(d.INT64_MIN, d.INT64_MAX),
-                                 amount=st.floats(min_value=0.0, exclude_min=True,
-                                                  allow_infinity=False)), max_size=4),
+@given(both=records(d.ProjectRecord, **PROJECT_RULES, text=st.text(max_size=12),
+                    vec=st.lists(FINITE, min_size=1, max_size=4).map(tuple)),
+       projects=st.lists(records(d.ProjectRecord, **PROJECT_RULES), max_size=4),
+       data=st.data(),
        arrays=st.dictionaries(st.text(max_size=8), hnp.arrays(
            np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
            max_size=4),
        meta=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4),
-       encoder=st.builds(
-           d.EncoderConfig, categories=st.lists(st.text(max_size=5), max_size=3).map(tuple),
-           creator_types=st.lists(st.text(max_size=5), max_size=3).map(tuple),
-           currencies=st.lists(st.text(max_size=3), max_size=3).map(tuple),
-           goal_log2_edges=st.sets(FINITE, max_size=4).map(sorted).map(tuple),
+       encoder=records(
+           d.EncoderConfig, goal_log2_edges=st.sets(FINITE, max_size=4).map(sorted).map(tuple),
            duration_day_edges=st.sets(st.integers(d.INT64_MIN, d.INT64_MAX), max_size=4).map(sorted).map(tuple),
-           text_mode=st.sampled_from(["hashed", "precomputed"]), text_dim=st.integers(1, 10**6),
-           text_seed=st.text(max_size=8)))
-def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, events, arrays,
+           text_mode=st.sampled_from(["hashed", "precomputed"]), text_dim=st.integers(1, 10**6)))
+def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, data, arrays,
                                              meta, encoder):
     folder = tmp_path_factory.mktemp("written")
     projects = [both, *(p for p in projects if p.id != both.id)]
     projects = list({p.id: p for p in projects}.values())  # loading refuses a repeated id
     d.save_projects(folder / "projects.jsonl", projects)
     assert d.load_projects(folder / "projects.jsonl") == projects
-    d.save_investments(folder / "investments.jsonl", events)
-    assert d.load_investments(folder / "investments.jsonl") == events
+    market = d.Market(projects, events_in(projects, data))
+    d.save_investments(folder / "investments.jsonl", market)
+    assert_same_tables(d.Market.from_files(folder / "projects.jsonl", folder / "investments.jsonl"),
+                       market)
 
     params = [ad.Parameter(a, name) for name, a in arrays.items()]
     ad.save_checkpoint(folder / "checkpoint.json", params, meta=meta)
@@ -751,3 +778,73 @@ def test_config_json_refuses_each_bad_field_by_name(config):
     for name, doc in _field_refusals(config):
         with pytest.raises(d.DataError, match=f"field '{name}'"):
             type(config).from_json(json.loads(json.dumps(doc)))  # NaN as JSON writes it
+
+
+BASES = {d.ProjectRecord: make_project(pid="a"), d.InvestmentEvent: d.InvestmentEvent("a", 5, 1.0),
+         d.EncoderConfig: ENCODER, TrainConfig: TrainConfig()}
+NUMPY_SCALARS = st.one_of(
+    st.integers(d.INT64_MIN, d.INT64_MAX).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats().map(np.float64), st.booleans().map(np.bool_), st.text(max_size=3).map(np.str_))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+                    st.text(max_size=6), NUMPY_SCALARS)
+
+
+def as_numpy(value):
+    """`value` with each string and number in it as a numpy scalar."""
+    if type(value) is tuple:
+        return tuple(map(as_numpy, value))
+    return {str: np.str_, int: np.int64, float: np.float64}.get(type(value), lambda v: v)(value)
+
+
+def any_value(kind):
+    """A value of `kind`, the same as numpy scalars, or a value of any kind."""
+    return st.one_of(kind_values(kind), kind_values(kind).map(as_numpy),
+                     st.one_of(SCALARS, JSON_VALUES, st.lists(SCALARS, max_size=3).map(tuple)))
+
+
+def reloaded(cls, values, path):
+    """`cls` read back from `values` written as JSON, by the reader of the file gme writes it in."""
+    path.write_text(json.dumps(values, default=lambda v: v.item(), separators=(",", ":")) + "\n")
+    if cls is d.ProjectRecord:
+        return d.load_projects(path)[0]
+    if cls is d.InvestmentEvent:
+        return d.InvestmentEvent(*read_events(path)[0])
+    return cls.from_json(json.loads(path.read_text()))
+
+
+def assert_builds_iff_json_form_reloads_equal(cls, values, path):
+    try:
+        built = cls(**values)
+    except ValueError:
+        built = None
+    try:
+        got = reloaded(cls, values, path)
+    except ValueError:
+        got = None
+    assert got == built
+    if built is not None:
+        assert reloaded(cls, vars(built), path) == built
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("cls", list(BASES), ids=lambda cls: cls.__name__)
+def test_a_record_builds_iff_its_json_form_reloads_equal(tmp_path_factory, cls, data):
+    """Records and configs built in Python refuse what their readers refuse, and nothing more."""
+    kinds, values = d._kinds(cls), dict(vars(BASES[cls]))
+    for name in data.draw(st.lists(st.sampled_from(list(kinds)), max_size=3)):
+        values[name] = data.draw(any_value(kinds[name]))
+    assert_builds_iff_json_form_reloads_equal(
+        cls, values, tmp_path_factory.getbasetemp() / f"{cls.__name__}.jsonl")
+
+
+@pytest.mark.parametrize("cls, change", [
+    (d.ProjectRecord, {"category": 7, "vec": (True, 0.5)}),
+    (TrainConfig, {"eta": True}),
+    (TrainConfig, {"tau": 24.0}),
+    (TrainConfig, {"hidden": 50.0}),
+    (TrainConfig, {"seed": 2**64}),
+], ids=["project-category-7-vec-true", "eta-true", "tau-float", "hidden-float", "seed-2**64"])
+def test_records_gme_refused_to_reload_are_refused_when_built(tmp_path, cls, change):
+    assert_builds_iff_json_form_reloads_equal(cls, {**vars(BASES[cls]), **change},
+                                              tmp_path / "record.jsonl")
