@@ -128,17 +128,21 @@ def typed_fields(doc, kinds: dict, where: str) -> dict:
 
     Types compare exactly and values are never coerced: a boolean is not a number.
     Integers must fit in int64, and numbers must be finite and within the float range."""
-    out = _arguments(doc, kinds, where)
-    for key, kind in kinds.items():
-        if type(out[key]) is not str or kind.stored is not str:  # a string needs only its type checked
-            out[key] = _typed(out[key], kind, key, where)
-    return out
+    return _store_typed(_arguments(doc, kinds, where), kinds, where)
 
 
 def check_fields(obj, where: str) -> None:
     """Check each field of frozen dataclass `obj` as `typed_fields` checks a JSON value, and
     store it as its kind stores it: `obj` is built only if its JSON form loads."""
-    vars(obj).update(typed_fields(vars(obj), _kinds(type(obj)), where))
+    _store_typed(vars(obj), _kinds(type(obj)), where)
+
+
+def _store_typed(values: dict, kinds: dict, where: str) -> dict:
+    """`values` with each field in `kinds` replaced by `_typed`'s form of it, in place."""
+    for key, kind in kinds.items():
+        if type(values[key]) is not str or kind.stored is not str:  # a string needs only its type checked
+            values[key] = _typed(values[key], kind, key, where)
+    return values
 
 
 def _typed(value, kind: _Kind, key: str, where: str):
@@ -248,7 +252,8 @@ class Market:
     time within each row (amount breaks ties).  Each row's running totals
     start from 0, so a window total is the difference of two of them.
     Every event must fall inside its project's live window
-    [published_time, end_time).
+    [published_time, end_time), and each project's pledges must sum to a
+    finite float.
     """
 
     def __init__(self, projects, events):
@@ -289,9 +294,15 @@ class Market:
         # its totals carry the bits of that row's own sequential sum.
         self._starts = np.searchsorted(rows, np.arange(n + 1))
         self._prefix = np.zeros(times.size + n)
-        for r in np.flatnonzero(np.diff(self._starts)):
-            lo, hi = self._starts[r], self._starts[r + 1]
-            self._prefix[lo + r + 1:hi + r + 1] = np.cumsum(self._amounts[lo:hi])
+        with np.errstate(over="ignore"):  # a total past the float range is refused below
+            for r in np.flatnonzero(np.diff(self._starts)):
+                lo, hi = self._starts[r], self._starts[r + 1]
+                self._prefix[lo + r + 1:hi + r + 1] = np.cumsum(self._amounts[lo:hi])
+        # Pledges are positive, so a row's totals are finite if its last one is.
+        overflow = np.isinf(self._prefix[self._starts[1:] + np.arange(n)])
+        if np.any(overflow):
+            raise DataError(f"investments in {ordered[int(np.argmax(overflow))].id!r} "
+                            f"sum past the float range")
         # One sorted (row, time) key: every time a query needs lies in [t0, t0 + span).
         self._t0 = int(self.published[0]) if n else 0
         self._span = int(self.ends.max()) - self._t0 + 1 if n else 1

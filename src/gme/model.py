@@ -80,11 +80,13 @@ class TargetSetContext:
     """Precomputed inputs for one target set, shared across epochs and models.
 
     `features` is the market's static-feature matrix, shared by every set;
-    the `*_rows` fields index it.  `rival_trend_bins[j]` is rival j's
-    trend bin, one of `trend_bins`.  `tree_rows[i]` and `tree_amounts[i]`
-    belong to tree node i, and `aux_truths[i]` to node `n_roots + i`: the
-    log2-scaled funds that node's project collected in the tau hours after
-    the set's observation time.
+    the int32 `*_rows` fields index it.  The rivals are the projects running
+    at the observation time, outside the set, with an edge to at least one
+    target under the pruning mode: `graph`'s columns, in `rival_rows` order.
+    `rival_trend_bins[j]` is rival j's trend bin, one of `trend_bins`.
+    `tree_rows[i]` and `tree_amounts[i]` belong to tree node i, and
+    `aux_truths[i]` to node `n_roots + i`: the log2-scaled funds that node's
+    project collected in the tau hours after the set's observation time.
     """
 
     day: int

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,11 +36,24 @@ class ContextBundle:
 
 def build_context(market: gd.Market, target_set: gd.TargetSet,
                   config: TrainConfig, features: np.ndarray) -> TargetSetContext:
-    """Assemble every model input for one target set from the market's tables."""
+    """Assemble every model input for one target set from the market's tables.
+
+    The competition graph is built over every running project outside the
+    set; the context keeps only the rivals with an edge to some target under
+    the pruning mode, since every target gives the others attention weight 0.
+    """
     t_ref = target_set.observation_time
+    # The rows are held as int32; the market's tables are read with intp rows,
+    # which numpy indexes without a cast.
     target_rows = np.array([market.row[pid] for pid in target_set.project_ids])
     running = gd.running_set(market, t_ref)
     rival_rows = running[~np.isin(running, target_rows)]
+    graph = build_competitiveness_graph(market.projects[target_rows],
+                                        market.projects[rival_rows], config.pruning)
+    seen = graph.adjacency.any(axis=0)
+    graph = replace(graph, rival_ids=tuple(compress(graph.rival_ids, seen)),
+                    adjacency=graph.adjacency[:, seen])
+    rival_rows = rival_rows[seen]
     observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
     tree = build_propagation_tree(market.projects[target_rows],
                                   market.projects[observable_rows], config.t_h, config.tau)
@@ -52,16 +66,15 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         segment=target_set.segment,
         observation_time=t_ref,
         features=features,
-        target_rows=target_rows,
+        target_rows=target_rows.astype(np.int32),
         truths=gd.fundraising_target(market, target_rows, config.tau),
-        rival_rows=rival_rows,
+        rival_rows=rival_rows.astype(np.int32),
         rival_series=gd.hourly_series(market, rival_rows, t_ref),
         rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref, config.trend_bins)[1],
         trend_bins=config.trend_bins,
-        graph=build_competitiveness_graph(market.projects[target_rows],
-                                          market.projects[rival_rows], config.pruning),
+        graph=graph,
         tree=tree,
-        tree_rows=tree_rows,
+        tree_rows=tree_rows.astype(np.int32),
         tree_amounts=init_states(tree, gd.early_stage_amount(market, tree_rows, config.tau)),
         aux_truths=np.log2(1.0 + aux_raised),
     )

@@ -425,6 +425,14 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"{paths['investments']}:5: {message}" in capsys.readouterr().err
 
+    def test_pledges_summing_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        events = [*FUZZ_EVENTS, *({**e, "amount": 1e308} for e in FUZZ_EVENTS[2:4])]
+        paths = _write_fuzz_market(tmp_path, FUZZ_PROJECTS, events)
+        code = main(["dump-tree", "--projects", str(paths["projects"]),
+                     "--investments", str(paths["investments"]), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "investments in 'p1' sum past the float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("separator, line", [
         ("\r\n", 3), ("\r", 3), ("\n \u2028 \n", 5), ("\n\f\n", 5), ("\n\x1c\n", 5)])
     def test_lines_are_numbered_as_text_mode_reads_them(self, tmp_path, capsys, separator, line):

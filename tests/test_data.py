@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -405,6 +405,18 @@ class TestIO:
                                d.InvestmentEvent("a", end - 1, 2.0)])
         np.testing.assert_array_equal(edges.log("a").times, [p.published_time, end - 1])
 
+    def test_pledges_summing_past_the_float_range_are_refused(self, tmp_path):
+        p = make_project(pid="a")
+        events = [d.InvestmentEvent("a", p.published_time + h, 1e308) for h in (1, 2)]
+        message = "investments in 'a' sum past the float range"
+        with pytest.raises(d.DataError, match=re.escape(message)):
+            d.Market([p, make_project(pid="b")], events)
+        d.save_projects(tmp_path / "p.jsonl", [p])
+        write_events(tmp_path / "i.jsonl", events)
+        with pytest.raises(d.DataError, match=re.escape(message)):
+            d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+        assert d.fundraising_target(d.Market([p], events[:1]), [0], 24)[0] < np.inf
+
     def test_unknown_event_project(self):
         with pytest.raises(d.DataError, match="unknown project"):
             d.Market([make_project(pid="a")], [d.InvestmentEvent("ghost", 5, 1.0)])
@@ -613,6 +625,28 @@ def events_in(projects, data):
             for p in projects for _ in range(data.draw(st.integers(0, 3)))]
 
 
+def write_events(path, events):
+    """Investment records as a JSONL file, one a line, in list order."""
+    path.write_text("".join(json.dumps(asdict(e)) + "\n" for e in events))
+
+
+def assert_market_reloads(folder, projects, events):
+    """`Market.from_files` on the written records builds the tables `Market` builds from
+    them, or refuses them with the message `Market` refuses them with."""
+    d.save_projects(folder / "p.jsonl", projects)
+    try:
+        market = d.Market(projects, events)
+    except d.DataError as exc:  # drawn pledges may sum past the float range
+        assert "sum past the float range" in str(exc)
+        write_events(folder / "i.jsonl", events)
+        with pytest.raises(d.DataError) as refused:
+            d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")
+        assert str(refused.value) == str(exc)
+        return
+    d.save_investments(folder / "i.jsonl", market)
+    assert_same_tables(d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl"), market)
+
+
 def read_events(path):
     """(project id, timestamp, amount) of each investment in a JSONL file, in file order."""
     events = d._read_investments(path)
@@ -635,12 +669,9 @@ def assert_same_tables(a, b):
     duration_days=st.integers(1, 60), goal=st.floats(min_value=1e-6, max_value=1e12),
 ), max_size=5, unique_by=lambda p: p.id), data=st.data())
 def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, projects, data):
-    market = d.Market(projects, events_in(projects, data))
     folder = tmp_path_factory.mktemp("roundtrip")
-    d.save_projects(folder / "p.jsonl", projects)
-    d.save_investments(folder / "i.jsonl", market)
+    assert_market_reloads(folder, projects, events_in(projects, data))
     assert d.load_projects(folder / "p.jsonl") == projects
-    assert_same_tables(d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl"), market)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -732,12 +763,8 @@ def test_every_file_gme_writes_reloads_equal(tmp_path_factory, both, projects, d
     folder = tmp_path_factory.mktemp("written")
     projects = [both, *(p for p in projects if p.id != both.id)]
     projects = list({p.id: p for p in projects}.values())  # loading refuses a repeated id
-    d.save_projects(folder / "projects.jsonl", projects)
-    assert d.load_projects(folder / "projects.jsonl") == projects
-    market = d.Market(projects, events_in(projects, data))
-    d.save_investments(folder / "investments.jsonl", market)
-    assert_same_tables(d.Market.from_files(folder / "projects.jsonl", folder / "investments.jsonl"),
-                       market)
+    assert_market_reloads(folder, projects, events_in(projects, data))
+    assert d.load_projects(folder / "p.jsonl") == projects
 
     params = [ad.Parameter(a, name) for name, a in arrays.items()]
     ad.save_checkpoint(folder / "checkpoint.json", params, meta=meta)

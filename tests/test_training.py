@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from gme import autodiff as ad
 from gme import data as gd
+from gme import training as gt
+from gme.competition import PRUNING_MODES, build_competitiveness_graph
 from gme.data import DAY, HOUR, InvestmentEvent, Market, ProjectRecord
-from gme.model import GMEModel, TrainConfig
+from gme.model import ABLATIONS, QUANTIFIERS, GMEModel, TrainConfig
 from gme.synth import SynthConfig, generate_market
 from gme.toy import TOY_ENCODER, build_toy_market
 from gme.training import (BASELINES, build_contexts, evaluate_model, evaluation_report,
@@ -135,6 +138,7 @@ def test_contexts_hold_edges_bins_and_the_records_ids(synth_contexts):
                     assert value.shape[-2:] != (n, n), f.name
                     assert owner is ctx or value.size < n * n, f.name
         assert ctx.rival_trend_bins.nbytes == len(ctx.rival_ids)
+        assert {ctx.target_rows.dtype, ctx.rival_rows.dtype, ctx.tree_rows.dtype} == {np.dtype(np.int32)}
         rows = market.row
         assert all(pid is market.projects[rows[pid]].id for pid in tree.node_ids + tree.dropped_ids)
         assert all(pid is market.projects[r].id for pid, r in zip(tree.node_ids, ctx.tree_rows))
@@ -151,6 +155,105 @@ def test_rival_trends_are_one_hot_rows_of_the_bins(synth_contexts, bins):
         trends = ctx.rival_trends
         assert trends.dtype == np.float64 and trends.shape == (len(ctx.rival_ids), bins)
         assert np.array_equal(trends, np.eye(bins)[index])
+
+
+def every_running_rival(market, ctx, pruning):
+    """The rows of the running projects outside ctx's set, and their graph under `pruning`."""
+    running = gd.running_set(market, ctx.observation_time)
+    rows = running[~np.isin(running, ctx.target_rows)]
+    return rows, build_competitiveness_graph(market.projects[ctx.target_rows],
+                                             market.projects[rows], pruning)
+
+
+@pytest.mark.parametrize("pruning", PRUNING_MODES)
+def test_contexts_hold_exactly_the_rivals_with_an_edge(pruning):
+    config, market, bundle = toy_setup(pruning=pruning)
+    dropped = 0
+    for ctx in (*bundle.train, *bundle.test):
+        rows, graph = every_running_rival(market, ctx, pruning)
+        held = np.isin(rows, ctx.rival_rows)
+        assert graph.adjacency[:, held].any(axis=0).all()  # every rival held has an edge
+        assert not graph.adjacency[:, ~held].any()  # every rival left out has none
+        np.testing.assert_array_equal(ctx.rival_rows, rows[held])
+        assert ctx.rival_ids == tuple(np.asarray(graph.rival_ids, dtype=object)[held])
+        assert ctx.graph.target_ids == graph.target_ids and ctx.graph.mode == pruning
+        np.testing.assert_array_equal(ctx.graph.adjacency, graph.adjacency[:, held])
+        np.testing.assert_array_equal(
+            ctx.rival_series, gd.hourly_series(market, rows[held], ctx.observation_time))
+        dropped += np.count_nonzero(~held)
+    assert (dropped == 0) == (pruning == "unpruned")
+
+
+@pytest.mark.parametrize("quantifier", QUANTIFIERS)
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_rivals_without_an_edge_change_no_prediction_or_gradient(quantifier, ablation):
+    """Put the dropped rivals back into each context: predictions and every parameter's
+    gradient agree within 1e-12, and bit for bit when the rivals are not read."""
+    config, market, bundle = toy_setup(quantifier=quantifier, ablation=ablation, epochs=2)
+    model = GMEModel(bundle.encoder.feature_dim, config)
+    train_model(model, bundle.train)
+    params = model.parameters()
+
+    def scored(ctx):
+        with ad.Tape() as tape:
+            result = model.forward(ctx)
+            ad.backward(tape, model.loss(result, ctx).total)
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        return result.pred.data, grads, result.attention
+
+    widened = reached = 0
+    for ctx in (*bundle.train, *bundle.test):
+        rows, graph = every_running_rival(market, ctx, config.pruning)
+        t = ctx.observation_time
+        full = dataclasses.replace(
+            ctx, rival_rows=rows, rival_series=gd.hourly_series(market, rows, t),
+            rival_trend_bins=gd.prior_trend(market, rows, t, config.trend_bins)[1], graph=graph)
+        widened += len(rows) > len(ctx.rival_rows)
+        (pred, grads, alpha), (pred_full, grads_full, alpha_full) = scored(ctx), scored(full)
+        reached += any(np.any(g) for p, g in zip(params, grads) if p.name.startswith("competition."))
+        if ablation == "met-only":
+            assert pred.tobytes() == pred_full.tobytes()
+            assert all(g.tobytes() == h.tobytes() for g, h in zip(grads, grads_full))
+            continue
+        np.testing.assert_allclose(pred, pred_full, rtol=0, atol=1e-12)
+        for p, g, h in zip(params, grads, grads_full):
+            np.testing.assert_allclose(g, h, rtol=0, atol=1e-12, err_msg=p.name)
+        held = np.isin(rows, ctx.rival_rows)
+        np.testing.assert_allclose(alpha, alpha_full[:, held], rtol=0, atol=1e-12)
+        assert not alpha_full[:, ~held].any()
+    assert widened > 0
+    assert (reached > 0) == (ablation != "met-only")  # gradients reach the rival branch
+
+
+def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatch):
+    """perfbench's tracer reads these calls: one each per context, and the graph over
+    every running project outside the set."""
+    calls = {"graph": [], "series": 0, "trend": 0}
+    graph, series, trend = gt.build_competitiveness_graph, gd.hourly_series, gd.prior_trend
+
+    def counted_graph(targets, rivals, mode):
+        calls["graph"].append(([p.id for p in targets], [p.id for p in rivals]))
+        return graph(targets, rivals, mode)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gt, "build_competitiveness_graph", counted_graph)
+    monkeypatch.setattr(gd, "hourly_series", counter("series", series))
+    monkeypatch.setattr(gd, "prior_trend", counter("trend", trend))
+    config, market, bundle = toy_setup(pruning="cate")
+    contexts = (*bundle.train, *bundle.test)
+    assert len(calls["graph"]) == calls["series"] == calls["trend"] == len(contexts)
+    for (targets, rivals), ctx in zip(calls["graph"], contexts):
+        assert targets == list(ctx.target_ids)
+        running = market.projects[gd.running_set(market, ctx.observation_time)]
+        assert rivals == [p.id for p in running if p.id not in targets]
+    assert sum(len(r) for _, r in calls["graph"]) > sum(len(c.rival_ids) for c in contexts)
 
 
 class TestTrainLoop:
