@@ -46,11 +46,12 @@ except gd.DataError as exc:
 
 # --- segmentation of a generated market -----------------------------------
 synth, _ = generate_market(SynthConfig(n_projects=80, days=10, seed=12))
-sets = gd.segment_target_sets(synth.projects)
+sets = gd.segment_target_sets(synth)  # each set is one run of the market's rows
 print(f"\ngenerated market: {len(synth.projects)} projects, "
       f"{len(sets)} target sets")
 for ts in sets[:4]:
-    print(f"  day {ts.day} segment {ts.segment}: {len(ts.project_ids)} targets, "
+    print(f"  day {ts.day} segment {ts.segment}: {len(ts.rows)} targets in rows "
+          f"[{ts.rows.start}, {ts.rows.stop}), "
           f"observed at {ts.observation_time}")
 
 encoder = gd.EncoderConfig.fit(synth.projects)

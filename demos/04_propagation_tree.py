@@ -27,14 +27,16 @@ observables = [project("a", 30), project("b", 40), project("c", 66),
                project("d", 95), project("o_far", 300)]
 
 tree = build_propagation_tree(targets, observables, t_h=4, tau_hours=24)
+records = targets + observables
+node_ids = [records[i].id for i in tree.source]  # node i is input record source[i]
 print(f"tree: {tree.n_nodes} nodes, {tree.edges.shape[1]} edges, "
       f"max depth {tree.max_depth}, dropped {list(tree.dropped_ids)}")
 for d in range(tree.max_depth + 1):
-    ids = [tree.node_ids[i] for i in np.nonzero(tree.depth == d)[0]]
+    ids = [node_ids[i] for i in np.nonzero(tree.depth == d)[0]]
     print(f"  depth {d}: {ids}")
 for parent, child in tree.edges.T:
     gap = tree.node_times[parent] - tree.node_times[child]
-    print(f"  edge {tree.node_ids[parent]} <- {tree.node_ids[child]} "
+    print(f"  edge {node_ids[parent]} <- {node_ids[child]} "
           f"(gap {gap / HOUR:.0f}h)")
 
 # --- gated roll-up ----------------------------------------------------------
@@ -45,9 +47,9 @@ updater = GatedTreeUpdater(width, np.random.default_rng(1))
 result = updater.propagate(tree, ad.Tensor(states.copy()))
 
 print(f"\nroot summary shape {result.roots.shape}")
-for i, pid in enumerate(tree.node_ids):
+for i, pid in enumerate(node_ids):
     moved = float(np.max(np.abs(result.states.data[i] - states[i])))
     print(f"  {pid}: updates {int(result.counts[i])}, state moved {moved:.3f}")
-leaf = tree.node_ids.index("d")
+leaf = node_ids.index("d")
 assert result.counts[leaf] == 0 and np.allclose(result.states.data[leaf], states[leaf])
 print("leaf 'd' state is bit-identical after propagation")

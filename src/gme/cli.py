@@ -220,13 +220,14 @@ def cmd_inspect_attention(args) -> int:
     sets = []
     for ctx in _select_contexts(bundle, args.set):
         alpha = model.forward(ctx).attention
+        rival_ids = ctx.rival_ids
         targets = [] if alpha is None else [
             {"id": tid,
-             "weights": [{"rival": ctx.rival_ids[c], "alpha": float(alpha[row, c])}
+             "weights": [{"rival": rival_ids[c], "alpha": float(alpha[row, c])}
                          for c in np.nonzero(ctx.graph.adjacency[row])[0]]}
             for row, tid in enumerate(ctx.target_ids)]
-        sets.append({"label": ctx.label, "pruning": ctx.graph.mode,
-                     "n_rivals": len(ctx.rival_ids), "targets": targets})
+        sets.append({"label": ctx.label, "pruning": config.pruning,
+                     "n_rivals": len(rival_ids), "targets": targets})
     out = _out_dir(args)
     _write_json(out / "attention.json", {"sets": sets})
     _echo(out, "inspect-attention", config.to_json(),
@@ -237,20 +238,22 @@ def cmd_inspect_attention(args) -> int:
 
 
 def cmd_dump_tree(args) -> int:
-    bundle = build_contexts(_load_market(args), _train_config(args))
+    config = _train_config(args)
+    bundle = build_contexts(_load_market(args), config)
     docs = []
     for ctx in _select_contexts(bundle, args.set):
         tree = ctx.tree
+        node_ids = [p.id for p in ctx.projects[ctx.tree_rows]]
         docs.append({
             "label": ctx.label,
             "observation_time": ctx.observation_time,
-            "tau_hours": tree.tau_hours,
-            "t_h": tree.t_h,
+            "tau_hours": config.tau,
+            "t_h": config.t_h,
             "n_roots": tree.n_roots,
-            "nodes": [{"id": tree.node_ids[i], "time": int(tree.node_times[i]),
+            "nodes": [{"id": node_ids[i], "time": int(tree.node_times[i]),
                        "depth": int(tree.depth[i])}
                       for i in range(tree.n_nodes)],
-            "edges": [{"parent": tree.node_ids[p], "child": tree.node_ids[c],
+            "edges": [{"parent": node_ids[p], "child": node_ids[c],
                        "gap_hours": int(tree.node_times[p] - tree.node_times[c]) / 3600.0}
                       for p, c in tree.edges.T.tolist()],
             "dropped": list(tree.dropped_ids),

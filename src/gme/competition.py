@@ -25,12 +25,10 @@ JUST_FUNDED_WINDOW_DAYS = 3
 
 @dataclass
 class CompetitivenessGraph:
-    """Bipartite adjacency from targets (rows) to running rivals (columns)."""
+    """Bipartite adjacency from targets (rows) to rivals (columns), each in the
+    order its builder was given them."""
 
-    target_ids: tuple[str, ...]
-    rival_ids: tuple[str, ...]
     adjacency: np.ndarray  # (targets, rivals) of {0, 1}
-    mode: str
 
 
 def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGraph:
@@ -45,9 +43,7 @@ def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGr
         raise ValueError(f"unknown pruning mode {mode!r}")
     n_t, n_r = len(targets), len(rivals)
     if n_r == 0 or n_t == 0:
-        adj = np.zeros((n_t, n_r), dtype=np.uint8)
-        return CompetitivenessGraph(
-            tuple(p.id for p in targets), tuple(p.id for p in rivals), adj, mode)
+        return CompetitivenessGraph(np.zeros((n_t, n_r), dtype=np.uint8))
     t_times = np.asarray([p.published_time for p in targets], dtype=np.int64)
     r_times = np.asarray([p.published_time for p in rivals], dtype=np.int64)
     gaps = t_times[:, None] - r_times[None, :]
@@ -63,12 +59,7 @@ def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGr
         adj = just_funded
     else:
         adj = same_category | just_funded
-    return CompetitivenessGraph(
-        tuple(p.id for p in targets),
-        tuple(p.id for p in rivals),
-        adj.astype(np.uint8),
-        mode,
-    )
+    return CompetitivenessGraph(adj.astype(np.uint8))
 
 
 class RecurrentQuantifier:

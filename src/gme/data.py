@@ -16,7 +16,6 @@ import sys
 import typing
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -389,29 +388,31 @@ def segment_index(hour: int) -> int:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Projects published in one (local day, intra-day segment) bucket."""
+    """The projects published in one (local day, intra-day segment) bucket:
+    market rows `rows`, one run of the market's (published_time, id) order."""
 
     day: int
     segment: int
-    project_ids: tuple[str, ...]
+    rows: range
     observation_time: int  # min published time over the bucket
 
 
-def segment_target_sets(projects, tz_offset: int = 0) -> list[TargetSet]:
-    """Partition projects into chronologically ordered target sets.
+def segment_target_sets(market: Market, tz_offset: int = 0) -> list[TargetSet]:
+    """Partition the market's rows into chronologically ordered target sets.
 
-    A bucket never decreases with launch time, so each is one run of the
-    projects in (published_time, id) order.
+    A bucket never decreases with launch time, so each is one run of rows.
+    The offset is split into whole days and seconds before it is added, so
+    no offset that fits in int64 makes a local time wrap.
     """
-    def bucket(p):
-        local = p.published_time + tz_offset
-        return local // DAY, segment_index((local % DAY) // HOUR)
-
-    ordered = sorted(projects, key=lambda q: (q.published_time, q.id))
-    runs = [(key, list(members)) for key, members in groupby(ordered, key=bucket)]
-    return [TargetSet(day=day, segment=seg, project_ids=tuple(p.id for p in members),
-                      observation_time=members[0].published_time)
-            for (day, seg), members in runs]
+    offset_days, offset_seconds = divmod(tz_offset, DAY)
+    seconds = market.published % DAY + offset_seconds  # in [0, 2 days)
+    days = market.published // DAY + seconds // DAY + offset_days
+    segments = np.searchsorted(SEGMENT_STARTS, seconds % DAY // HOUR, side="right") - 1
+    changed = (np.diff(days) != 0) | (np.diff(segments) != 0)
+    bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), days.size] if days.size else []
+    return [TargetSet(day=days.item(lo), segment=segments.item(lo), rows=range(lo, hi),
+                      observation_time=market.published.item(lo))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def hashed_text_embedding(text: str, dim: int = 50, seed: str = "gme-text-v1") -> np.ndarray:

@@ -31,22 +31,20 @@ class PropagationTree:
     parent.  Nodes are numbered in attachment order, so depth never
     decreases with the node number and child numbers always exceed their
     parents'.  Node i is record ``source[i]`` of the input targets followed
-    by the input observables, and ``node_ids[i]`` is that record's own id.
+    by the input observables; ``dropped_ids`` are the ids of the candidates
+    that found no parent.
     """
 
-    node_ids: tuple
     node_times: np.ndarray
     depth: np.ndarray
     edges: np.ndarray
     n_roots: int
     dropped_ids: tuple
-    tau_hours: int
-    t_h: int
     source: np.ndarray
 
     @property
     def n_nodes(self):
-        return len(self.node_ids)
+        return self.depth.size
 
     @property
     def max_depth(self):
@@ -108,14 +106,11 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
         remaining = remaining[~attached]
 
     return PropagationTree(
-        node_ids=tuple(records[i].id for i in nodes.tolist()),
         node_times=times[nodes],
         depth=depth,
         edges=edges.astype(np.int32),
         n_roots=n_roots,
         dropped_ids=tuple(records[i].id for i in remaining.tolist()),
-        tau_hours=tau_hours,
-        t_h=t_h,
         source=nodes,
     )
 

@@ -79,10 +79,12 @@ class TrainConfig:
 class TargetSetContext:
     """Precomputed inputs for one target set, shared across epochs and models.
 
-    `features` is the market's static-feature matrix, shared by every set;
-    the int32 `*_rows` fields index it.  The rivals are the projects running
-    at the observation time, outside the set, with an edge to at least one
-    target under the pruning mode: `graph`'s columns, in `rival_rows` order.
+    A project is named by its market row: the int32 `*_rows` fields index
+    `projects` and `features`, the market's record array and static-feature
+    matrix, shared by every set (`target_ids` and `rival_ids` read ids
+    through the rows).  The rivals are the projects running at the
+    observation time, outside the set, with an edge to at least one target
+    under the pruning mode: `graph`'s columns, in `rival_rows` order.
     `rival_trend_bins[j]` is rival j's trend bin, one of `trend_bins`.
     `tree_rows[i]` and `tree_amounts[i]` belong to tree node i, and
     `aux_truths[i]` to node `n_roots + i`: the log2-scaled funds that node's
@@ -92,6 +94,7 @@ class TargetSetContext:
     day: int
     segment: int
     observation_time: int
+    projects: np.ndarray
     features: np.ndarray
     target_rows: np.ndarray
     truths: np.ndarray
@@ -111,11 +114,11 @@ class TargetSetContext:
 
     @property
     def target_ids(self) -> tuple:
-        return self.graph.target_ids
+        return tuple(p.id for p in self.projects[self.target_rows])
 
     @property
     def rival_ids(self) -> tuple:
-        return self.graph.rival_ids
+        return tuple(p.id for p in self.projects[self.rival_rows])
 
     @property
     def target_features(self) -> np.ndarray:

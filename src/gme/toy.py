@@ -61,7 +61,7 @@ def _pick_context(model, contexts):
     need_aux = model.config.ablation != "pcm-only"
     best, best_score = contexts[0], -1.0
     for ctx in contexts:
-        if not ctx.rival_ids or ctx.tree.n_nodes == ctx.tree.n_roots:
+        if not ctx.rival_rows.size or ctx.tree.n_nodes == ctx.tree.n_roots:
             continue
         result = model.forward(ctx)
         pred_live = int(np.count_nonzero(result.pred.data > 0))

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
-from itertools import compress
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data as gd
-from .competition import AffineStack, build_competitiveness_graph
+from .competition import AffineStack, CompetitivenessGraph, build_competitiveness_graph
 from .evolution import build_propagation_tree, init_states
 from .model import GMEModel, TargetSetContext, TrainConfig
 
@@ -45,14 +44,14 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
     t_ref = target_set.observation_time
     # The rows are held as int32; the market's tables are read with intp rows,
     # which numpy indexes without a cast.
-    target_rows = np.array([market.row[pid] for pid in target_set.project_ids])
+    lo, hi = target_set.rows.start, target_set.rows.stop
+    target_rows = np.arange(lo, hi)
     running = gd.running_set(market, t_ref)
-    rival_rows = running[~np.isin(running, target_rows)]
+    rival_rows = running[(running < lo) | (running >= hi)]
     graph = build_competitiveness_graph(market.projects[target_rows],
                                         market.projects[rival_rows], config.pruning)
     seen = graph.adjacency.any(axis=0)
-    graph = replace(graph, rival_ids=tuple(compress(graph.rival_ids, seen)),
-                    adjacency=graph.adjacency[:, seen])
+    graph = CompetitivenessGraph(graph.adjacency[:, seen])
     rival_rows = rival_rows[seen]
     observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
     tree = build_propagation_tree(market.projects[target_rows],
@@ -65,6 +64,7 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         day=target_set.day,
         segment=target_set.segment,
         observation_time=t_ref,
+        projects=market.projects,
         features=features,
         target_rows=target_rows.astype(np.int32),
         truths=gd.fundraising_target(market, target_rows, config.tau),
@@ -88,7 +88,7 @@ def build_contexts(market: gd.Market, config: TrainConfig,
     Pass ``encoder`` to reuse a stored feature layout (evaluation of a
     checkpoint); otherwise one is fitted on the training-split projects.
     """
-    sets = gd.segment_target_sets(market.projects, config.tz_offset)
+    sets = gd.segment_target_sets(market, config.tz_offset)
     if len(sets) < 2:
         raise gd.DataError(f"need at least 2 target sets to split, found {len(sets)}")
     n_train = int(len(sets) * TRAIN_FRACTION)
@@ -97,7 +97,7 @@ def build_contexts(market: gd.Market, config: TrainConfig,
 
     if encoder is None:
         # sets follow launch time, so the training span is a prefix of the rows
-        n_seen = sum(len(ts.project_ids) for ts in train_sets)
+        n_seen = train_sets[-1].rows.stop
         encoder = gd.EncoderConfig.fit(market.projects[:n_seen], **(encoder_overrides or {}))
 
     features = encoder.encode(market.projects)
@@ -182,7 +182,7 @@ def evaluation_report(contexts: Sequence[TargetSetContext], predict_fn,
             raise ValueError(
                 f"predictor returned {preds.shape} for {len(ctx.truths)} targets")
         mae, rmse = _metrics(ctx.truths, preds)
-        per_set.append({"label": ctx.label, "n_targets": len(ctx.target_ids),
+        per_set.append({"label": ctx.label, "n_targets": ctx.target_rows.size,
                         "mae": mae, "rmse": rmse})
         for pid, t, p in zip(ctx.target_ids, ctx.truths, preds):
             rows.append({"id": pid, "truth": float(t), "pred": float(p)})
@@ -217,7 +217,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
 
     if kind == "mean":
         const = float(np.mean(all_truths))
-        return lambda ctx: np.full(len(ctx.target_ids), const)
+        return lambda ctx: np.full(ctx.target_rows.size, const)
 
     if kind == "linear":
         x = np.concatenate([ctx.target_features for ctx in train_contexts])
@@ -228,7 +228,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
             gram = x1.T @ x1 + 1e-6 * np.eye(x1.shape[1])
             coef = np.linalg.solve(gram, x1.T @ all_truths)
         return lambda ctx: np.concatenate(
-            [ctx.target_features, np.ones((len(ctx.target_ids), 1))], axis=1) @ coef
+            [ctx.target_features, np.ones((ctx.target_rows.size, 1))], axis=1) @ coef
 
     # a static-feature regressor trained with the same per-set protocol
     dims = [train_contexts[0].target_features.shape[1], 150, 50, 1]

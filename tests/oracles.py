@@ -100,7 +100,7 @@ def dense_levels(tree):
 
 
 def rival_states(model, ctx):
-    if not ctx.rival_ids:
+    if not ctx.rival_rows.size:
         return np.zeros((0, model.config.hidden))
     if model.config.quantifier == "recurrent":
         return np.stack([lstm_state(model.recurrent, row) for row in ctx.rival_series])

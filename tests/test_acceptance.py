@@ -54,13 +54,13 @@ def test_02_tree_invariants():
     for i in range(1000):
         targets, obs, t_h, tau = random_tree_inputs(rng, t_h=i % 7 + 1)
         tree = build_propagation_tree(targets, obs, t_h, tau)
-        scan_tree_invariants(tree)
+        scan_tree_invariants(tree, targets + obs, t_h, tau)
         markets += 1
         nodes += tree.n_nodes
         edges += tree.edges.shape[1]
 
-    tree, _ = chain_fixture(tau=24, t_h=3)
-    depth = {tree.node_ids[i]: int(tree.depth[i]) for i in range(tree.n_nodes)}
+    tree, records = chain_fixture(tau=24, t_h=3)
+    depth = {records[i].id: int(k) for i, k in zip(tree.source, tree.depth)}
     fixture_ok = depth == {"g": 0, "a": 1, "b": 2}
     _report(2, "tree-invariants", markets == 1000 and fixture_ok,
             f"{markets} markets, {nodes} nodes, {edges} edges, 0 violations; "
@@ -126,9 +126,7 @@ def test_05_attention_normalization():
         states = ad.Tensor(rng.normal(0, 1, (n_r, hidden)))
         adjacency = (rng.random((n_t, n_r)) < 0.8).astype(np.uint8)
         adjacency[:, 0] = 1  # no empty neighborhoods in this sweep
-        graph = comp.CompetitivenessGraph(
-            tuple(f"t{i}" for i in range(n_t)),
-            tuple(f"r{i}" for i in range(n_r)), adjacency, "cate-jf")
+        graph = comp.CompetitivenessGraph(adjacency)
         _, weights = attn.forward(graph, xt, xr, states)
         for g in range(n_t):
             cols = np.nonzero(adjacency[g])[0]

@@ -169,10 +169,7 @@ def _attention_fixture(n_targets=2, n_rivals=5, feat=9, hidden=4, seed=33, adjac
     states = ad.Tensor(rng.normal(0, 1, (n_rivals, hidden)))
     if adjacency is None:
         adjacency = (rng.random((n_targets, n_rivals)) < 0.7).astype(np.uint8)
-    graph = comp.CompetitivenessGraph(
-        tuple(f"t{i}" for i in range(n_targets)),
-        tuple(f"r{i}" for i in range(n_rivals)),
-        adjacency, "cate-jf")
+    graph = comp.CompetitivenessGraph(adjacency)
     return attn, graph, xt, xr, states
 
 

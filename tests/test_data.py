@@ -195,23 +195,43 @@ class TestSelections:
             assert obs == obs_brute
 
 
+def set_ids(market, ts):
+    return tuple(p.id for p in market.projects[ts.rows.start:ts.rows.stop])
+
+
+def bucketed(projects, tz_offset):
+    """(day, segment, rows, observation_time) per target set, one record at a time."""
+    ordered = sorted(projects, key=lambda p: (p.published_time, p.id))
+    sets = []
+    for row, p in enumerate(ordered):
+        local = p.published_time + tz_offset  # a Python int: never wraps
+        key = (local // d.DAY, d.segment_index(local % d.DAY // d.HOUR))
+        if sets and sets[-1][:2] == key:
+            sets[-1][2].append(row)
+        else:
+            sets.append((*key, [row], p.published_time))
+    return [(day, seg, range(rows[0], rows[-1] + 1), t) for day, seg, rows, t in sets]
+
+
 class TestSegmentation:
     def test_same_morning_segment_grouped(self):
         day0 = 0
         p1 = make_project(pid="a", t=day0 + 9 * d.HOUR)
         p2 = make_project(pid="b", t=day0 + 11 * d.HOUR + 30 * 60)
         p3 = make_project(pid="c", t=day0 + 13 * d.HOUR)
-        sets = d.segment_target_sets([p1, p2, p3])
+        market = d.Market([p1, p2, p3], [])
+        sets = d.segment_target_sets(market)
         assert len(sets) == 2
-        assert sets[0].project_ids == ("a", "b")
+        assert sets[0].rows == range(0, 2) and set_ids(market, sets[0]) == ("a", "b")
         assert sets[0].observation_time == p1.published_time
-        assert sets[1].project_ids == ("c",)
+        assert sets[1].rows == range(2, 3) and set_ids(market, sets[1]) == ("c",)
 
     def test_night_segment_precedes_morning(self):
         p_night = make_project(pid="n", t=3 * d.HOUR)
         p_morning = make_project(pid="m", t=9 * d.HOUR)
-        sets = d.segment_target_sets([p_morning, p_night])
-        assert [s.project_ids for s in sets] == [("n",), ("m",)]
+        market = d.Market([p_morning, p_night], [])
+        sets = d.segment_target_sets(market)
+        assert [set_ids(market, s) for s in sets] == [("n",), ("m",)]
 
     def test_partition_covers_each_project_once(self):
         rng = np.random.default_rng(13)
@@ -219,12 +239,28 @@ class TestSegmentation:
             make_project(pid=f"p{i}", t=int(rng.integers(0, 40 * d.DAY)))
             for i in range(300)
         ]
-        sets = d.segment_target_sets(projects, tz_offset=int(rng.integers(0, 12)) * d.HOUR)
-        seen = [pid for s in sets for pid in s.project_ids]
-        assert sorted(seen) == sorted(p.id for p in projects)
+        market = d.Market(projects, [])
+        sets = d.segment_target_sets(market, tz_offset=int(rng.integers(0, 12)) * d.HOUR)
+        assert [r for s in sets for r in s.rows] == list(range(len(projects)))
         keys = [(s.day, s.segment) for s in sets]
-        assert keys == sorted(keys)
-        assert all(s.project_ids for s in sets)
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(s.rows for s in sets)
+        assert d.segment_target_sets(d.Market([], [])) == []
+
+    @pytest.mark.parametrize("offset", ["zero", "hours", 2**62, -2**63, 2**63 - 1])
+    def test_columns_match_per_record_bucketing(self, offset):
+        """TrainConfig admits any int64 offset: the columnar local time must not wrap."""
+        rng = np.random.default_rng(31)
+        stamps = rng.integers(-5 * d.DAY, 60 * d.DAY, size=400)
+        stamps[1::7] = stamps[::7][:stamps[1::7].size]  # launch-time ties, ordered by id
+        stamps[2::11] = stamps[2::11] // d.HOUR * d.HOUR  # on segment and day edges
+        projects = [make_project(pid=f"p{i:03d}", t=int(t)) for i, t in enumerate(stamps)]
+        tz_offset = {"zero": 0, "hours": int(rng.integers(-48, 48)) * d.HOUR}.get(offset, offset)
+        TrainConfig(tz_offset=tz_offset)
+        sets = d.segment_target_sets(d.Market(projects, []), tz_offset)
+        got = [(s.day, s.segment, s.rows, s.observation_time) for s in sets]
+        assert got == bucketed(projects, tz_offset)
+        assert all(type(v) is int for s in sets for v in (s.day, s.segment, s.observation_time))
 
     def test_segment_boundaries(self):
         assert d.segment_index(0) == 0

@@ -19,8 +19,13 @@ def make_project(pid, t):
                          duration_days=30, goal=100.0, text="x")
 
 
-def node(tree, pid):
-    return tree.node_ids.index(pid)
+def node_ids(tree, records):
+    """The id of each node's record; `records` are the tree's targets, then its observables."""
+    return tuple(records[i].id for i in tree.source)
+
+
+def node(tree, records, pid):
+    return node_ids(tree, records).index(pid)
 
 
 def parents_of(tree, i):
@@ -42,8 +47,8 @@ def chain_fixture(tau=24, t_h=3):
 
 class TestTreeGrowth:
     def test_two_hop_chain(self):
-        tree, _ = chain_fixture()
-        assert tree.node_ids == ("g", "a", "b")
+        tree, records = chain_fixture()
+        assert node_ids(tree, records) == ("g", "a", "b")
         np.testing.assert_array_equal(tree.depth, [0, 1, 2])
         np.testing.assert_array_equal(tree.edges, [[0, 1], [1, 2]])
         np.testing.assert_array_equal(tree.node_times[[0, 1]] - tree.node_times[[1, 2]],
@@ -57,9 +62,9 @@ class TestTreeGrowth:
         above_tau = make_project("in_lo", T0 - 24 * HOUR - 1)
         below_double = make_project("in_hi", T0 - 48 * HOUR + 1)
         at_double = make_project("hi", T0 - 48 * HOUR)
-        tree = evo.build_propagation_tree(
-            [g], [at_tau, above_tau, below_double, at_double], 1, 24)
-        attached = set(tree.node_ids[1:])
+        records = [g, at_tau, above_tau, below_double, at_double]
+        tree = evo.build_propagation_tree(records[:1], records[1:], 1, 24)
+        attached = set(node_ids(tree, records)[1:])
         assert attached == {"in_lo", "in_hi"}
         assert set(tree.dropped_ids) == {"lo", "hi"}
 
@@ -68,7 +73,7 @@ class TestTreeGrowth:
         r2 = make_project("r2", T0 - 2 * HOUR)
         c = make_project("c", T0 - 30 * HOUR)  # 30h and 28h gaps, both in window
         tree = evo.build_propagation_tree([r1, r2], [c], 2, 24)
-        ci = node(tree, "c")
+        ci = node(tree, [r1, r2, c], "c")
         np.testing.assert_array_equal(parents_of(tree, ci), [0, 1])
         assert tree.depth[ci] == 1
 
@@ -77,23 +82,26 @@ class TestTreeGrowth:
         a1 = make_project("a1", T0 - 30 * HOUR)
         a2 = make_project("a2", T0 - 26 * HOUR)
         b = make_project("b", T0 - 55 * HOUR)  # gaps: 25h to a1, 29h to a2
-        tree = evo.build_propagation_tree([g], [a1, a2, b], 3, 24)
-        bi = node(tree, "b")
+        records = [g, a1, a2, b]
+        tree = evo.build_propagation_tree(records[:1], records[1:], 3, 24)
+        bi = node(tree, records, "b")
         assert tree.depth[bi] == 2
-        np.testing.assert_array_equal(parents_of(tree, bi), [node(tree, "a1")])
+        np.testing.assert_array_equal(parents_of(tree, bi), [node(tree, records, "a1")])
 
     def test_equal_gap_tie_goes_to_earliest_attached(self):
         g = make_project("g", T0)
         a1 = make_project("a1", T0 - 30 * HOUR)
         a2 = make_project("a2", T0 - 30 * HOUR)  # same instant; id orders them
         b = make_project("b", T0 - 60 * HOUR)    # 30h gap to both
-        tree = evo.build_propagation_tree([g], [a1, a2, b], 3, 24)
-        np.testing.assert_array_equal(parents_of(tree, node(tree, "b")), [node(tree, "a1")])
-        assert node(tree, "a1") < node(tree, "a2")
+        records = [g, a1, a2, b]
+        tree = evo.build_propagation_tree(records[:1], records[1:], 3, 24)
+        np.testing.assert_array_equal(parents_of(tree, node(tree, records, "b")),
+                                      [node(tree, records, "a1")])
+        assert node(tree, records, "a1") < node(tree, records, "a2")
 
     def test_sweep_budget_limits_depth(self):
-        tree, _ = chain_fixture(t_h=1)
-        assert tree.node_ids == ("g", "a")
+        tree, records = chain_fixture(t_h=1)
+        assert node_ids(tree, records) == ("g", "a")
         assert tree.dropped_ids == ("b",)
         assert tree.max_depth == 1
 
@@ -105,7 +113,7 @@ class TestTreeGrowth:
         y = make_project("y", T0 - 47 * HOUR)
         tree = evo.build_propagation_tree([g], [x, y], 3, 24)
         np.testing.assert_array_equal(tree.depth, [0, 1, 1])
-        np.testing.assert_array_equal(parents_of(tree, node(tree, "y")), [0])
+        np.testing.assert_array_equal(parents_of(tree, node(tree, [g, x, y], "y")), [0])
 
     def test_input_validation(self):
         g = make_project("g", T0)
@@ -123,7 +131,7 @@ class TestTreeGrowth:
         targets, obs, t_h, tau = random_tree_inputs(rng)
         a = evo.build_propagation_tree(targets, obs, t_h, tau)
         b = evo.build_propagation_tree(targets, obs, t_h, tau)
-        assert a.node_ids == b.node_ids
+        np.testing.assert_array_equal(a.source, b.source)
         np.testing.assert_array_equal(a.edges, b.edges)
 
 
@@ -145,9 +153,9 @@ def random_tree_inputs(rng, t_h=None):
     return targets, obs, t_h, tau
 
 
-def scan_tree_invariants(tree):
-    """Re-check every growth rule from the finished structure alone."""
-    tau_s, n = tree.tau_hours * HOUR, tree.n_nodes
+def scan_tree_invariants(tree, records, t_h, tau):
+    """Re-check every growth rule from the finished structure and its inputs alone."""
+    tau_s, n = tau * HOUR, tree.n_nodes
     t = tree.node_times
     assert tree.edges.shape[0] == 2 and tree.edges.dtype == np.int32
     # attachment order: by child, then parent, so no edge is listed twice
@@ -155,7 +163,8 @@ def scan_tree_invariants(tree):
     assert np.all(np.diff(keys) > 0)
     assert np.all(tree.depth[:tree.n_roots] == 0)
     assert np.all(np.diff(tree.depth) >= 0)
-    assert tree.max_depth <= tree.t_h
+    assert tree.max_depth <= t_h
+    np.testing.assert_array_equal(tree.source[:tree.n_roots], np.arange(tree.n_roots))
 
     for p, c in tree.edges.T:
         assert tau_s < t[p] - t[c] < 2 * tau_s
@@ -175,8 +184,10 @@ def scan_tree_invariants(tree):
             best = in_window[int(np.argmin(gaps))]
             np.testing.assert_array_equal(parents, [best])
 
-    dropped_idx = {pid for pid in tree.dropped_ids}
-    assert not dropped_idx & set(tree.node_ids)
+    ids = node_ids(tree, records)
+    np.testing.assert_array_equal(t, [records[i].published_time for i in tree.source])
+    assert len(set(ids)) == n
+    assert not set(tree.dropped_ids) & set(ids)
 
 
 def test_growth_invariants_hold_on_random_markets():
@@ -186,7 +197,7 @@ def test_growth_invariants_hold_on_random_markets():
         targets, obs, t_h, tau = random_tree_inputs(rng)
         tree = evo.build_propagation_tree(targets, obs, t_h, tau)
         assert tree.n_nodes + len(tree.dropped_ids) == len(targets) + len(obs)
-        scan_tree_invariants(tree)
+        scan_tree_invariants(tree, targets + obs, t_h, tau)
         for pid in tree.dropped_ids:
             t_c = next(p.published_time for p in obs if p.id == pid)
             reachable = [i for i in range(tree.n_nodes)
@@ -207,15 +218,13 @@ def test_growth_matches_per_candidate_reference(data, t_h, tau):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
     tree = evo.build_propagation_tree(targets, obs, t_h, tau)
-    node_ids, node_times, depth, edges, dropped = oracles.grow_tree(targets, obs, t_h, tau)
-    assert tree.node_ids == node_ids
+    ids, node_times, depth, edges, dropped = oracles.grow_tree(targets, obs, t_h, tau)
+    assert node_ids(tree, targets + obs) == ids
     assert tree.dropped_ids == dropped
     np.testing.assert_array_equal(tree.node_times, node_times)
     np.testing.assert_array_equal(tree.depth, depth)
     np.testing.assert_array_equal(tree.edges, edges)
     assert tree.depth.dtype == depth.dtype
-    records = targets + obs
-    assert tuple(records[i].id for i in tree.source) == node_ids
 
 
 class TestInitStates:

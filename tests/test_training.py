@@ -30,7 +30,7 @@ def toy_setup(seed=0, **config_kw):
 class TestContextBuilding:
     def test_split_is_chronological_and_five_sixths(self):
         config, market, bundle = toy_setup()
-        sets = gd.segment_target_sets(market.projects, config.tz_offset)
+        sets = gd.segment_target_sets(market, config.tz_offset)
         assert len(bundle.train) == int(len(sets) * 5 / 6)
         assert len(bundle.train) + len(bundle.test) == len(sets)
         last_train = bundle.train[-1].observation_time
@@ -66,9 +66,9 @@ class TestContextBuilding:
     def test_aux_truths_match_definition(self):
         config, market, bundle = toy_setup()
         ctx = next(c for c in bundle.train if c.tree.n_nodes > c.tree.n_roots)
-        for offset, pid in enumerate(ctx.tree.node_ids[ctx.tree.n_roots:]):
+        for offset, p in enumerate(market.projects[ctx.tree_rows[ctx.tree.n_roots:]]):
             lo = ctx.observation_time
-            log = market.log(pid)
+            log = market.log(p.id)
             raised = log.amounts[(log.times >= lo) & (log.times < lo + config.tau * HOUR)].sum()
             assert ctx.aux_truths[offset] == pytest.approx(np.log2(1 + raised), abs=1e-12)
 
@@ -94,7 +94,9 @@ class TestContextBuilding:
             np.testing.assert_array_equal(ctx.target_features, features[rows(ctx.target_ids)])
             np.testing.assert_array_equal(
                 ctx.rival_features, features[rows(ctx.rival_ids)].reshape(-1, features.shape[1]))
-            nodes = rows(ctx.tree.node_ids)
+            observables = gd.observable_set(market, ctx.observation_time, config.t_h, config.tau)
+            nodes = np.concatenate([rows(ctx.target_ids), observables])[ctx.tree.source]
+            np.testing.assert_array_equal(ctx.tree_rows, nodes)
             n_roots = ctx.tree.n_roots
             np.testing.assert_array_equal(ctx.tree_init[:, :-1], features[nodes])
             amounts = gd.early_stage_amount(market, nodes[n_roots:], config.tau)
@@ -125,23 +127,31 @@ def synth_contexts():
 
 def test_contexts_hold_edges_bins_and_the_records_ids(synth_contexts):
     """No tree or context stores an n x n array, and no tree array has n^2 entries;
-    trends take one byte per rival; tree ids are the records' own strings, not copies."""
+    trends take one byte per rival; a project is held as its market row, and the
+    ids read through the rows are the records' own strings, not copies."""
     market, bundle = synth_contexts
     contexts = (*bundle.train, *bundle.test)
     assert max(c.tree.n_nodes for c in contexts) >= 20
     for ctx in contexts:
         tree, n = ctx.tree, ctx.tree.n_nodes
-        for owner in (ctx, tree):
+        assert ctx.projects is market.projects
+        for owner in (ctx, ctx.graph, tree):
             for f in dataclasses.fields(owner):
                 value = getattr(owner, f.name)
-                if isinstance(value, np.ndarray) and n > 1:
+                if isinstance(value, np.ndarray) and n > 1 and owner is not ctx.graph:
                     assert value.shape[-2:] != (n, n), f.name
                     assert owner is ctx or value.size < n * n, f.name
-        assert ctx.rival_trend_bins.nbytes == len(ctx.rival_ids)
+                if (owner, f.name) != (tree, "dropped_ids"):  # no per-project id tuple
+                    assert not isinstance(value, (tuple, list)), f.name
+                    assert not (isinstance(value, np.ndarray) and value.dtype.kind in "OUS"
+                                and value is not market.projects), f.name
+        assert ctx.rival_trend_bins.nbytes == ctx.rival_rows.size
         assert {ctx.target_rows.dtype, ctx.rival_rows.dtype, ctx.tree_rows.dtype} == {np.dtype(np.int32)}
-        rows = market.row
-        assert all(pid is market.projects[rows[pid]].id for pid in tree.node_ids + tree.dropped_ids)
-        assert all(pid is market.projects[r].id for pid, r in zip(tree.node_ids, ctx.tree_rows))
+        for ids, rows in ((ctx.target_ids, ctx.target_rows), (ctx.rival_ids, ctx.rival_rows)):
+            assert type(ids) is tuple and len(ids) == rows.size
+            assert all(pid is market.projects[r].id for pid, r in zip(ids, rows))
+        assert all(pid is market.projects[market.row[pid]].id for pid in tree.dropped_ids)
+        assert not set(tree.dropped_ids) & {p.id for p in market.projects[ctx.tree_rows]}
 
 
 @pytest.mark.parametrize("bins", [6, 5, 300])
@@ -153,7 +163,7 @@ def test_rival_trends_are_one_hot_rows_of_the_bins(synth_contexts, bins):
         np.testing.assert_array_equal(ctx.rival_trend_bins, index)
         assert ctx.rival_trend_bins.itemsize == (1 if bins <= 256 else 2)
         trends = ctx.rival_trends
-        assert trends.dtype == np.float64 and trends.shape == (len(ctx.rival_ids), bins)
+        assert trends.dtype == np.float64 and trends.shape == (ctx.rival_rows.size, bins)
         assert np.array_equal(trends, np.eye(bins)[index])
 
 
@@ -175,8 +185,6 @@ def test_contexts_hold_exactly_the_rivals_with_an_edge(pruning):
         assert graph.adjacency[:, held].any(axis=0).all()  # every rival held has an edge
         assert not graph.adjacency[:, ~held].any()  # every rival left out has none
         np.testing.assert_array_equal(ctx.rival_rows, rows[held])
-        assert ctx.rival_ids == tuple(np.asarray(graph.rival_ids, dtype=object)[held])
-        assert ctx.graph.target_ids == graph.target_ids and ctx.graph.mode == pruning
         np.testing.assert_array_equal(ctx.graph.adjacency, graph.adjacency[:, held])
         np.testing.assert_array_equal(
             ctx.rival_series, gd.hourly_series(market, rows[held], ctx.observation_time))
@@ -228,14 +236,21 @@ def test_rivals_without_an_edge_change_no_prediction_or_gradient(quantifier, abl
 
 
 def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatch):
-    """perfbench's tracer reads these calls: one each per context, and the graph over
-    every running project outside the set."""
-    calls = {"graph": [], "series": 0, "trend": 0}
+    """perfbench's tracer reads these calls: one each per context, the graph over
+    every running project outside the set, and the tree builder called with four
+    positional arguments and returning the tree itself, whose counts it reads."""
+    calls = {"graph": [], "series": 0, "trend": 0, "tree": []}
     graph, series, trend = gt.build_competitiveness_graph, gd.hourly_series, gd.prior_trend
+    tree = gt.build_propagation_tree
 
     def counted_graph(targets, rivals, mode):
         calls["graph"].append(([p.id for p in targets], [p.id for p in rivals]))
         return graph(targets, rivals, mode)
+
+    def counted_tree(*args, **kwargs):
+        assert len(args) == 4 and not kwargs
+        calls["tree"].append(tree(*args))
+        return calls["tree"][-1]
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -246,14 +261,21 @@ def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatc
     monkeypatch.setattr(gt, "build_competitiveness_graph", counted_graph)
     monkeypatch.setattr(gd, "hourly_series", counter("series", series))
     monkeypatch.setattr(gd, "prior_trend", counter("trend", trend))
+    monkeypatch.setattr(gt, "build_propagation_tree", counted_tree)
     config, market, bundle = toy_setup(pruning="cate")
     contexts = (*bundle.train, *bundle.test)
     assert len(calls["graph"]) == calls["series"] == calls["trend"] == len(contexts)
-    for (targets, rivals), ctx in zip(calls["graph"], contexts):
+    assert len(calls["tree"]) == len(contexts)
+    for (targets, rivals), built, ctx in zip(calls["graph"], calls["tree"], contexts):
         assert targets == list(ctx.target_ids)
         running = market.projects[gd.running_set(market, ctx.observation_time)]
         assert rivals == [p.id for p in running if p.id not in targets]
-    assert sum(len(r) for _, r in calls["graph"]) > sum(len(c.rival_ids) for c in contexts)
+        assert built is ctx.tree
+        for name in ("n_nodes", "n_roots", "max_depth"):
+            assert type(getattr(built, name)) is int, name
+        assert type(built.dropped_ids) is tuple
+        assert built.node_times.shape == built.depth.shape == (built.n_nodes,)
+    assert sum(len(r) for _, r in calls["graph"]) > sum(c.rival_rows.size for c in contexts)
 
 
 class TestTrainLoop:
