@@ -9,7 +9,7 @@ import numpy as np
 
 from gme import autodiff as ad
 from gme import competition as comp
-from gme.data import ProjectRecord
+from gme.data import Market, ProjectRecord
 
 DAY = 86400
 T0 = 1_700_000_000
@@ -26,11 +26,14 @@ rivals = [project(f"r{i}", age, cat) for i, (age, cat) in enumerate([
     (0.5, "games"), (1.2, "games"), (2.5, "art"), (2.9, "tech"),
     (4.0, "games"), (5.5, "art"), (7.0, "food"), (8.0, "games"),
 ])]
+market = Market(targets + rivals, [])
+target_rows = [market.row[p.id] for p in targets]
+rival_rows = [market.row[p.id] for p in rivals]
 
 print("edges kept per pruning mode (2 targets x 8 rivals):")
 graphs = {}
 for mode in comp.PRUNING_MODES:
-    graphs[mode] = comp.build_competitiveness_graph(targets, rivals, mode)
+    graphs[mode] = comp.build_competitiveness_graph(target_rows, rival_rows, mode, market=market)
     print(f"  {mode:8s} {int(graphs[mode].adjacency.sum()):3d}")
 
 union = graphs["cate"].adjacency | graphs["jf"].adjacency

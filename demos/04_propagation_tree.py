@@ -8,7 +8,7 @@ leaves are read but never rewritten.
 import numpy as np
 
 from gme import autodiff as ad
-from gme.data import ProjectRecord
+from gme.data import Market, ProjectRecord
 from gme.evolution import GatedTreeUpdater, build_propagation_tree
 
 HOUR = 3600
@@ -26,9 +26,11 @@ targets = [project("g", 0)]
 observables = [project("a", 30), project("b", 40), project("c", 66),
                project("d", 95), project("o_far", 300)]
 
-tree = build_propagation_tree(targets, observables, t_h=4, tau_hours=24)
-records = targets + observables
-node_ids = [records[i].id for i in tree.source]  # node i is input record source[i]
+market = Market(targets + observables, [])
+tree = build_propagation_tree([market.row[p.id] for p in targets],
+                              [market.row[p.id] for p in observables],
+                              t_h=4, tau_hours=24, market=market)
+node_ids = [p.id for p in market.projects[tree.rows]]  # node i is market row rows[i]
 print(f"tree: {tree.n_nodes} nodes, {tree.edges.shape[1]} edges, "
       f"max depth {tree.max_depth}, dropped {list(tree.dropped_ids)}")
 for d in range(tree.max_depth + 1):

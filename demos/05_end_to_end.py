@@ -6,6 +6,9 @@ trained model against static-feature baselines on held-out launch days.
 Finishes with a checkpoint round trip and an attention readout.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from gme.autodiff import load_checkpoint, save_checkpoint
@@ -40,9 +43,10 @@ for kind in ("mean", "linear", "mlp"):
           f"model gain {gain:+.1f}%")
 
 # --- checkpoint round trip --------------------------------------------------
-save_checkpoint("/tmp/demo_ckpt.json", model.parameters(),
-                {"config": config.to_json()})
-values, meta = load_checkpoint("/tmp/demo_ckpt.json")
+with tempfile.TemporaryDirectory() as scratch:
+    checkpoint = Path(scratch) / "checkpoint.json"
+    save_checkpoint(checkpoint, model.parameters(), {"config": config.to_json()})
+    values, meta = load_checkpoint(checkpoint)
 twin = GMEModel(bundle.encoder.feature_dim,
                 TrainConfig.from_json(meta["config"]))
 twin.load_state(values)

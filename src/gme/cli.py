@@ -243,7 +243,7 @@ def cmd_dump_tree(args) -> int:
     docs = []
     for ctx in _select_contexts(bundle, args.set):
         tree = ctx.tree
-        node_ids = [p.id for p in ctx.projects[ctx.tree_rows]]
+        node_ids = [p.id for p in ctx.projects[tree.rows]]
         docs.append({
             "label": ctx.label,
             "observation_time": ctx.observation_time,

@@ -31,8 +31,8 @@ class CompetitivenessGraph:
     adjacency: np.ndarray  # (targets, rivals) of {0, 1}
 
 
-def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGraph:
-    """Adjacency under a pruning mode.
+def build_competitiveness_graph(targets, rivals, mode: str, *, market) -> CompetitivenessGraph:
+    """Adjacency under a pruning mode between two arrays of `market` rows.
 
     ``jf`` keeps rivals published at most three days before the target (the
     lower bound is clamped at zero: rivals are never newer than a target),
@@ -41,18 +41,11 @@ def build_competitiveness_graph(targets, rivals, mode: str) -> CompetitivenessGr
     """
     if mode not in PRUNING_MODES:
         raise ValueError(f"unknown pruning mode {mode!r}")
-    n_t, n_r = len(targets), len(rivals)
-    if n_r == 0 or n_t == 0:
-        return CompetitivenessGraph(np.zeros((n_t, n_r), dtype=np.uint8))
-    t_times = np.asarray([p.published_time for p in targets], dtype=np.int64)
-    r_times = np.asarray([p.published_time for p in rivals], dtype=np.int64)
-    gaps = t_times[:, None] - r_times[None, :]
+    gaps = market.published[targets][:, None] - market.published[rivals][None, :]
     just_funded = (gaps >= 0) & (gaps <= JUST_FUNDED_WINDOW_DAYS * DAY)
-    t_cats = np.asarray([p.category for p in targets])
-    r_cats = np.asarray([p.category for p in rivals])
-    same_category = t_cats[:, None] == r_cats[None, :]
+    same_category = market.categories[targets][:, None] == market.categories[rivals][None, :]
     if mode == "unpruned":
-        adj = np.ones((n_t, n_r), dtype=bool)
+        adj = np.ones(gaps.shape, dtype=bool)
     elif mode == "cate":
         adj = same_category
     elif mode == "jf":

@@ -247,9 +247,11 @@ class Market:
 
     Projects are rows sorted by (published_time, id); ``row`` maps an id to
     its row, and ``published``, ``ends`` and ``goals`` are the columns the
-    selections and formulas read.  Events are grouped by row and sorted by
-    time within each row (amount breaks ties).  Each row's running totals
-    start from 0, so a window total is the difference of two of them.
+    selections and formulas read.  ``categories`` holds one int code per
+    row, equal for two rows exactly when their category strings are.
+    Events are grouped by row and sorted by time within each row (amount
+    breaks ties).  Each row's running totals start from 0, so a window
+    total is the difference of two of them.
     Every event must fall inside its project's live window
     [published_time, end_time), and each project's pledges must sum to a
     finite float.
@@ -271,6 +273,10 @@ class Market:
         self.published = np.fromiter((p.published_time for p in ordered), np.int64, n)
         self.ends = np.fromiter((p.end_time for p in ordered), np.int64, n)
         self.goals = np.fromiter((p.goal for p in ordered), np.float64, n)
+        # a dict, not np.unique: numpy's fixed-width strings drop trailing NULs
+        codes = {}
+        self.categories = np.fromiter((codes.setdefault(p.category, len(codes)) for p in ordered),
+                                      np.intp, n)
 
         rows = np.array([self.row.get(pid, -1) for pid in events.ids], np.int64)[events.codes]
         times, amounts = events.times, events.amounts

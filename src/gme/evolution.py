@@ -14,12 +14,12 @@ touched at most once and leaves keep their initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import HOUR, ProjectRecord
+from .data import HOUR
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,8 @@ class PropagationTree:
     numbers, one column per edge in attachment order: by child, then by
     parent.  Nodes are numbered in attachment order, so depth never
     decreases with the node number and child numbers always exceed their
-    parents'.  Node i is record ``source[i]`` of the input targets followed
-    by the input observables; ``dropped_ids`` are the ids of the candidates
-    that found no parent.
+    parents'.  Node i is the project in market row ``rows[i]`` (int32);
+    ``dropped_ids`` are the ids of the candidates that found no parent.
     """
 
     node_times: np.ndarray
@@ -40,7 +39,7 @@ class PropagationTree:
     edges: np.ndarray
     n_roots: int
     dropped_ids: tuple
-    source: np.ndarray
+    rows: np.ndarray
 
     @property
     def n_nodes(self):
@@ -59,16 +58,16 @@ class PropagationTree:
         return adjacency
 
 
-def build_propagation_tree(targets: Sequence[ProjectRecord],
-                           observables: Sequence[ProjectRecord],
-                           t_h: int, tau_hours: int) -> PropagationTree:
-    """Grow a tree rooted at `targets` from the observable candidates.
+def build_propagation_tree(targets, observables, t_h: int, tau_hours: int, *,
+                           market) -> PropagationTree:
+    """Grow a tree rooted at the `targets` rows from the `observables` rows of `market`.
 
-    Runs t_h attachment iterations over candidates in (published_time, id)
-    order.  A candidate child c may attach to a node p already in the tree
-    when tau < T_p - T_c < 2*tau (strict, in hours).  Parents are always
-    drawn from the tree as it stood when the iteration began, so nodes
-    attached in the same sweep cannot parent each other.
+    Runs t_h attachment iterations over candidates in row order, which is
+    (published_time, id) order, whatever order they are given in.  A
+    candidate child c may attach to a node p already in the tree when
+    tau < T_p - T_c < 2*tau (strict, in hours).  Parents are always drawn
+    from the tree as it stood when the iteration began, so nodes attached
+    in the same sweep cannot parent each other.
     """
     if not len(targets):
         raise ValueError("tree needs at least one root")
@@ -77,18 +76,15 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
     if tau_hours <= 0:
         raise ValueError(f"tau_hours must be positive, got {tau_hours}")
 
-    records = [*targets, *observables]
-    ids = np.array([p.id for p in records])
-    if np.unique(ids).size != ids.size:
-        raise ValueError("duplicate project ids in tree input")
-    times = np.array([p.published_time for p in records], dtype=np.int64)
-    n_roots = len(targets)
+    nodes = np.asarray(targets, dtype=np.intp)  # market rows, in attachment order
+    remaining = np.sort(np.asarray(observables, dtype=np.intp))
+    if np.unique(np.concatenate([nodes, remaining])).size != nodes.size + remaining.size:
+        raise ValueError("a project is given twice in the tree input")
+    times = market.published
     tau_s = tau_hours * HOUR
 
-    nodes = np.arange(n_roots)          # input positions, in attachment order
-    depth = np.zeros(n_roots, dtype=np.int64)
+    depth = np.zeros(nodes.size, dtype=np.int64)
     edges = np.zeros((2, 0), dtype=np.int64)  # (parent, child) node numbers
-    remaining = n_roots + np.lexsort((ids[n_roots:], times[n_roots:]))
     for k in range(1, t_h + 1):
         if not remaining.size:
             break
@@ -109,9 +105,9 @@ def build_propagation_tree(targets: Sequence[ProjectRecord],
         node_times=times[nodes],
         depth=depth,
         edges=edges.astype(np.int32),
-        n_roots=n_roots,
-        dropped_ids=tuple(records[i].id for i in remaining.tolist()),
-        source=nodes,
+        n_roots=len(targets),
+        dropped_ids=tuple(p.id for p in market.projects[remaining]),
+        rows=nodes.astype(np.int32),
     )
 
 

@@ -86,7 +86,7 @@ class TargetSetContext:
     observation time, outside the set, with an edge to at least one target
     under the pruning mode: `graph`'s columns, in `rival_rows` order.
     `rival_trend_bins[j]` is rival j's trend bin, one of `trend_bins`.
-    `tree_rows[i]` and `tree_amounts[i]` belong to tree node i, and
+    `tree.rows[i]` and `tree_amounts[i]` belong to tree node i, and
     `aux_truths[i]` to node `n_roots + i`: the log2-scaled funds that node's
     project collected in the tau hours after the set's observation time.
     """
@@ -104,7 +104,6 @@ class TargetSetContext:
     trend_bins: int
     graph: CompetitivenessGraph
     tree: PropagationTree
-    tree_rows: np.ndarray
     tree_amounts: np.ndarray
     aux_truths: np.ndarray
 
@@ -136,7 +135,7 @@ class TargetSetContext:
     @property
     def tree_init(self) -> np.ndarray:
         """[static features, early amount] per tree node."""
-        return np.concatenate([self.features[self.tree_rows], self.tree_amounts[:, None]], axis=1)
+        return np.concatenate([self.features[self.tree.rows], self.tree_amounts[:, None]], axis=1)
 
 
 class ForwardResult(NamedTuple):

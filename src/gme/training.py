@@ -48,16 +48,13 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
     target_rows = np.arange(lo, hi)
     running = gd.running_set(market, t_ref)
     rival_rows = running[(running < lo) | (running >= hi)]
-    graph = build_competitiveness_graph(market.projects[target_rows],
-                                        market.projects[rival_rows], config.pruning)
+    graph = build_competitiveness_graph(target_rows, rival_rows, config.pruning, market=market)
     seen = graph.adjacency.any(axis=0)
     graph = CompetitivenessGraph(graph.adjacency[:, seen])
     rival_rows = rival_rows[seen]
     observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
-    tree = build_propagation_tree(market.projects[target_rows],
-                                  market.projects[observable_rows], config.t_h, config.tau)
-    tree_rows = np.concatenate([target_rows, observable_rows])[tree.source]
-    aux_rows = tree_rows[tree.n_roots:]
+    tree = build_propagation_tree(target_rows, observable_rows, config.t_h, config.tau, market=market)
+    aux_rows = tree.rows[tree.n_roots:]
     aux_raised = (market.raised_before(aux_rows, t_ref + config.tau * gd.HOUR)
                   - market.raised_before(aux_rows, t_ref))
     return TargetSetContext(
@@ -74,8 +71,7 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         trend_bins=config.trend_bins,
         graph=graph,
         tree=tree,
-        tree_rows=tree_rows.astype(np.int32),
-        tree_amounts=init_states(tree, gd.early_stage_amount(market, tree_rows, config.tau)),
+        tree_amounts=init_states(tree, gd.early_stage_amount(market, tree.rows, config.tau)),
         aux_truths=np.log2(1.0 + aux_raised),
     )
 

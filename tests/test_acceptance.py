@@ -12,14 +12,15 @@ import time
 import numpy as np
 
 import oracles
+from test_competition import graph_of
 from test_competition import make_project as make_cat_project
-from test_evolution import (HOUR, T0, chain_fixture, has_children, make_project,
-                            random_tree_inputs, scan_tree_invariants)
+from test_evolution import (chain_fixture, grow, has_children, node_ids, random_tree_inputs,
+                            scan_tree_invariants)
 
 from gme import autodiff as ad
 from gme import competition as comp
 from gme.cli import main as cli_main
-from gme.evolution import GatedTreeUpdater, build_propagation_tree
+from gme.evolution import GatedTreeUpdater
 from gme.model import GMEModel, TrainConfig
 from gme.synth import SynthConfig, generate_market
 from gme.toy import TOY_ENCODER, build_toy_market, run_toy_gradchecks
@@ -53,14 +54,14 @@ def test_02_tree_invariants():
     markets = nodes = edges = 0
     for i in range(1000):
         targets, obs, t_h, tau = random_tree_inputs(rng, t_h=i % 7 + 1)
-        tree = build_propagation_tree(targets, obs, t_h, tau)
+        tree = grow(targets, obs, t_h, tau)
         scan_tree_invariants(tree, targets + obs, t_h, tau)
         markets += 1
         nodes += tree.n_nodes
         edges += tree.edges.shape[1]
 
     tree, records = chain_fixture(tau=24, t_h=3)
-    depth = {records[i].id: int(k) for i, k in zip(tree.source, tree.depth)}
+    depth = dict(zip(node_ids(tree, records), tree.depth.tolist()))
     fixture_ok = depth == {"g": 0, "a": 1, "b": 2}
     _report(2, "tree-invariants", markets == 1000 and fixture_ok,
             f"{markets} markets, {nodes} nodes, {edges} edges, 0 violations; "
@@ -74,7 +75,7 @@ def test_03_one_touch_hierarchy():
     trees = violations = updates = 0
     for _ in range(1000):
         targets, obs, t_h, tau = random_tree_inputs(rng)
-        tree = build_propagation_tree(targets, obs, t_h, tau)
+        tree = grow(targets, obs, t_h, tau)
         states = rng.normal(0, 1, (tree.n_nodes, width))
         counts = updater.propagate(tree, ad.Tensor(states)).counts
         non_leaf = has_children(tree)
@@ -159,7 +160,7 @@ def test_06_pruning_algebra():
         rivals = [make_cat_project(f"r{i}", base - int(rng.integers(0, 9 * 86400)),
                                    cat=cats[rng.integers(0, 4)])
                   for i in range(n_r)]
-        adj = {m: comp.build_competitiveness_graph(targets, rivals, m).adjacency
+        adj = {m: graph_of(targets, rivals, m).adjacency
                for m in comp.PRUNING_MODES}
         assert np.array_equal(adj["cate-jf"], adj["cate"] | adj["jf"])
         assert np.all(adj["cate-jf"] <= adj["unpruned"])

@@ -5,7 +5,7 @@ import pytest
 
 from gme import autodiff as ad
 from gme import competition as comp
-from gme.data import DAY, ProjectRecord
+from gme.data import DAY, Market, ProjectRecord
 
 
 def make_project(pid, t, cat="art"):
@@ -13,11 +13,21 @@ def make_project(pid, t, cat="art"):
                          currency="USD", duration_days=30, goal=100.0, text="x")
 
 
+def graph_of(targets, rivals, mode):
+    """The graph over a market of exactly `targets` and `rivals`, given as its rows."""
+    market = Market([*targets, *rivals], [])
+
+    def rows(records):
+        return np.array([market.row[p.id] for p in records], dtype=np.intp)
+
+    return comp.build_competitiveness_graph(rows(targets), rows(rivals), mode, market=market)
+
+
 class TestPruning:
     BASE = 10_000_000
 
     def graph(self, mode, target, rivals):
-        return comp.build_competitiveness_graph([target], rivals, mode)
+        return graph_of([target], rivals, mode)
 
     def test_gap_two_days_different_category_connects(self):
         target = make_project("t", self.BASE, cat="art")
@@ -49,8 +59,10 @@ class TestPruning:
         assert g.adjacency.all()
 
     def test_empty_rival_set_keeps_shape(self):
-        g = self.graph("cate-jf", make_project("t", self.BASE), [])
-        assert g.adjacency.shape == (1, 0)
+        targets = [make_project(f"t{i}", self.BASE + i) for i in range(3)]
+        for mode in comp.PRUNING_MODES:
+            adjacency = graph_of(targets, [], mode).adjacency
+            assert adjacency.shape == (3, 0) and adjacency.dtype == np.uint8, mode
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -65,7 +77,7 @@ class TestPruning:
                                     cat=cats[rng.integers(0, 4)]) for i in range(n_t)]
             rivals = [make_project(f"r{i}", self.BASE - int(rng.integers(0, 9 * DAY)),
                                    cat=cats[rng.integers(0, 4)]) for i in range(n_r)]
-            adj = {m: comp.build_competitiveness_graph(targets, rivals, m).adjacency
+            adj = {m: graph_of(targets, rivals, m).adjacency
                    for m in comp.PRUNING_MODES}
             assert np.array_equal(adj["cate-jf"], adj["cate"] | adj["jf"])
             assert np.all(adj["cate-jf"] <= adj["unpruned"])

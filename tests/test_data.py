@@ -690,13 +690,26 @@ def read_events(path):
                     events.amounts.tolist()))
 
 
-MARKET_TABLES = ("published", "ends", "goals", "_times", "_amounts", "_starts", "_prefix", "_keys")
+MARKET_TABLES = ("published", "ends", "goals", "categories", "_times", "_amounts", "_starts", "_prefix", "_keys")
 
 
 def assert_same_tables(a, b):
     for name in MARKET_TABLES:
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+# trailing NULs and case matter: numpy's fixed-width strings would merge the first three
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(categories=st.lists(st.sampled_from(["art", "art\x00", "art\x00\x00", "Art", "ar", "é"]),
+                           max_size=8))
+def test_category_codes_are_equal_exactly_when_the_strings_are(categories):
+    market = d.Market([make_project(pid=f"p{i}", cat=c) for i, c in enumerate(categories)], [])
+    codes = market.categories
+    assert codes.shape == (len(categories),) and codes.dtype == np.intp
+    for i, p in enumerate(market.projects):
+        for j, q in enumerate(market.projects):
+            assert (codes[i] == codes[j]) == (p.category == q.category)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from gme import autodiff as ad
 from gme import evolution as evo
-from gme.data import HOUR, ProjectRecord
+from gme.data import HOUR, Market, ProjectRecord
 
 T0 = 1_600_000_000
 
@@ -19,9 +19,19 @@ def make_project(pid, t):
                          duration_days=30, goal=100.0, text="x")
 
 
+def grow(targets, observables, t_h, tau):
+    """The tree over a market of exactly `targets` and `observables`, given as its rows."""
+    market = Market([*targets, *observables], [])
+
+    def rows(records):
+        return np.array([market.row[p.id] for p in records], dtype=np.intp)
+
+    return evo.build_propagation_tree(rows(targets), rows(observables), t_h, tau, market=market)
+
+
 def node_ids(tree, records):
-    """The id of each node's record; `records` are the tree's targets, then its observables."""
-    return tuple(records[i].id for i in tree.source)
+    """The id of each node's project; `records` are all the projects the tree was grown over."""
+    return tuple(p.id for p in Market(records, []).projects[tree.rows])
 
 
 def node(tree, records, pid):
@@ -42,7 +52,7 @@ def chain_fixture(tau=24, t_h=3):
     g = make_project("g", T0)
     a = make_project("a", T0 - 30 * HOUR)
     b = make_project("b", T0 - 60 * HOUR)
-    return evo.build_propagation_tree([g], [a, b], t_h, tau), (g, a, b)
+    return grow([g], [a, b], t_h, tau), (g, a, b)
 
 
 class TestTreeGrowth:
@@ -63,7 +73,7 @@ class TestTreeGrowth:
         below_double = make_project("in_hi", T0 - 48 * HOUR + 1)
         at_double = make_project("hi", T0 - 48 * HOUR)
         records = [g, at_tau, above_tau, below_double, at_double]
-        tree = evo.build_propagation_tree(records[:1], records[1:], 1, 24)
+        tree = grow(records[:1], records[1:], 1, 24)
         attached = set(node_ids(tree, records)[1:])
         assert attached == {"in_lo", "in_hi"}
         assert set(tree.dropped_ids) == {"lo", "hi"}
@@ -72,7 +82,7 @@ class TestTreeGrowth:
         r1 = make_project("r1", T0)
         r2 = make_project("r2", T0 - 2 * HOUR)
         c = make_project("c", T0 - 30 * HOUR)  # 30h and 28h gaps, both in window
-        tree = evo.build_propagation_tree([r1, r2], [c], 2, 24)
+        tree = grow([r1, r2], [c], 2, 24)
         ci = node(tree, [r1, r2, c], "c")
         np.testing.assert_array_equal(parents_of(tree, ci), [0, 1])
         assert tree.depth[ci] == 1
@@ -83,7 +93,7 @@ class TestTreeGrowth:
         a2 = make_project("a2", T0 - 26 * HOUR)
         b = make_project("b", T0 - 55 * HOUR)  # gaps: 25h to a1, 29h to a2
         records = [g, a1, a2, b]
-        tree = evo.build_propagation_tree(records[:1], records[1:], 3, 24)
+        tree = grow(records[:1], records[1:], 3, 24)
         bi = node(tree, records, "b")
         assert tree.depth[bi] == 2
         np.testing.assert_array_equal(parents_of(tree, bi), [node(tree, records, "a1")])
@@ -94,7 +104,7 @@ class TestTreeGrowth:
         a2 = make_project("a2", T0 - 30 * HOUR)  # same instant; id orders them
         b = make_project("b", T0 - 60 * HOUR)    # 30h gap to both
         records = [g, a1, a2, b]
-        tree = evo.build_propagation_tree(records[:1], records[1:], 3, 24)
+        tree = grow(records[:1], records[1:], 3, 24)
         np.testing.assert_array_equal(parents_of(tree, node(tree, records, "b")),
                                       [node(tree, records, "a1")])
         assert node(tree, records, "a1") < node(tree, records, "a2")
@@ -111,27 +121,42 @@ class TestTreeGrowth:
         g = make_project("g", T0)
         x = make_project("x", T0 - 25 * HOUR)
         y = make_project("y", T0 - 47 * HOUR)
-        tree = evo.build_propagation_tree([g], [x, y], 3, 24)
+        tree = grow([g], [x, y], 3, 24)
         np.testing.assert_array_equal(tree.depth, [0, 1, 1])
         np.testing.assert_array_equal(parents_of(tree, node(tree, [g, x, y], "y")), [0])
 
     def test_input_validation(self):
         g = make_project("g", T0)
         with pytest.raises(ValueError, match="root"):
-            evo.build_propagation_tree([], [g], 1, 24)
+            grow([], [g], 1, 24)
         with pytest.raises(ValueError, match="t_h"):
-            evo.build_propagation_tree([g], [], 0, 24)
+            grow([g], [], 0, 24)
         with pytest.raises(ValueError, match="tau"):
-            evo.build_propagation_tree([g], [], 1, 0)
-        with pytest.raises(ValueError, match="duplicate"):
-            evo.build_propagation_tree([g], [make_project("g", T0 - 30 * HOUR)], 1, 24)
+            grow([g], [], 1, 0)
+
+    def test_a_project_given_twice_is_refused(self):
+        market = Market([make_project("g", T0), make_project("a", T0 - 30 * HOUR)], [])
+        for targets, observables in (([1], [0, 1]), ([1, 1], [0]), ([1], [0, 0])):
+            with pytest.raises(ValueError, match="twice"):
+                evo.build_propagation_tree(np.array(targets), np.array(observables), 1, 24,
+                                           market=market)
+
+    def test_observables_in_any_order_give_the_same_tree(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            targets, obs, t_h, tau = random_tree_inputs(rng, t_h=4)
+            want = grow(targets, obs, t_h, tau)
+            got = grow(targets, [obs[i] for i in rng.permutation(len(obs))], t_h, tau)
+            for name in ("node_times", "depth", "edges", "rows"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.dropped_ids == want.dropped_ids
 
     def test_rebuild_is_deterministic(self):
         rng = np.random.default_rng(7)
         targets, obs, t_h, tau = random_tree_inputs(rng)
-        a = evo.build_propagation_tree(targets, obs, t_h, tau)
-        b = evo.build_propagation_tree(targets, obs, t_h, tau)
-        np.testing.assert_array_equal(a.source, b.source)
+        a = grow(targets, obs, t_h, tau)
+        b = grow(targets, obs, t_h, tau)
+        np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.edges, b.edges)
 
 
@@ -164,7 +189,9 @@ def scan_tree_invariants(tree, records, t_h, tau):
     assert np.all(tree.depth[:tree.n_roots] == 0)
     assert np.all(np.diff(tree.depth) >= 0)
     assert tree.max_depth <= t_h
-    np.testing.assert_array_equal(tree.source[:tree.n_roots], np.arange(tree.n_roots))
+    assert tree.rows.dtype == np.int32
+    ids = node_ids(tree, records)
+    assert ids[:tree.n_roots] == tuple(p.id for p in records[:tree.n_roots])
 
     for p, c in tree.edges.T:
         assert tau_s < t[p] - t[c] < 2 * tau_s
@@ -184,8 +211,8 @@ def scan_tree_invariants(tree, records, t_h, tau):
             best = in_window[int(np.argmin(gaps))]
             np.testing.assert_array_equal(parents, [best])
 
-    ids = node_ids(tree, records)
-    np.testing.assert_array_equal(t, [records[i].published_time for i in tree.source])
+    published = {p.id: p.published_time for p in records}
+    np.testing.assert_array_equal(t, [published[pid] for pid in ids])
     assert len(set(ids)) == n
     assert not set(tree.dropped_ids) & set(ids)
 
@@ -195,7 +222,7 @@ def test_growth_invariants_hold_on_random_markets():
     total_nodes = 0
     for _ in range(200):
         targets, obs, t_h, tau = random_tree_inputs(rng)
-        tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+        tree = grow(targets, obs, t_h, tau)
         assert tree.n_nodes + len(tree.dropped_ids) == len(targets) + len(obs)
         scan_tree_invariants(tree, targets + obs, t_h, tau)
         for pid in tree.dropped_ids:
@@ -217,7 +244,7 @@ def test_growth_matches_per_candidate_reference(data, t_h, tau):
     observed = data.draw(st.lists(hours, max_size=12))
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
-    tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+    tree = grow(targets, obs, t_h, tau)
     ids, node_times, depth, edges, dropped = oracles.grow_tree(targets, obs, t_h, tau)
     assert node_ids(tree, targets + obs) == ids
     assert tree.dropped_ids == dropped
@@ -262,7 +289,7 @@ class TestGatedRollUp:
         g = make_project("g", T0)
         c1 = make_project("c1", T0 - 30 * HOUR)
         c2 = make_project("c2", T0 - 40 * HOUR)
-        tree = evo.build_propagation_tree([g], [c1, c2], 1, 24)
+        tree = grow([g], [c1, c2], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(8))
         s = np.random.default_rng(9).normal(0, 1, (3, 3))
         roots, _, counts = upd.propagate(tree, s)
@@ -274,7 +301,7 @@ class TestGatedRollUp:
         r1 = make_project("r1", T0)
         r2 = make_project("r2", T0 - 2 * HOUR)
         c = make_project("c", T0 - 30 * HOUR)
-        tree = evo.build_propagation_tree([r1, r2], [c], 1, 24)
+        tree = grow([r1, r2], [c], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(10))
         s = np.random.default_rng(11).normal(0, 1, (3, 3))
         roots = upd.propagate(tree, s).roots
@@ -283,7 +310,7 @@ class TestGatedRollUp:
         np.testing.assert_allclose(roots.data[1], numpy_cell(upd, s[2] + b, s[1]), atol=1e-12)
 
     def test_bare_root_updates_once_from_bias_alone(self):
-        tree = evo.build_propagation_tree([make_project("g", T0)], [], 1, 24)
+        tree = grow([make_project("g", T0)], [], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(12))
         s = np.random.default_rng(13).normal(0, 1, (1, 3))
         roots, _, counts = upd.propagate(tree, s)
@@ -295,7 +322,7 @@ class TestGatedRollUp:
         rng = np.random.default_rng(515)
         for _ in range(50):
             targets, obs, t_h, tau = random_tree_inputs(rng)
-            tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+            tree = grow(targets, obs, t_h, tau)
             upd = evo.GatedTreeUpdater(2, np.random.default_rng(1))
             s = rng.normal(0, 1, (tree.n_nodes, 2))
             counts = upd.propagate(tree, s).counts
@@ -322,7 +349,7 @@ class TestGatedRollUp:
 
     def test_propagate_is_deterministic(self):
         targets, obs, t_h, tau = random_tree_inputs(np.random.default_rng(88))
-        tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+        tree = grow(targets, obs, t_h, tau)
         upd = evo.GatedTreeUpdater(2, np.random.default_rng(5))
         s = np.random.default_rng(6).normal(0, 1, (tree.n_nodes, 2))
         a = upd.propagate(tree, s).roots
@@ -349,7 +376,7 @@ LAUNCH_HOURS = st.lists(st.integers(0, 40).map(lambda k: 6 * k), max_size=14)
 def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
-    tree = evo.build_propagation_tree(targets, obs, t_h, 24)
+    tree = grow(targets, obs, t_h, 24)
     levels = evo.update_levels(tree)
     rng = np.random.default_rng(seed)
     upd = evo.GatedTreeUpdater(width, rng)
@@ -384,7 +411,7 @@ def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
 def test_update_levels_equals_dense_schedule(roots, observed, t_h, tau):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
-    tree = evo.build_propagation_tree(targets, obs, t_h, tau)
+    tree = grow(targets, obs, t_h, tau)
     levels, dense = evo.update_levels(tree), oracles.dense_levels(tree)
     assert len(levels) == len(dense)
     for (rows, block), (want_rows, want_block) in zip(levels, dense):
@@ -394,7 +421,7 @@ def test_update_levels_equals_dense_schedule(roots, observed, t_h, tau):
 
 def test_two_root_candidate_sums_into_both_roots():
     r1, r2 = make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)
-    tree = evo.build_propagation_tree([r1, r2], [make_project("c", T0 - 36 * HOUR)], 1, 24)
+    tree = grow([r1, r2], [make_project("c", T0 - 36 * HOUR)], 1, 24)
     np.testing.assert_array_equal(tree.edges, [[0, 1], [2, 2]])
     [(rows, block)] = evo.update_levels(tree)
     np.testing.assert_array_equal(rows, [0, 1])
@@ -402,7 +429,7 @@ def test_two_root_candidate_sums_into_both_roots():
 
 
 def test_adjacency_is_the_dense_form_of_the_edges():
-    tree = evo.build_propagation_tree([make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)],
+    tree = grow([make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)],
                                       [make_project("c", T0 - 36 * HOUR),
                                        make_project("d", T0 - 66 * HOUR)], 2, 24)
     adjacency = tree.adjacency

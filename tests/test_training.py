@@ -66,7 +66,7 @@ class TestContextBuilding:
     def test_aux_truths_match_definition(self):
         config, market, bundle = toy_setup()
         ctx = next(c for c in bundle.train if c.tree.n_nodes > c.tree.n_roots)
-        for offset, p in enumerate(market.projects[ctx.tree_rows[ctx.tree.n_roots:]]):
+        for offset, p in enumerate(market.projects[ctx.tree.rows[ctx.tree.n_roots:]]):
             lo = ctx.observation_time
             log = market.log(p.id)
             raised = log.amounts[(log.times >= lo) & (log.times < lo + config.tau * HOUR)].sum()
@@ -95,9 +95,9 @@ class TestContextBuilding:
             np.testing.assert_array_equal(
                 ctx.rival_features, features[rows(ctx.rival_ids)].reshape(-1, features.shape[1]))
             observables = gd.observable_set(market, ctx.observation_time, config.t_h, config.tau)
-            nodes = np.concatenate([rows(ctx.target_ids), observables])[ctx.tree.source]
-            np.testing.assert_array_equal(ctx.tree_rows, nodes)
-            n_roots = ctx.tree.n_roots
+            nodes, n_roots = ctx.tree.rows, ctx.tree.n_roots
+            np.testing.assert_array_equal(nodes[:n_roots], rows(ctx.target_ids))
+            assert np.isin(nodes[n_roots:], observables).all()
             np.testing.assert_array_equal(ctx.tree_init[:, :-1], features[nodes])
             amounts = gd.early_stage_amount(market, nodes[n_roots:], config.tau)
             np.testing.assert_array_equal(ctx.tree_init[:, -1], np.r_[np.zeros(n_roots), amounts])
@@ -146,12 +146,12 @@ def test_contexts_hold_edges_bins_and_the_records_ids(synth_contexts):
                     assert not (isinstance(value, np.ndarray) and value.dtype.kind in "OUS"
                                 and value is not market.projects), f.name
         assert ctx.rival_trend_bins.nbytes == ctx.rival_rows.size
-        assert {ctx.target_rows.dtype, ctx.rival_rows.dtype, ctx.tree_rows.dtype} == {np.dtype(np.int32)}
+        assert {ctx.target_rows.dtype, ctx.rival_rows.dtype, tree.rows.dtype} == {np.dtype(np.int32)}
         for ids, rows in ((ctx.target_ids, ctx.target_rows), (ctx.rival_ids, ctx.rival_rows)):
             assert type(ids) is tuple and len(ids) == rows.size
             assert all(pid is market.projects[r].id for pid, r in zip(ids, rows))
         assert all(pid is market.projects[market.row[pid]].id for pid in tree.dropped_ids)
-        assert not set(tree.dropped_ids) & {p.id for p in market.projects[ctx.tree_rows]}
+        assert not set(tree.dropped_ids) & {p.id for p in market.projects[tree.rows]}
 
 
 @pytest.mark.parametrize("bins", [6, 5, 300])
@@ -171,8 +171,7 @@ def every_running_rival(market, ctx, pruning):
     """The rows of the running projects outside ctx's set, and their graph under `pruning`."""
     running = gd.running_set(market, ctx.observation_time)
     rows = running[~np.isin(running, ctx.target_rows)]
-    return rows, build_competitiveness_graph(market.projects[ctx.target_rows],
-                                             market.projects[rows], pruning)
+    return rows, build_competitiveness_graph(ctx.target_rows, rows, pruning, market=market)
 
 
 @pytest.mark.parametrize("pruning", PRUNING_MODES)
@@ -237,20 +236,23 @@ def test_rivals_without_an_edge_change_no_prediction_or_gradient(quantifier, abl
 
 def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatch):
     """perfbench's tracer reads these calls: one each per context, the graph over
-    every running project outside the set, and the tree builder called with four
-    positional arguments and returning the tree itself, whose counts it reads."""
+    every running project outside the set, and the tree builder returning the tree
+    itself, whose counts it reads.  Its observers take the builders' positional
+    arguments and read the len() of the row arrays among them, so each builder gets
+    exactly its row arrays and settings by position and the market by keyword."""
     calls = {"graph": [], "series": 0, "trend": 0, "tree": []}
     graph, series, trend = gt.build_competitiveness_graph, gd.hourly_series, gd.prior_trend
     tree = gt.build_propagation_tree
 
-    def counted_graph(targets, rivals, mode):
-        calls["graph"].append(([p.id for p in targets], [p.id for p in rivals]))
-        return graph(targets, rivals, mode)
+    def counted_graph(*args, **kwargs):
+        assert len(args) == 3 and set(kwargs) == {"market"}
+        calls["graph"].append((args, kwargs["market"]))
+        return graph(*args, **kwargs)
 
     def counted_tree(*args, **kwargs):
-        assert len(args) == 4 and not kwargs
-        calls["tree"].append(tree(*args))
-        return calls["tree"][-1]
+        assert len(args) == 4 and set(kwargs) == {"market"}
+        calls["tree"].append((args, kwargs["market"], tree(*args, **kwargs)))
+        return calls["tree"][-1][-1]
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -266,16 +268,24 @@ def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatc
     contexts = (*bundle.train, *bundle.test)
     assert len(calls["graph"]) == calls["series"] == calls["trend"] == len(contexts)
     assert len(calls["tree"]) == len(contexts)
-    for (targets, rivals), built, ctx in zip(calls["graph"], calls["tree"], contexts):
-        assert targets == list(ctx.target_ids)
-        running = market.projects[gd.running_set(market, ctx.observation_time)]
-        assert rivals == [p.id for p in running if p.id not in targets]
+    for (graph_args, graph_market), (tree_args, tree_market, built), ctx in zip(
+            calls["graph"], calls["tree"], contexts):
+        (targets, rivals, mode), (roots, observables, t_h, tau) = graph_args, tree_args
+        assert graph_market is market and tree_market is market
+        assert (mode, t_h, tau) == ("cate", config.t_h, config.tau)
+        running = gd.running_set(market, ctx.observation_time)
+        outside = running[~np.isin(running, ctx.target_rows)]
+        candidates = gd.observable_set(market, ctx.observation_time, config.t_h, config.tau)
+        for given, want in ((targets, ctx.target_rows), (rivals, outside),
+                            (roots, ctx.target_rows), (observables, candidates)):
+            assert len(given) == len(want)
+            np.testing.assert_array_equal(given, want)
         assert built is ctx.tree
         for name in ("n_nodes", "n_roots", "max_depth"):
             assert type(getattr(built, name)) is int, name
         assert type(built.dropped_ids) is tuple
         assert built.node_times.shape == built.depth.shape == (built.n_nodes,)
-    assert sum(len(r) for _, r in calls["graph"]) > sum(c.rival_rows.size for c in contexts)
+    assert sum(len(args[1]) for args, _ in calls["graph"]) > sum(c.rival_rows.size for c in contexts)
 
 
 class TestTrainLoop:
