@@ -47,8 +47,11 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _echo(out_dir: Path, command: str, config: dict, inputs: dict | None = None) -> None:
-    doc = {"command": command, "config": config}
+def _echo(out_dir: Path, config: dict, args) -> None:
+    """config_echo.json: the subcommand, its config and each input file it was given."""
+    doc = {"command": args.subcommand, "config": config}
+    inputs = {name: getattr(args, name) for name in ("projects", "investments", "checkpoint", "encoder")
+              if hasattr(args, name)}
     if inputs:
         doc["inputs"] = inputs
     _write_json(out_dir / "config_echo.json", doc)
@@ -138,7 +141,7 @@ def cmd_synth(args) -> int:
     gd.save_projects(out / "projects.jsonl", market.projects)
     n_events = gd.save_investments(out / "investments.jsonl", market)
     write_trace(out / "trace.jsonl", trace)
-    _echo(out, "synth", config.to_json())
+    _echo(out, config.to_json(), args)
     print(f"synth: wrote {len(market.projects)} projects, {n_events} investments to {out}")
     return EXIT_OK
 
@@ -166,8 +169,7 @@ def cmd_train(args) -> int:
     _write_loss_history(out / "loss_history.csv", history)
     report = evaluate_model(model, bundle.test)
     _write_json(out / "eval_report.json", report)
-    _echo(out, "train", config.to_json(),
-          {"projects": args.projects, "investments": args.investments})
+    _echo(out, config.to_json(), args)
     print(f"train: {len(bundle.train)} train / {len(bundle.test)} test sets, "
           f"{config.epochs} epochs; test mae {report['mae']:.6f} "
           f"rmse {report['rmse']:.6f}; artifacts in {out}")
@@ -179,9 +181,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, bundle.test)
     out = _out_dir(args)
     _write_json(out / "eval_report.json", report)
-    _echo(out, "eval", config.to_json(),
-          {"projects": args.projects, "investments": args.investments,
-           "checkpoint": args.checkpoint, "encoder": args.encoder})
+    _echo(out, config.to_json(), args)
     print(f"eval: {report['n_targets']} targets in {report['n_sets']} sets; "
           f"mae {report['mae']:.6f} rmse {report['rmse']:.6f}; report in {out}")
     return EXIT_OK
@@ -208,8 +208,7 @@ def cmd_ablate(args) -> int:
            "n_test_sets": len(bundle.test), "variants": variants,
            "baselines": baselines}
     _write_json(out / "ablation_report.json", doc)
-    _echo(out, "ablate", config.to_json(),
-          {"projects": args.projects, "investments": args.investments})
+    _echo(out, config.to_json(), args)
     rows = {**variants, **baselines}
     print("ablate: " + "  ".join(f"{k} mae={v['mae']:.6f}" for k, v in rows.items()))
     return EXIT_OK
@@ -230,9 +229,7 @@ def cmd_inspect_attention(args) -> int:
                      "n_rivals": len(rival_ids), "targets": targets})
     out = _out_dir(args)
     _write_json(out / "attention.json", {"sets": sets})
-    _echo(out, "inspect-attention", config.to_json(),
-          {"projects": args.projects, "investments": args.investments,
-           "checkpoint": args.checkpoint, "encoder": args.encoder})
+    _echo(out, config.to_json(), args)
     print(f"inspect-attention: {len(sets)} sets written to {out / 'attention.json'}")
     return EXIT_OK
 
@@ -254,15 +251,13 @@ def cmd_dump_tree(args) -> int:
                        "depth": int(tree.depth[i])}
                       for i in range(tree.n_nodes)],
             "edges": [{"parent": node_ids[p], "child": node_ids[c],
-                       "gap_hours": int(tree.node_times[p] - tree.node_times[c]) / 3600.0}
+                       "gap_hours": int(tree.node_times[p] - tree.node_times[c]) / gd.HOUR}
                       for p, c in tree.edges.T.tolist()],
             "dropped": list(tree.dropped_ids),
         })
     out = _out_dir(args)
     _write_json(out / "tree.json", {"sets": docs})
-    _echo(out, "dump-tree",
-          {"tau": args.tau, "t_h": args.t_h, "tz_offset": args.tz_offset},
-          {"projects": args.projects, "investments": args.investments})
+    _echo(out, {"tau": args.tau, "t_h": args.t_h, "tz_offset": args.tz_offset}, args)
     print(f"dump-tree: {len(docs)} sets written to {out / 'tree.json'}")
     return EXIT_OK
 

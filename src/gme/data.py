@@ -435,14 +435,21 @@ def hashed_text_embedding(text: str, dim: int = 50, seed: str = "gme-text-v1") -
     return vec
 
 
+# (EncoderConfig field, ProjectRecord field) of each vocabulary block, in column order.
+VOCABULARY_BLOCKS = (("categories", "category"), ("creator_types", "creator_type"),
+                     ("currencies", "currency"))
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Static-feature layout: text block then one-hot blocks.
+    """Static-feature layout: the text block, one one-hot block per vocabulary of
+    `VOCABULARY_BLOCKS`, then the duration bins and the goal bins.
 
-    Categorical vocabularies come from the training split; every block keeps
-    one extra overflow slot so unseen values still encode.  Goal bins are
-    half-open on log2(goal) with the first and last bins absorbing under- and
-    overflow.  The text block is either the hashed `text` or the
+    Vocabularies come from the training split; each block keeps one extra
+    overflow slot so unseen values still encode, and a value listed twice
+    takes its first slot.  Duration and goal bins are half-open on
+    duration_days and log2(goal), with the first and last bins absorbing
+    under- and overflow.  The text block is either the hashed `text` or the
     precomputed `vec` of each project, and every project must carry the
     form in use.
     """
@@ -473,12 +480,9 @@ class EncoderConfig:
         (as wide as the first) when any carries one, and their hashed `text` otherwise."""
         vec = next((p.vec for p in projects if p.vec is not None), None)
         text = {} if vec is None else {"text_mode": "precomputed", "text_dim": len(vec)}
-        return cls(
-            categories=tuple(sorted({p.category for p in projects})),
-            creator_types=tuple(sorted({p.creator_type for p in projects})),
-            currencies=tuple(sorted({p.currency for p in projects})),
-            **{**text, **overrides},
-        )
+        vocabularies = {vocab: tuple(sorted({getattr(p, field) for p in projects}))
+                        for vocab, field in VOCABULARY_BLOCKS}
+        return cls(**vocabularies, **{**text, **overrides})
 
     @property
     def goal_bins(self) -> int:
@@ -490,52 +494,42 @@ class EncoderConfig:
 
     @property
     def feature_dim(self) -> int:
-        return (
-            self.text_dim
-            + len(self.categories) + 1
-            + len(self.creator_types) + 1
-            + len(self.currencies) + 1
-            + self.duration_bins
-            + self.goal_bins
-        )
+        return self.text_dim + sum(width for width, _ in self._one_hot_slots(()))
 
-    def _onehot(self, vocab: tuple, value: str) -> np.ndarray:
-        block = np.zeros(len(vocab) + 1)
-        try:
-            block[vocab.index(value)] = 1.0
-        except ValueError:
-            block[len(vocab)] = 1.0  # overflow bucket
-        return block
+    def _one_hot_slots(self, projects):
+        """(width, each project's slot) of every block after the text block, in column order."""
+        for vocab, field in VOCABULARY_BLOCKS:
+            values = getattr(self, vocab)
+            first = {value: slot for slot, value in reversed(list(enumerate(values)))}
+            yield len(values) + 1, [first.get(getattr(p, field), len(values)) for p in projects]
+        yield self.duration_bins, [bisect_right(self.duration_day_edges, p.duration_days)
+                                   for p in projects]
+        yield self.goal_bins, [bisect_right(self.goal_log2_edges, math.log2(p.goal))
+                               for p in projects]
 
     def encode(self, projects) -> np.ndarray:
         """The (len(projects), feature_dim) static-feature matrix, one row per project."""
-        rows = [self._encode_one(p) for p in projects]
-        return np.array(rows).reshape(len(rows), self.feature_dim)
+        features = np.zeros((len(projects), self.feature_dim))
+        for row, project in zip(features, projects):
+            row[:self.text_dim] = self._text(project)
+        rows, at = np.arange(len(projects)), self.text_dim
+        for width, slots in self._one_hot_slots(projects):
+            features[rows, at + np.asarray(slots, dtype=np.intp)] = 1.0
+            at += width
+        return features
 
-    def _encode_one(self, project: ProjectRecord) -> np.ndarray:
+    def _text(self, project: ProjectRecord):
+        """The text block of one project, refused if it lacks the form in use."""
         if self.text_mode == "precomputed":
             if project.vec is None:
                 raise DataError(f"project {project.id}: field 'vec' required in precomputed text mode")
             if len(project.vec) != self.text_dim:
                 raise DataError(f"project {project.id}: field 'vec' has length {len(project.vec)}, expected {self.text_dim}")
-            text = np.asarray(project.vec, dtype=np.float64)
-        else:
-            if project.text is None and project.vec is not None:
-                raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
-                                f"(the project carries only 'vec')")
-            text = hashed_text_embedding(project.text or "", self.text_dim, self.text_seed)
-        duration = np.zeros(self.duration_bins)
-        duration[bisect_right(self.duration_day_edges, project.duration_days)] = 1.0
-        goal = np.zeros(self.goal_bins)
-        goal[bisect_right(self.goal_log2_edges, math.log2(project.goal))] = 1.0
-        return np.concatenate([
-            text,
-            self._onehot(self.categories, project.category),
-            self._onehot(self.creator_types, project.creator_type),
-            self._onehot(self.currencies, project.currency),
-            duration,
-            goal,
-        ])
+            return project.vec
+        if project.text is None and project.vec is not None:
+            raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
+                            f"(the project carries only 'vec')")
+        return hashed_text_embedding(project.text or "", self.text_dim, self.text_seed)
 
     to_json = config_json
     from_json = classmethod(config_from_json)

@@ -8,7 +8,6 @@ always happens after the training span.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -20,8 +19,6 @@ from . import data as gd
 from .competition import AffineStack, CompetitivenessGraph, build_competitiveness_graph
 from .evolution import build_propagation_tree, init_states
 from .model import GMEModel, TargetSetContext, TrainConfig
-
-log = logging.getLogger(__name__)
 
 TRAIN_FRACTION = 5 / 6
 
@@ -218,11 +215,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
     if kind == "linear":
         x = np.concatenate([ctx.target_features for ctx in train_contexts])
         x1 = np.concatenate([x, np.ones((len(x), 1))], axis=1)
-        coef, _, rank, _ = np.linalg.lstsq(x1, all_truths, rcond=None)
-        if not np.all(np.isfinite(coef)):
-            log.warning("least squares produced non-finite weights; ridge fallback")
-            gram = x1.T @ x1 + 1e-6 * np.eye(x1.shape[1])
-            coef = np.linalg.solve(gram, x1.T @ all_truths)
+        coef = np.linalg.lstsq(x1, all_truths, rcond=None)[0]
         return lambda ctx: np.concatenate(
             [ctx.target_features, np.ones((ctx.target_rows.size, 1))], axis=1) @ coef
 

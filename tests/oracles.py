@@ -6,15 +6,18 @@ references, which keep the per-step forms the fused ops replaced.  Tests
 compare these against the engine to catch wiring mistakes that unit tests
 on single ops miss.
 The data formulas work one project at a time on that project's own
-events, and tree growth attaches one candidate at a time, as the
-whole-market array code they check once did.
+events, the feature encoder one project and one block at a time, and tree
+growth attaches one candidate at a time, as the whole-market array code
+they check once did.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from gme import autodiff as ad
+from gme.data import DataError, hashed_text_embedding
 
 HOUR = 3600
 DAY = 86400
@@ -262,6 +265,43 @@ def prior_trend(project, log, t_obs, bins=6):
     days = max(1, -(-(t_obs - project.published_time) // DAY))
     trend = min(1.0, max(0.0, (raised / project.goal) / math.log2(days + 1)))
     return trend, min(bins - 1, int(trend * bins))
+
+
+def _onehot(vocab, value):
+    block = np.zeros(len(vocab) + 1)
+    try:
+        block[vocab.index(value)] = 1.0
+    except ValueError:
+        block[len(vocab)] = 1.0  # overflow bucket
+    return block
+
+
+def encode_project(encoder, project):
+    """One project's static-feature row: its blocks built one by one and concatenated."""
+    if encoder.text_mode == "precomputed":
+        if project.vec is None:
+            raise DataError(f"project {project.id}: field 'vec' required in precomputed text mode")
+        if len(project.vec) != encoder.text_dim:
+            raise DataError(f"project {project.id}: field 'vec' has length {len(project.vec)}, "
+                            f"expected {encoder.text_dim}")
+        text = np.asarray(project.vec, dtype=np.float64)
+    else:
+        if project.text is None and project.vec is not None:
+            raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
+                            f"(the project carries only 'vec')")
+        text = hashed_text_embedding(project.text or "", encoder.text_dim, encoder.text_seed)
+    duration = np.zeros(encoder.duration_bins)
+    duration[bisect_right(encoder.duration_day_edges, project.duration_days)] = 1.0
+    goal = np.zeros(encoder.goal_bins)
+    goal[bisect_right(encoder.goal_log2_edges, math.log2(project.goal))] = 1.0
+    return np.concatenate([
+        text,
+        _onehot(encoder.categories, project.category),
+        _onehot(encoder.creator_types, project.creator_type),
+        _onehot(encoder.currencies, project.currency),
+        duration,
+        goal,
+    ])
 
 
 def running_set(projects, t):

@@ -712,6 +712,57 @@ def test_category_codes_are_equal_exactly_when_the_strings_are(categories):
             assert (codes[i] == codes[j]) == (p.category == q.category)
 
 
+# Small pools, so that repeated and unseen vocabulary values, durations and log2(goal)
+# on a bin edge, and goals at powers of two all turn up.
+VOCABULARY = st.lists(st.sampled_from(["art", "games", "Art"]), max_size=5).map(tuple)
+WORDS = st.sampled_from(["art", "games", "Art", "film"])
+GOAL_EDGES = st.sets(st.sampled_from([-1.0, 0.0, 0.5, 3.0, 7.0, 7.5]), max_size=3)
+
+
+@st.composite
+def encoders_and_projects(draw):
+    """An encoder and 1-6 projects with distinct ids, in half the cases with text fields
+    that the encoder may refuse."""
+    text_mode = draw(st.sampled_from(["hashed", "precomputed"]))
+    text_dim = draw(st.integers(1 if text_mode == "hashed" else 0, 6))
+    encoder = d.EncoderConfig(
+        **{vocab: draw(VOCABULARY) for vocab, _ in d.VOCABULARY_BLOCKS},
+        goal_log2_edges=tuple(sorted(draw(GOAL_EDGES))),
+        duration_day_edges=tuple(sorted(draw(st.sets(st.integers(1, 8), max_size=3)))),
+        text_mode=text_mode, text_dim=text_dim, text_seed=draw(st.sampled_from(["s", "gme-text-v1"])))
+    vec = st.lists(FINITE, min_size=text_dim, max_size=text_dim).map(tuple)
+    text = st.text(max_size=12)
+    if draw(st.booleans()):  # a project may lack the text form in use
+        vec = st.none() | vec | st.lists(FINITE, max_size=3).map(tuple)
+        text = st.none() | text
+    goals = st.sampled_from([2.0 ** k for k in (-1, 0, 0.5, 3, 7, 7.5, 9)] + [3.0, 100.0])
+    projects = [d.ProjectRecord(
+        id=f"p{i}", published_time=0, category=draw(WORDS), creator_type=draw(WORDS),
+        currency=draw(WORDS), duration_days=draw(st.integers(1, 9)), goal=draw(goals),
+        text=draw(text), vec=draw(vec))
+        for i in range(draw(st.integers(1, 6)))]
+    return encoder, projects
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=encoders_and_projects())
+def test_encode_matches_the_per_project_reference_bit_for_bit(case):
+    encoder, projects = case
+    empty = encoder.encode([])
+    assert empty.dtype == np.float64 and empty.shape == (0, encoder.feature_dim)
+    try:
+        rows = [oracles.encode_project(encoder, p) for p in projects]
+    except d.DataError as exc:  # the first project the reference refuses names the refusal
+        with pytest.raises(d.DataError) as refused:
+            encoder.encode(projects)
+        assert str(refused.value) == str(exc)
+        return
+    want = np.array(rows).reshape(len(projects), encoder.feature_dim)
+    got = encoder.encode(projects)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(projects=st.lists(records(
     d.ProjectRecord, id=st.text(min_size=1, max_size=6), published_time=st.integers(-10**12, 10**12),
