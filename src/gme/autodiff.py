@@ -307,7 +307,9 @@ def lstm(series, gates) -> Tensor:
     that adds terms in the order the per-step tape of these equations would
     (dh over the gates candidate first, dc from the next step before
     tanh(c), parameter terms from the last step back), so values and
-    gradients equal that tape's bit for bit.
+    gradients equal that tape's bit for bit.  Taped, a step keeps only its
+    gates and the c entering it; the backward rebuilds tanh(c) and h with
+    the forward's own numpy calls, so they keep their bits.
     """
     x = np.asarray(series, dtype=np.float64)
     gates = [tuple(_as_tensor(p) for p in gate) for gate in gates]
@@ -321,35 +323,37 @@ def lstm(series, gates) -> Tensor:
     wx = np.stack([gate[0].data for gate in gates])  # (4, 1, H)
     uh = np.stack([gate[1].data for gate in gates])  # (4, H, H)
     b = np.stack([gate[2].data for gate in gates])[:, None, :]  # (4, 1, H)
-    # Per-step values are kept only for a backward pass; untaped, one slot
-    # (two for the carried h and c) is reused, indexed by k % len.
+    # Taped, each step keeps its gates and the c entering it (and the last c)
+    # for the backward, each in its own array: numpy madvises arrays of 4 MiB
+    # or more for huge pages, and a (4, n, H) block stays under that up to
+    # 2,621 rivals at H = 50.  Untaped, one slot (two for the carried c) is
+    # reused, indexed by k % len.
     keep = steps if _tape_stack() else 1
-    acts = np.empty((keep, 4, n, hidden))  # i, f, o, g
-    tcs = np.empty((keep, n, hidden))  # tanh(c) after each step
-    hs = np.zeros((keep + 1, n, hidden))  # h and c entering each step
-    cs = np.zeros((keep + 1, n, hidden))
+    acts = [np.empty((4, n, hidden)) for _ in range(keep)]  # i, f, o, g
+    cs = [np.zeros((n, hidden))] + [np.empty((n, hidden)) for _ in range(keep)]
+    h, tc = np.zeros((n, hidden)), np.empty((n, hidden))
     tmp = np.empty((4, n, hidden))
     for k in range(steps):
-        h, c = hs[k % len(hs)], cs[k % len(cs)]
         z = np.matmul(h, uh, out=acts[k % keep])
         z += np.multiply(x[:, k:k + 1], wx, out=tmp)
         z += b
         _logistic(z[:3], out=z[:3])
         np.tanh(z[3], out=z[3])
         i, f, o, g = z
-        c_next, tc = cs[(k + 1) % len(cs)], tcs[k % keep]
+        c, c_next = cs[k % len(cs)], cs[(k + 1) % len(cs)]
         np.multiply(f, c, out=c_next)
         c_next += np.multiply(i, g, out=tmp[0])
-        np.multiply(o, np.tanh(c_next, out=tc), out=hs[(k + 1) % len(hs)])
-    out = Tensor(hs[steps % len(hs)].copy())
+        np.multiply(o, np.tanh(c_next, out=tc), out=h)
+    out = Tensor(h)
 
     def _bwd(gout):
         g_wx, g_uh, g_b = np.zeros_like(wx), np.zeros_like(uh), np.zeros_like(b[:, 0])
         uh_t = uh.transpose(0, 2, 1)
-        dz = np.empty((4, n, hidden))
+        dz, tmp = np.empty((4, n, hidden)), np.empty((4, n, hidden))
         gh, (gh_next, gc, carry) = gout, np.empty((3, n, hidden))
+        h, tc = np.empty((n, hidden)), np.tanh(cs[steps])  # h entering step k, tanh(c) after it
         for k in range(steps - 1, -1, -1):
-            act, tc = acts[k], tcs[k]
+            act = acts[k]
             i, f, o, g = act
             np.multiply(gh, o, out=gc)  # dc through tanh(c), plus the next step's f * dc
             gc *= np.subtract(1.0, np.multiply(tc, tc, out=tmp[0]), out=tmp[0])
@@ -363,7 +367,11 @@ def lstm(series, gates) -> Tensor:
             np.multiply(gc, i, out=dz[3])
             dz[3] *= np.subtract(1.0, np.multiply(g, g, out=tmp[3]), out=tmp[3])
             g_b += dz.sum(axis=1)
-            g_uh += np.matmul(hs[k].T, dz)
+            if k:  # as the forward made them: tanh(c) after step k - 1, then its h
+                np.multiply(acts[k - 1][2], np.tanh(cs[k], out=tc), out=h)
+            else:
+                h.fill(0.0)
+            g_uh += np.matmul(h.T, dz)
             g_wx += np.matmul(x[:, k:k + 1].T, dz)
             if k:
                 back = np.matmul(dz, uh_t, out=tmp)  # dh per gate, summed candidate first

@@ -1,6 +1,7 @@
 """Engine tests: primitive values, taped gradients vs central differences, SGD, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,12 +244,22 @@ def _lstm_loss(lstm, series, gates, weight):
     return ad.mean(ad.matmul(np.ones(len(series)), ad.mul(out, weight))), out
 
 
-def _fused_against_taped(n, hidden, steps, seed):
-    """Asserts equal outputs and gradients; returns the parameters and the loss closure."""
+def _fused_against_taped(n, hidden, steps, seed, saturate=False):
+    """Asserts equal outputs and gradients; returns the parameters and the loss closure.
+
+    `saturate` scales the rows to 1e4..2e4 with a random sign per row, so most
+    gates sit at 0 or 1 (or -1) and tanh(c) reaches +-1, makes the few quiet
+    hours of the negative rows -0.0, and appends an all-zero row.
+    """
     rng = np.random.default_rng(seed)
     gates = _lstm_gates(rng, hidden)
     params = [p for gate in gates for p in gate]
-    series = rng.uniform(0, 6, (n, steps)) * (rng.random((n, steps)) < 0.7)  # quiet hours are 0
+    if saturate:
+        series = (rng.uniform(1e4, 2e4, (n, steps)) * (rng.random((n, steps)) < 0.97)
+                  * rng.choice([-1.0, 1.0], (n, 1)))
+        series, n = np.vstack([series, np.zeros((1, steps))]), n + 1
+    else:
+        series = rng.uniform(0, 6, (n, steps)) * (rng.random((n, steps)) < 0.7)  # quiet hours are 0
     weight = rng.normal(0, 1, (n, hidden))
     runs = []
     for lstm in (ad.lstm, oracles.taped_lstm):
@@ -275,6 +286,31 @@ def test_fused_lstm_equals_taped_loop_and_central_differences(n, hidden, steps, 
 
 def test_fused_lstm_equals_taped_loop_at_model_width():
     _fused_against_taped(n=130, hidden=50, steps=24, seed=5)
+    # Bits only: saturated gates give central differences no signal.
+    _fused_against_taped(n=130, hidden=50, steps=24, seed=5, saturate=True)
+
+
+def test_taped_lstm_keeps_gates_and_cell_state_one_block_a_step():
+    n, hidden, steps = 200, 50, 24
+    rng = np.random.default_rng(0)
+    gates = _lstm_gates(rng, hidden)
+    series = rng.uniform(0, 6, (n, steps))
+    unit = n * hidden * 8  # bytes of one (n, H) float64 array
+    tracemalloc.start()  # numpy reports its buffers to it
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            loss = ad.mean(ad.lstm(series, gates))
+        held = tracemalloc.get_traced_memory()[0] - base
+        largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        tracemalloc.reset_peak()
+        ad.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= (5 * steps + 8) * unit, held / unit
+    assert peak <= (5 * steps + 24) * unit, peak / unit
+    assert largest <= 4 * unit + 512, largest
 
 
 def test_lstm_shape_errors_name_op_and_shapes():
