@@ -14,9 +14,9 @@ rng = np.random.default_rng(7)
 x = rng.uniform(-1, 1, size=(128, 1))
 y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, size=128)
 
-w1 = ad.Parameter(ad.glorot_uniform(rng, (1, 16), 1, 16), "demo.w1")
+w1 = ad.Parameter(ad.glorot_uniform(rng, (1, 16)), "demo.w1")
 b1 = ad.Parameter(np.zeros(16), "demo.b1")
-w2 = ad.Parameter(ad.glorot_uniform(rng, (16,), 16, 1), "demo.w2")
+w2 = ad.Parameter(ad.glorot_uniform(rng, (16,)), "demo.w2")
 b2 = ad.Parameter(np.zeros(()), "demo.b2")
 params = [w1, b1, w2, b2]
 
@@ -33,12 +33,11 @@ print(f"grad check over {n_entries} entries: max rel err {worst:.3e}")
 assert worst < 1e-5
 
 # --- a few hundred SGD steps ----------------------------------------------
-schedule = ad.SgdSchedule(initial_rate=0.5, decay_factor=0.9, decay_every=50)
 for step in range(601):
     with ad.Tape() as tape:
         loss = loss_value()
     ad.backward(tape, loss)
-    ad.sgd_step(params, schedule, step)
+    ad.sgd_step(params, 0.5 * 0.9 ** (step // 50), step)
     if step % 150 == 0:
         print(f"step {step:4d}  mse {float(loss.data):.5f}")
 

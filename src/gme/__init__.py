@@ -2,7 +2,6 @@
 
 from .autodiff import (
     Parameter,
-    SgdSchedule,
     Tape,
     Tensor,
     backward,

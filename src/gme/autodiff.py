@@ -6,9 +6,9 @@ replays the records in reverse to accumulate gradients into the inputs.
 Outside a tape the same primitives run without recording, which is how
 inference and finite-difference probes are evaluated.
 
-Also home to the SGD step with exponential rate decay, the finite-difference
-gradient checker, glorot initialization, checkpoint round-tripping, and the
-single-seed RNG derivation used across the package.
+Also home to the SGD step, the finite-difference gradient checker, glorot
+initialization, checkpoint round-tripping, and the single-seed RNG
+derivation used across the package.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import base64
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "dropout",
     "absolute",
     "mean",
-    "SgdSchedule",
     "sgd_step",
     "grad_check",
     "glorot_uniform",
@@ -533,39 +531,17 @@ def mean(x) -> Tensor:
     return _record(out, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
-@dataclass(frozen=True)
-class SgdSchedule:
-    """Exponentially decayed learning rate: rate(s) = r0 * decay^(s // every)."""
-
-    initial_rate: float = 0.02
-    decay_factor: float = 0.96
-    decay_every: int = 1
-
-    def __post_init__(self):
-        if self.initial_rate <= 0.0:
-            raise ValueError(f"initial_rate {self.initial_rate} must be positive")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError(f"decay_factor {self.decay_factor} outside (0, 1]")
-        if self.decay_every < 1:
-            raise ValueError(f"decay_every {self.decay_every} must be a positive integer")
-
-    def rate(self, step: int) -> float:
-        return self.initial_rate * self.decay_factor ** (step // self.decay_every)
-
-
-def sgd_step(params, schedule: SgdSchedule, step: int) -> float:
-    """Apply one SGD update at `step` and zero the gradients. Returns the rate used.
+def sgd_step(params, rate: float, step: int) -> None:
+    """Apply one SGD update at `rate` and zero the gradients.
 
     Refuses the whole step if any gradient is non-finite, naming the parameter.
     """
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise GradientError(f"non-finite gradient in parameter {p.name!r} at step {step}")
-    rate = schedule.rate(step)
     for p in params:
         p.data -= rate * p.grad
         p.grad[...] = 0.0
-    return rate
 
 
 def grad_check(loss_fn, params, epsilon: float = 1e-5, floor: float = 1e-6) -> float:
@@ -610,7 +586,9 @@ def grad_check(loss_fn, params, epsilon: float = 1e-5, floor: float = 1e-6) -> f
     return worst
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Glorot-uniform draws; an (in, out) matrix's fans are in and out, an (in,) vector's in and 1."""
+    fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 

@@ -66,8 +66,8 @@ class RecurrentQuantifier:
         self.hidden = hidden
 
         def make(kind):
-            wx = ad.Parameter(ad.glorot_uniform(rng, (1, hidden), 1, hidden), f"competition.recurrent.{kind}.wx")
-            uh = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), f"competition.recurrent.{kind}.uh")
+            wx = ad.Parameter(ad.glorot_uniform(rng, (1, hidden)), f"competition.recurrent.{kind}.wx")
+            uh = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden)), f"competition.recurrent.{kind}.uh")
             b = ad.Parameter(np.zeros(hidden), f"competition.recurrent.{kind}.b")
             return wx, uh, b
 
@@ -94,7 +94,7 @@ class AffineStack:
     def __init__(self, dims, rng: np.random.Generator, name: str):
         self.layers = []
         for li, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
-            w = ad.Parameter(ad.glorot_uniform(rng, (a, b), a, b), f"{name}.layer{li}.w")
+            w = ad.Parameter(ad.glorot_uniform(rng, (a, b)), f"{name}.layer{li}.w")
             bias = ad.Parameter(np.zeros(b), f"{name}.layer{li}.b")
             self.layers.append((w, bias))
 
@@ -143,14 +143,10 @@ class AttentionAggregator:
                  leaky_slope: float = 0.2):
         self.hidden = hidden
         self.leaky_slope = leaky_slope
-        self.w_score = ad.Parameter(
-            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), "competition.attention.w_score")
-        self.v = ad.Parameter(
-            ad.glorot_uniform(rng, (2 * hidden,), 2 * hidden, 1), "competition.attention.v")
-        self.w_value = ad.Parameter(
-            ad.glorot_uniform(rng, (hidden, hidden), hidden, hidden), "competition.attention.w_value")
-        self.w_embed = ad.Parameter(
-            ad.glorot_uniform(rng, (feature_dim, hidden), feature_dim, hidden), "competition.attention.w_embed")
+        self.w_score = ad.Parameter(ad.glorot_uniform(rng, (feature_dim, hidden)), "competition.attention.w_score")
+        self.v = ad.Parameter(ad.glorot_uniform(rng, (2 * hidden,)), "competition.attention.v")
+        self.w_value = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden)), "competition.attention.w_value")
+        self.w_embed = ad.Parameter(ad.glorot_uniform(rng, (feature_dim, hidden)), "competition.attention.w_embed")
         self.b_embed = ad.Parameter(np.zeros(hidden), "competition.attention.b_embed")
 
     def parameters(self) -> list:

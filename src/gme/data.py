@@ -388,10 +388,6 @@ def observable_set(market: Market, t_ref: int, history_days: int, tau_hours: int
     return np.flatnonzero((tau_hours * HOUR < age) & (age < tau_hours * history_days * HOUR))
 
 
-def segment_index(hour: int) -> int:
-    return bisect_right(SEGMENT_STARTS, hour) - 1
-
-
 @dataclass(frozen=True)
 class TargetSet:
     """The projects published in one (local day, intra-day segment) bucket:

@@ -167,10 +167,8 @@ class GatedTreeUpdater:
         self.width = width
 
         def gate(name):
-            w = ad.Parameter(ad.glorot_uniform(rng, (width, width), width, width),
-                             name=f"evolution.updater.{name}.w")
-            u = ad.Parameter(ad.glorot_uniform(rng, (width, width), width, width),
-                             name=f"evolution.updater.{name}.u")
+            w = ad.Parameter(ad.glorot_uniform(rng, (width, width)), name=f"evolution.updater.{name}.w")
+            u = ad.Parameter(ad.glorot_uniform(rng, (width, width)), name=f"evolution.updater.{name}.u")
             return w, u
 
         self.b_agg = ad.Parameter(np.zeros(width), name="evolution.updater.b_agg")

@@ -71,6 +71,10 @@ class TrainConfig:
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
+    def rate(self, epoch: int) -> float:
+        """The learning rate of every step in `epoch`: one decay by `lr_decay` per epoch."""
+        return self.learning_rate * self.lr_decay ** epoch
+
     to_json = config_json
     from_json = classmethod(config_from_json)
 
@@ -170,15 +174,11 @@ class GMEModel:
         self.updater = GatedTreeUpdater(self.tree_width, ad.derive_rng(seed, "init.updater"))
 
         rng = ad.derive_rng(seed, "init.head")
-        self.proj_w = ad.Parameter(
-            ad.glorot_uniform(rng, (self.tree_width, config.hidden), self.tree_width, config.hidden),
-            name="head.proj.w")
+        self.proj_w = ad.Parameter(ad.glorot_uniform(rng, (self.tree_width, config.hidden)), name="head.proj.w")
         self.proj_b = ad.Parameter(np.zeros(config.hidden), name="head.proj.b")
-        self.out_w = ad.Parameter(
-            ad.glorot_uniform(rng, (config.hidden,), config.hidden, 1), name="head.out.w")
+        self.out_w = ad.Parameter(ad.glorot_uniform(rng, (config.hidden,)), name="head.out.w")
         self.out_b = ad.Parameter(np.zeros(1), name="head.out.b")
-        self.aux_w = ad.Parameter(
-            ad.glorot_uniform(rng, (self.tree_width,), self.tree_width, 1), name="head.aux.w")
+        self.aux_w = ad.Parameter(ad.glorot_uniform(rng, (self.tree_width,)), name="head.aux.w")
         self.aux_b = ad.Parameter(np.zeros(1), name="head.aux.b")
 
     def parameters(self) -> list:

@@ -107,8 +107,6 @@ def generate_market(config: SynthConfig):
     # 3. drifting category preferences, one bounded walk per category
     steps = rng.normal(0.0, config.pref_drift, (horizon, n_cats))
     logw = np.clip(np.cumsum(steps, axis=0), -config.pref_bound, config.pref_bound)
-    if config.pref_drift == 0.0:
-        logw[...] = 0.0
     expw = np.exp(logw)
     pref = expw / expw.sum(axis=1, keepdims=True)
 

@@ -23,9 +23,10 @@ TOY_ENCODER = {
 }
 
 
-def build_toy_market(seed: int = 0, n_projects: int = 28, days: int = 10) -> Market:
-    """A dense little market: every helper path gets exercised."""
+def build_toy_market(seed: int) -> Market:
+    """A dense little market of 28 projects over 10 days: every helper path gets exercised."""
     rng = ad.derive_rng(seed, "toy-market")
+    n_projects, days = 28, 10
     categories = ("art", "games", "tech")
     base = 1_600_000_000
     projects = []
@@ -75,15 +76,11 @@ def _pick_context(model, contexts):
     return best
 
 
-def toy_config(ablation: str, quantifier: str, hidden: int = 6, seed: int = 0) -> TrainConfig:
-    return TrainConfig(tau=24, t_h=3, hidden=hidden, quantifier=quantifier,
-                       ablation=ablation, seed=seed, epochs=1, dropout_keep=1.0)
-
-
-def gradcheck_toy(ablation: str, quantifier: str, hidden: int = 6, seed: int = 0) -> dict:
+def gradcheck_toy(ablation: str, quantifier: str, hidden: int, seed: int) -> dict:
     """Finite-difference check of every parameter on a miniature instance."""
     started = time.perf_counter()
-    config = toy_config(ablation, quantifier, hidden=hidden, seed=seed)
+    config = TrainConfig(tau=24, t_h=3, hidden=hidden, quantifier=quantifier,
+                         ablation=ablation, seed=seed, epochs=1, dropout_keep=1.0)
     market = build_toy_market(seed)
     bundle = build_contexts(market, config, encoder_overrides=dict(TOY_ENCODER))
     model = GMEModel(bundle.encoder.feature_dim, config)
@@ -122,4 +119,4 @@ TOY_VARIANTS = (
 
 
 def run_toy_gradchecks(seed: int = 0, hidden: int = 6) -> list:
-    return [gradcheck_toy(a, q, hidden=hidden, seed=seed) for a, q in TOY_VARIANTS]
+    return [gradcheck_toy(a, q, hidden, seed) for a, q in TOY_VARIANTS]

@@ -129,7 +129,6 @@ def train_model(model: GMEModel, train_contexts: Sequence[TargetSetContext]) -> 
         raise ValueError("no training contexts")
     cfg = model.config
     params = model.parameters()
-    schedule = ad.SgdSchedule(cfg.learning_rate, cfg.lr_decay, len(train_contexts))
     dropout_rng = ad.derive_rng(cfg.seed, "dropout")
     history = []
     step = 0
@@ -137,6 +136,7 @@ def train_model(model: GMEModel, train_contexts: Sequence[TargetSetContext]) -> 
         warm_start_heads(model, train_contexts)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
+        rate = cfg.rate(epoch)
         p_sum = l_sum = 0.0
         for ctx in train_contexts:
             with ad.Tape() as tape:
@@ -146,7 +146,7 @@ def train_model(model: GMEModel, train_contexts: Sequence[TargetSetContext]) -> 
                     raise ad.GradientError(
                         f"non-finite loss at step {step} (set {ctx.label})")
                 ad.backward(tape, losses.total)
-            ad.sgd_step(params, schedule, step)
+            ad.sgd_step(params, rate, step)
             step += 1
             p_sum += losses.loss_p
             l_sum += losses.loss_l
@@ -223,15 +223,15 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
     dims = [train_contexts[0].target_features.shape[1], 150, 50, 1]
     mlp = AffineStack(dims, ad.derive_rng(config.seed, "baseline-mlp"), "mlp")
     params = mlp.parameters()
-    schedule = ad.SgdSchedule(config.learning_rate, config.lr_decay, len(train_contexts))
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
+        rate = config.rate(epoch)
         for ctx in train_contexts:
             with ad.Tape() as tape:
                 out = mlp.forward(ctx.target_features)
                 err = ad.mean(ad.absolute(ad.sub(
                     ad.matmul(out, ad.Tensor(np.ones(1))), ad.Tensor(ctx.truths))))
                 ad.backward(tape, err)
-            ad.sgd_step(params, schedule, step)
+            ad.sgd_step(params, rate, step)
             step += 1
     return lambda ctx: mlp.forward(ctx.target_features).data[:, 0]

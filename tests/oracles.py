@@ -17,7 +17,7 @@ from bisect import bisect_right
 import numpy as np
 
 from gme import autodiff as ad
-from gme.data import DataError, hashed_text_embedding
+from gme.data import SEGMENT_STARTS, DataError, hashed_text_embedding
 
 HOUR = 3600
 DAY = 86400
@@ -302,6 +302,11 @@ def encode_project(encoder, project):
         duration,
         goal,
     ])
+
+
+def segment_index(hour):
+    """The intra-day segment of a local hour, one hour at a time."""
+    return bisect_right(SEGMENT_STARTS, hour) - 1
 
 
 def running_set(projects, t):

@@ -425,17 +425,9 @@ def test_unary_gradients_away_from_kinks(op, shape, seed):
 def test_sgd_single_step():
     w = ad.Parameter([1.0], name="w")
     w.grad[...] = 2.0
-    schedule = ad.SgdSchedule(initial_rate=0.02, decay_factor=0.96, decay_every=10)
-    ad.sgd_step([w], schedule, step=0)
+    ad.sgd_step([w], 0.02, step=0)
     np.testing.assert_allclose(w.data, [0.96], atol=1e-15)
     np.testing.assert_array_equal(w.grad, [0.0])
-
-
-def test_sgd_schedule_decay_boundaries():
-    s = ad.SgdSchedule(initial_rate=0.02, decay_factor=0.5, decay_every=3)
-    assert s.rate(0) == s.rate(2) == 0.02
-    assert s.rate(3) == pytest.approx(0.01)
-    assert s.rate(6) == pytest.approx(0.005)
 
 
 def test_sgd_rejects_nonfinite_gradient_atomically():
@@ -444,33 +436,32 @@ def test_sgd_rejects_nonfinite_gradient_atomically():
     w1.grad[...] = 1.0
     w2.grad[...] = np.nan
     with pytest.raises(ad.GradientError, match="w2"):
-        ad.sgd_step([w1, w2], ad.SgdSchedule(), step=0)
+        ad.sgd_step([w1, w2], 0.02, step=0)
     np.testing.assert_array_equal(w1.data, [1.0])  # refused step leaves w1 untouched
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        ad.SgdSchedule(decay_every=0)
-    with pytest.raises(ValueError):
-        ad.SgdSchedule(decay_factor=1.5)
-    with pytest.raises(ValueError):
-        ad.SgdSchedule(initial_rate=0.0)
 
 
 def _mini_training(seed: int) -> np.ndarray:
     rng = ad.derive_rng(seed, "mini")
-    w = ad.Parameter(ad.glorot_uniform(rng, (3, 2), 3, 2), name="w")
+    w = ad.Parameter(ad.glorot_uniform(rng, (3, 2)), name="w")
     b = ad.Parameter(np.zeros(2), name="b")
     xs = rng.normal(0, 1, (10, 4, 3))
     ys = rng.normal(0, 1, (10, 4, 2))
-    schedule = ad.SgdSchedule(0.05, 0.9, 2)
     for step in range(10):
         with ad.Tape() as tape:
             pred = ad.tanh(ad.add(ad.matmul(ad.Tensor(xs[step]), w), b))
             loss = ad.mean(ad.absolute(ad.sub(pred, ad.Tensor(ys[step]))))
         ad.backward(tape, loss)
-        ad.sgd_step([w, b], schedule, step)
+        ad.sgd_step([w, b], 0.05 * 0.9 ** (step // 2), step)
     return np.concatenate([w.data.ravel(), b.data.ravel()])
+
+
+def test_glorot_fans_come_from_the_shape():
+    """An (in, out) matrix draws within sqrt(6 / (in + out)), an (in,) vector within
+    sqrt(6 / (in + 1))."""
+    for shape, bound in (((3, 2), np.sqrt(6 / 5)), ((5,), np.sqrt(6 / 6))):
+        expected = np.random.default_rng(4).uniform(-bound, bound, shape)
+        got = ad.glorot_uniform(np.random.default_rng(4), shape)
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_ten_step_determinism_is_bitwise():

@@ -205,7 +205,7 @@ def bucketed(projects, tz_offset):
     sets = []
     for row, p in enumerate(ordered):
         local = p.published_time + tz_offset  # a Python int: never wraps
-        key = (local // d.DAY, d.segment_index(local % d.DAY // d.HOUR))
+        key = (local // d.DAY, oracles.segment_index(local % d.DAY // d.HOUR))
         if sets and sets[-1][:2] == key:
             sets[-1][2].append(row)
         else:
@@ -263,15 +263,12 @@ class TestSegmentation:
         assert all(type(v) is int for s in sets for v in (s.day, s.segment, s.observation_time))
 
     def test_segment_boundaries(self):
-        assert d.segment_index(0) == 0
-        assert d.segment_index(7) == 0
-        assert d.segment_index(8) == 1
-        assert d.segment_index(11) == 1
-        assert d.segment_index(12) == 2
-        assert d.segment_index(14) == 3
-        assert d.segment_index(17) == 4
-        assert d.segment_index(20) == 5
-        assert d.segment_index(23) == 5
+        # one project a day, so each is its own target set
+        hours = {0: 0, 7: 0, 8: 1, 11: 1, 12: 2, 14: 3, 17: 4, 20: 5, 23: 5}
+        projects = [make_project(pid=f"p{day}", t=day * d.DAY + hour * d.HOUR)
+                    for day, hour in enumerate(hours)]
+        sets = d.segment_target_sets(d.Market(projects, []))
+        assert [s.segment for s in sets] == list(hours.values())
 
 
 class TestEncoder:

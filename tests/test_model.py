@@ -30,8 +30,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"tau": 0}, {"t_h": 0}, {"eta": 1.5}, {"pruning": "none"},
         {"quantifier": "gru"}, {"ablation": "both"}, {"hidden": 0},
-        {"dropout_keep": 0.0}, {"learning_rate": -1.0}, {"lr_decay": 1.5},
-        {"epochs": -1},
+        {"dropout_keep": 0.0}, {"learning_rate": -1.0}, {"learning_rate": 0.0},
+        {"lr_decay": 1.5}, {"epochs": -1},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gme.data import DAY, HOUR, segment_index
+import oracles
+from gme.data import DAY, HOUR
 from gme.synth import SynthConfig, generate_market, write_trace
 
 
@@ -100,7 +101,7 @@ class TestLatentStructure:
 
     def test_launches_cover_all_six_segments(self):
         market, _ = generate_market(SynthConfig(n_projects=400, days=30, seed=3))
-        seen = {segment_index((p.published_time % DAY) // HOUR) for p in market.projects}
+        seen = {oracles.segment_index((p.published_time % DAY) // HOUR) for p in market.projects}
         assert seen == {0, 1, 2, 3, 4, 5}
 
     def test_crowding_suppresses_intake(self):

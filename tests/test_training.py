@@ -338,28 +338,34 @@ class TestTrainLoop:
             train_model(model, [])
 
     def test_epoch_stats_are_mean_per_set_losses(self):
-        config, _, bundle = toy_setup(epochs=1, dropout_keep=1.0)
+        """Two epochs replayed by hand at `config.rate(epoch)`: the same per-epoch mean
+        losses, and the same trained parameters bit for bit, so the rate decays once an
+        epoch."""
+        config, _, bundle = toy_setup(epochs=2, dropout_keep=1.0, lr_decay=0.5)
         model = GMEModel(bundle.encoder.feature_dim, config)
-        manual = []
         probe = GMEModel(bundle.encoder.feature_dim, config)
         history = train_model(model, bundle.train)
-        # replay the same pass by hand on the twin model
-        from gme import autodiff as ad
+        # replay the same passes by hand on the twin model
         from gme.training import warm_start_heads
         warm_start_heads(probe, bundle.train)
         params = probe.parameters()
-        schedule = ad.SgdSchedule(config.learning_rate, config.lr_decay, len(bundle.train))
-        for step, ctx in enumerate(bundle.train):
-            with ad.Tape() as tape:
-                losses = probe.loss(probe.forward(ctx, training=True,
-                                                  dropout_rng=None), ctx)
-                ad.backward(tape, losses.total)
-            ad.sgd_step(params, schedule, step)
-            manual.append((losses.loss_p, losses.loss_l))
-        lp = float(np.mean([m[0] for m in manual]))
-        ll = float(np.mean([m[1] for m in manual]))
-        assert history[0].loss_p == pytest.approx(lp, abs=1e-12)
-        assert history[0].loss_l == pytest.approx(ll, abs=1e-12)
+        step = 0
+        for epoch in range(config.epochs):
+            manual = []
+            for ctx in bundle.train:
+                with ad.Tape() as tape:
+                    losses = probe.loss(probe.forward(ctx, training=True,
+                                                      dropout_rng=None), ctx)
+                    ad.backward(tape, losses.total)
+                ad.sgd_step(params, config.rate(epoch), step)
+                step += 1
+                manual.append((losses.loss_p, losses.loss_l))
+            lp = float(np.mean([m[0] for m in manual]))
+            ll = float(np.mean([m[1] for m in manual]))
+            assert history[epoch].loss_p == pytest.approx(lp, abs=1e-12)
+            assert history[epoch].loss_l == pytest.approx(ll, abs=1e-12)
+        for trained, replayed in zip(model.parameters(), params):
+            np.testing.assert_array_equal(trained.data, replayed.data, err_msg=trained.name)
 
 
 class TestEvaluation:
