@@ -63,10 +63,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_config(args) -> TrainConfig:  # a field with no flag keeps its default
+def _config(cls, args):  # a field with no flag keeps its default
     try:
-        return TrainConfig(**{f.name: getattr(args, f.name)
-                              for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
+        return cls(**{f.name: getattr(args, f.name)
+                      for f in dataclasses.fields(cls) if hasattr(args, f.name)})
     except gd.DataError as exc:  # a flag's value, not the data, is at fault
         raise ValueError(str(exc)) from exc
 
@@ -106,8 +106,7 @@ def _restored_model(args):
         raise gd.DataError(f"{args.checkpoint} was fit on {width} features, but "
                            f"{args.encoder} encodes {encoder.feature_dim}")
     # The config and the encoder size the arrays built below: check them against the checkpoint's.
-    widths = {"head.proj.b": (config.hidden,), "evolution.updater.b_agg": (width + 1,),
-              "competition.prior.layer1.w": (gd.SERIES_HOURS + config.trend_bins, config.hidden)}
+    widths = {"head.proj.b": (config.hidden,), "evolution.updater.b_agg": (width + 1,)}
     for name, shape in widths.items():
         if name not in values or values[name].shape != shape:
             raise gd.DataError(f"{args.checkpoint}: its config and encoder call for a parameter "
@@ -134,8 +133,7 @@ def _select_contexts(bundle, label: str | None):
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(n_projects=args.n, days=args.days, seed=args.seed,
-                         kappa=args.kappa, noise=args.noise)
+    config = _config(SynthConfig, args)
     market, trace = generate_market(config)
     out = _out_dir(args)
     gd.save_projects(out / "projects.jsonl", market.projects)
@@ -156,7 +154,7 @@ def _write_loss_history(path, history) -> None:
 
 
 def cmd_train(args) -> int:
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     market = _load_market(args)
     bundle = build_contexts(market, config)
     model = GMEModel(bundle.encoder.feature_dim, config)
@@ -188,7 +186,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     market = _load_market(args)
     bundle = build_contexts(market, config)
     variants = {}
@@ -235,7 +233,7 @@ def cmd_inspect_attention(args) -> int:
 
 
 def cmd_dump_tree(args) -> int:
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     bundle = build_contexts(_load_market(args), config)
     docs = []
     for ctx in _select_contexts(bundle, args.set):
@@ -310,7 +308,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic market")
-    p.add_argument("--n", type=int, default=SynthConfig.n_projects)
+    p.add_argument("--n", dest="n_projects", type=int, default=SynthConfig.n_projects)
     p.add_argument("--days", type=int, default=SynthConfig.days)
     p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--kappa", type=float, default=SynthConfig.kappa)

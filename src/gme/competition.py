@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import DAY, SERIES_HOURS
+from .data import DAY, SERIES_HOURS, TREND_BINS
 
 PRUNING_MODES = ("unpruned", "cate", "jf", "cate-jf")
 JUST_FUNDED_WINDOW_DAYS = 3
+LEAKY_SLOPE = 0.2  # negative-side slope of the attention scores' leaky rectifier
 
 
 @dataclass
@@ -118,8 +119,8 @@ class PriorQuantifier(AffineStack):
     matches the recurrent quantifier's.
     """
 
-    def __init__(self, hidden: int, rng: np.random.Generator, trend_bins: int = 6):
-        self.input_dim = SERIES_HOURS + trend_bins
+    def __init__(self, hidden: int, rng: np.random.Generator):
+        self.input_dim = SERIES_HOURS + TREND_BINS
         super().__init__([self.input_dim, hidden, hidden, hidden], rng, "competition.prior")
 
     def forward(self, inputs: np.ndarray) -> ad.Tensor:
@@ -139,10 +140,8 @@ class AttentionAggregator:
     with no neighbours falls back to its own embedded features.
     """
 
-    def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator,
-                 leaky_slope: float = 0.2):
+    def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
-        self.leaky_slope = leaky_slope
         self.w_score = ad.Parameter(ad.glorot_uniform(rng, (feature_dim, hidden)), "competition.attention.w_score")
         self.v = ad.Parameter(ad.glorot_uniform(rng, (2 * hidden,)), "competition.attention.v")
         self.w_value = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden)), "competition.attention.w_value")
@@ -160,7 +159,7 @@ class AttentionAggregator:
         v_rival = ad.take_rows(self.v, np.arange(self.hidden, 2 * self.hidden))  # (hidden,)
         target_scores = ad.matmul(ad.matmul(xt, self.w_score), v_target)  # (targets, 1)
         rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_features), self.w_score), v_rival)
-        scores = ad.leaky_relu(ad.add(target_scores, rival_scores), self.leaky_slope)
+        scores = ad.leaky_relu(ad.add(target_scores, rival_scores), LEAKY_SLOPE)
         alpha = ad.softmax(scores, graph.adjacency)
         pooled = ad.matmul(alpha, ad.matmul(rival_states, self.w_value))
         # alpha pools 0 for a target with no rivals; it takes its own embedding instead

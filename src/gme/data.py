@@ -23,6 +23,7 @@ HOUR = 3600
 DAY = 86400
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1  # times are held in int64 columns
 SERIES_HOURS = 24  # length of a rival's hourly funding series
+TREND_BINS = 6  # bins of a rival's achieved-progress trend
 
 # Intra-day segment start hours, chronological. Segment k spans
 # [SEGMENT_STARTS[k], next start); the last segment ends at 24:00.
@@ -358,13 +359,12 @@ def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
     return np.log2(1.0 + np.diff(totals, axis=1)[:, ::-1])
 
 
-def prior_trend(market: Market, rows, t_obs: int, bins: int = 6):
-    """Achieved-progress trend in [0, 1] per row, plus its bin index.
+def prior_trend(market: Market, rows, t_obs: int):
+    """Achieved-progress trend in [0, 1] per row, plus its uint8 bin index.
 
     trend = clamp((raised_so_far / goal) / log2(days_funded + 1), 0, 1) with
-    days_funded = ceil(elapsed days), at least 1.  Bin k of `bins` holds
-    trends in [k / bins, (k + 1) / bins), and the last bin holds 1 as well;
-    indices come in the narrowest unsigned type that holds bins - 1.
+    days_funded = ceil(elapsed days), at least 1.  Bin k of `TREND_BINS` holds
+    trends in [k / TREND_BINS, (k + 1) / TREND_BINS), and the last bin holds 1 as well.
     """
     elapsed = t_obs - market.published[rows]
     if np.any(elapsed < 0):
@@ -373,8 +373,8 @@ def prior_trend(market: Market, rows, t_obs: int, bins: int = 6):
     days = np.maximum(1, -(-elapsed // DAY))
     trend = (market.raised_before(rows, t_obs) / market.goals[rows]) / np.log2(days + 1)
     trend = np.clip(trend, 0.0, 1.0)
-    index = np.minimum(bins - 1, (trend * bins).astype(np.int64))
-    return trend, index.astype(np.min_scalar_type(bins - 1))
+    index = np.minimum(TREND_BINS - 1, (trend * TREND_BINS).astype(np.int64))
+    return trend, index.astype(np.uint8)
 
 
 def running_set(market: Market, t: int) -> np.ndarray:
@@ -417,11 +417,11 @@ def segment_target_sets(market: Market, tz_offset: int = 0) -> list[TargetSet]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def hashed_text_embedding(text: str, dim: int = 50, seed: str = "gme-text-v1") -> np.ndarray:
+def hashed_text_embedding(text: str, dim: int = 50) -> np.ndarray:
     """Deterministic signed bag-of-tokens hash, L2-normalized when non-empty."""
     vec = np.zeros(dim)
     for token in re.findall(r"[a-z0-9]+", text.lower()):
-        digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
+        digest = hashlib.sha256(f"gme-text-v1:{token}".encode("utf-8")).digest()
         index = (digest[0] | (digest[1] << 8)) % dim
         sign = 1.0 if digest[2] & 1 else -1.0
         vec[index] += sign
@@ -457,7 +457,6 @@ class EncoderConfig:
     duration_day_edges: tuple[int, ...] = (16, 31, 46)
     text_mode: str = "hashed"
     text_dim: int = 50
-    text_seed: str = "gme-text-v1"
 
     def __post_init__(self):
         check_fields(self, "EncoderConfig")
@@ -525,7 +524,7 @@ class EncoderConfig:
         if project.text is None and project.vec is not None:
             raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
                             f"(the project carries only 'vec')")
-        return hashed_text_embedding(project.text or "", self.text_dim, self.text_seed)
+        return hashed_text_embedding(project.text or "", self.text_dim)
 
     to_json = config_json
     from_json = classmethod(config_from_json)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .competition import (PRUNING_MODES, AttentionAggregator, CompetitivenessGraph,
                           PriorQuantifier, RecurrentQuantifier)
-from .data import check_fields, config_from_json, config_json
+from .data import TREND_BINS, check_fields, config_from_json, config_json
 from .evolution import GatedTreeUpdater, PropagationTree
 
 QUANTIFIERS = ("recurrent", "prior-mlp")
@@ -39,8 +39,6 @@ class TrainConfig:
     quantifier: str = "recurrent"
     ablation: str = "full"
     hidden: int = 50
-    trend_bins: int = 6
-    leaky_slope: float = 0.2
     dropout_keep: float = 0.9
     learning_rate: float = 0.02
     lr_decay: float = 0.96
@@ -62,8 +60,8 @@ class TrainConfig:
             raise ValueError(f"quantifier must be one of {QUANTIFIERS}, got {self.quantifier!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.hidden < 1 or self.trend_bins < 1:
-            raise ValueError("hidden and trend_bins must be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError(f"dropout_keep must lie in (0, 1], got {self.dropout_keep}")
         if self.learning_rate <= 0 or not 0.0 < self.lr_decay <= 1.0:
@@ -89,7 +87,7 @@ class TargetSetContext:
     through the rows).  The rivals are the projects running at the
     observation time, outside the set, with an edge to at least one target
     under the pruning mode: `graph`'s columns, in `rival_rows` order.
-    `rival_trend_bins[j]` is rival j's trend bin, one of `trend_bins`.
+    `rival_trend_bins[j]` is rival j's trend bin, one of `data.TREND_BINS`.
     `tree.rows[i]` and `tree_amounts[i]` belong to tree node i, and
     `aux_truths[i]` to node `n_roots + i`: the log2-scaled funds that node's
     project collected in the tau hours after the set's observation time.
@@ -105,7 +103,6 @@ class TargetSetContext:
     rival_rows: np.ndarray
     rival_series: np.ndarray
     rival_trend_bins: np.ndarray
-    trend_bins: int
     graph: CompetitivenessGraph
     tree: PropagationTree
     tree_amounts: np.ndarray
@@ -133,8 +130,8 @@ class TargetSetContext:
 
     @property
     def rival_trends(self) -> np.ndarray:
-        """The trend bins as (rivals, trend_bins) float64 one-hot rows."""
-        return np.eye(self.trend_bins)[self.rival_trend_bins]
+        """The trend bins as (rivals, TREND_BINS) float64 one-hot rows."""
+        return np.eye(TREND_BINS)[self.rival_trend_bins]
 
     @property
     def tree_init(self) -> np.ndarray:
@@ -160,17 +157,14 @@ class GMEModel:
     def __init__(self, feature_dim: int, config: TrainConfig):
         if feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-        self.feature_dim = feature_dim
         self.tree_width = feature_dim + 1
         self.config = config
         seed = config.seed
 
         self.recurrent = RecurrentQuantifier(config.hidden, ad.derive_rng(seed, "init.recurrent"))
-        self.prior = PriorQuantifier(config.hidden, ad.derive_rng(seed, "init.prior"),
-                                     trend_bins=config.trend_bins)
+        self.prior = PriorQuantifier(config.hidden, ad.derive_rng(seed, "init.prior"))
         self.attention = AttentionAggregator(feature_dim, config.hidden,
-                                             ad.derive_rng(seed, "init.attention"),
-                                             leaky_slope=config.leaky_slope)
+                                             ad.derive_rng(seed, "init.attention"))
         self.updater = GatedTreeUpdater(self.tree_width, ad.derive_rng(seed, "init.updater"))
 
         rng = ad.derive_rng(seed, "init.head")

@@ -11,7 +11,7 @@ The generator plants exactly the structure the model claims to exploit:
 
 Daily intake for project p on day g (age = g - launch day):
 
-    mu = budget * attract_p * pref[g, cat_p] * (1 + age)^(-decay_shape)
+    mu = budget * attract_p * pref[g, cat_p] * (1 + age)^(-DECAY_SHAPE)
          / (1 + kappa * mass_g / mean_mass)
 
 With noise = 0 each running day emits 6 evenly spaced events of exactly
@@ -28,10 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DAY, Market, ProjectRecord, _Events, config_json
+from .data import DAY, Market, ProjectRecord, _Events, check_fields, config_json
 
 EVENTS_PER_DAY = 6
 HORIZON_PAD_DAYS = 3
+DECAY_SHAPE = 1.2  # power-law decay of daily intake with age
+ATTRACT_SIGMA = 0.2  # log-normal spread of the latent attractiveness
+PREF_BOUND = 1.5  # bound of each category's log-preference walk
+LAUNCH_BURST = 0.8  # step spread of the launch schedule's log-weight walk
+CATEGORIES = ("art", "games", "food", "tech")
+CREATOR_TYPES = ("individual", "company")
+GOALS = (1000.0, 2000.0, 3000.0, 5000.0)
+DURATIONS = (7, 10, 14, 21)
+CURRENCY = "USD"
+START_TIME = 1_700_000_000 - (1_700_000_000 % DAY)
 
 
 @dataclass(frozen=True)
@@ -42,25 +52,16 @@ class SynthConfig:
     kappa: float = 0.6
     noise: float = 0.0
     budget: float = 2500.0
-    decay_shape: float = 1.2
-    attract_sigma: float = 0.2
     pref_drift: float = 0.5
-    pref_bound: float = 1.5
-    launch_burst: float = 0.8
-    categories: tuple = ("art", "games", "food", "tech")
-    creator_types: tuple = ("individual", "company")
-    goals: tuple = (1000.0, 2000.0, 3000.0, 5000.0)
-    durations: tuple = (7, 10, 14, 21)
-    currency: str = "USD"
-    start_time: int = 1_700_000_000 - (1_700_000_000 % DAY)
 
     def __post_init__(self):
+        check_fields(self, "SynthConfig")
         if self.n_projects < 1 or self.days < 2:
             raise ValueError("need n_projects >= 1 and days >= 2")
         if self.kappa < 0 or self.noise < 0:
             raise ValueError("kappa and noise must be non-negative")
-        if self.budget <= 0 or self.decay_shape < 0:
-            raise ValueError("budget must be positive and decay_shape non-negative")
+        if self.budget <= 0:
+            raise ValueError("budget must be positive")
 
     to_json = config_json
 
@@ -68,11 +69,11 @@ class SynthConfig:
 def generate_market(config: SynthConfig):
     """Build (market, trace).  The trace records the latent fields."""
     rng = np.random.default_rng(config.seed)
-    n_cats = len(config.categories)
+    n_cats = len(CATEGORIES)
     horizon = config.days + HORIZON_PAD_DAYS
 
     # 1. bursty launch schedule: log-normal random walk over days
-    walk = np.cumsum(rng.normal(0.0, config.launch_burst, config.days))
+    walk = np.cumsum(rng.normal(0.0, LAUNCH_BURST, config.days))
     weights = np.exp(walk - walk.max())
     counts = rng.multinomial(config.n_projects, weights / weights.sum())
 
@@ -84,18 +85,18 @@ def generate_market(config: SynthConfig):
     for day, count in enumerate(counts):
         for _ in range(count):
             second = int(rng.integers(0, DAY))
-            cat = config.categories[int(rng.integers(0, n_cats))]
-            creator = config.creator_types[int(rng.integers(0, len(config.creator_types)))]
-            goal = float(rng.choice(config.goals))
-            duration = int(rng.choice(config.durations))
-            attract = float(np.exp(rng.normal(0.0, config.attract_sigma)))
+            cat = CATEGORIES[int(rng.integers(0, n_cats))]
+            creator = CREATOR_TYPES[int(rng.integers(0, len(CREATOR_TYPES)))]
+            goal = float(rng.choice(GOALS))
+            duration = int(rng.choice(DURATIONS))
+            attract = float(np.exp(rng.normal(0.0, ATTRACT_SIGMA)))
             pid = f"s{serial:04d}"
             projects.append(ProjectRecord(
                 id=pid,
-                published_time=config.start_time + day * DAY + second,
+                published_time=START_TIME + day * DAY + second,
                 category=cat,
                 creator_type=creator,
-                currency=config.currency,
+                currency=CURRENCY,
                 duration_days=duration,
                 goal=goal,
                 text=f"synthetic {cat} campaign {serial}",
@@ -106,7 +107,7 @@ def generate_market(config: SynthConfig):
 
     # 3. drifting category preferences, one bounded walk per category
     steps = rng.normal(0.0, config.pref_drift, (horizon, n_cats))
-    logw = np.clip(np.cumsum(steps, axis=0), -config.pref_bound, config.pref_bound)
+    logw = np.clip(np.cumsum(steps, axis=0), -PREF_BOUND, PREF_BOUND)
     expw = np.exp(logw)
     pref = expw / expw.sum(axis=1, keepdims=True)
 
@@ -118,7 +119,7 @@ def generate_market(config: SynthConfig):
     mean_mass = float(mass.mean()) or 1.0
     divisor = 1.0 + config.kappa * mass / mean_mass
 
-    cat_index = {c: i for i, c in enumerate(config.categories)}
+    cat_index = {c: i for i, c in enumerate(CATEGORIES)}
 
     # 5. events, project by project, day by day, gathered as columns
     codes, times, amounts = [], [], []
@@ -127,9 +128,9 @@ def generate_market(config: SynthConfig):
         d1 = min(d0 + p.duration_days, horizon)
         for day in range(d0, d1):
             mu = (config.budget * attractiveness[idx] * pref[day, cat_index[p.category]]
-                  * (1.0 + (day - d0)) ** (-config.decay_shape) / divisor[day])
-            lo = max(p.published_time, config.start_time + day * DAY)
-            hi = config.start_time + (day + 1) * DAY
+                  * (1.0 + (day - d0)) ** (-DECAY_SHAPE) / divisor[day])
+            lo = max(p.published_time, START_TIME + day * DAY)
+            hi = START_TIME + (day + 1) * DAY
             base_amount = mu / EVENTS_PER_DAY
             if config.noise == 0.0:
                 times.append(lo + (2 * np.arange(EVENTS_PER_DAY) + 1) * (hi - lo)
@@ -141,6 +142,8 @@ def generate_market(config: SynthConfig):
                 times.append(rng.integers(lo, hi, n_ev))
             codes.append(np.full(times[-1].size, idx))
     events = _Events([p.id for p in projects], *map(np.concatenate, (codes, times, amounts)))
+    if not np.all(np.isfinite(events.amounts) & (events.amounts > 0)):  # its files would not load
+        raise ValueError(f"{config} draws a pledge that is not positive and finite")
 
     trace = {
         "config": config.to_json(),
@@ -150,7 +153,7 @@ def generate_market(config: SynthConfig):
         ],
         "days": [
             {"day": d, "mass": float(mass[d]), "divisor": float(divisor[d]),
-             "preferences": {c: float(pref[d, i]) for i, c in enumerate(config.categories)}}
+             "preferences": {c: float(pref[d, i]) for i, c in enumerate(CATEGORIES)}}
             for d in range(horizon)
         ],
     }

@@ -64,8 +64,7 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         truths=gd.fundraising_target(market, target_rows, config.tau),
         rival_rows=rival_rows.astype(np.int32),
         rival_series=gd.hourly_series(market, rival_rows, t_ref),
-        rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref, config.trend_bins)[1],
-        trend_bins=config.trend_bins,
+        rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref)[1],
         graph=graph,
         tree=tree,
         tree_amounts=init_states(tree, gd.early_stage_amount(market, tree.rows, config.tau)),

@@ -17,6 +17,7 @@ from bisect import bisect_right
 import numpy as np
 
 from gme import autodiff as ad
+from gme.competition import LEAKY_SLOPE
 from gme.data import SEGMENT_STARTS, DataError, hashed_text_embedding
 
 HOUR = 3600
@@ -62,7 +63,7 @@ def attention_pool(attn, x_target, rival_features, rival_states, cols):
     w, v = attn.w_score.data, attn.v.data
     scores = np.asarray([
         v @ np.concatenate([x_target @ w, rival_features[i] @ w]) for i in cols])
-    act = _leaky(scores, attn.leaky_slope)
+    act = _leaky(scores, LEAKY_SLOPE)
     weights = np.exp(act) / np.exp(act).sum()
     pooled = np.zeros(attn.hidden)
     for a, i in zip(weights, cols):
@@ -289,7 +290,7 @@ def encode_project(encoder, project):
         if project.text is None and project.vec is not None:
             raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
                             f"(the project carries only 'vec')")
-        text = hashed_text_embedding(project.text or "", encoder.text_dim, encoder.text_seed)
+        text = hashed_text_embedding(project.text or "", encoder.text_dim)
     duration = np.zeros(encoder.duration_bins)
     duration[bisect_right(encoder.duration_day_edges, project.duration_days)] = 1.0
     goal = np.zeros(encoder.goal_bins)

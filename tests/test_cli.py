@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import argparse
 import base64
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from gme.data import InvestmentEvent, Market
 from gme.model import TrainConfig
 from gme.training import build_contexts
@@ -88,11 +90,11 @@ class TestSynth:
         (["--n", "200", "--days", "30", "--seed", "4", "--noise", "0.3"],
          ["a296955d5fcacdfffb6453677a90a053757e86e7db9e58ba670da070e42d5ddb",
           "a72755b48405b2313795140ec04029e2ab441f1df9bd929f2da94269798a6f82",
-          "e193a201d38f1c39c58110aeccc551482d8dda9c3f70183cafe7b4bc30e2bef2"]),
+          "39d5d1bf83bf9378f3ff905b8e07753920cb6cdc3573013a3a1102270cabae08"]),
         (["--n", "60", "--days", "10", "--seed", "1"],
          ["bd21ede848a2ca9d545a0dcf17ead44ddc4e413abd5d8dac6f6bce86cb39a6b8",
           "96231be911a54b45c735cd3a94de21d86845b1e05738b8df8b6f4628eb9f176c",
-          "0f0a5a65be7d873b6e70c5b5116c45212d6c1d1d19f93807831130d8306c7c2e"]),
+          "f1a7ea55de20381b136a241cca85a70d057cccc3fb2998336ca0e2fc1c7be65e"]),
     ], ids=["noise", "no-noise"])
     def test_writes_pinned_bytes_without_investment_events(self, tmp_path, monkeypatch, flags,
                                                            digests):
@@ -105,6 +107,16 @@ class TestSynth:
         assert main(["synth", *flags, "--out", str(tmp_path)]) == EXIT_OK
         assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("projects.jsonl", "investments.jsonl", "trace.jsonl")] == digests
+
+    @pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--kappa", "inf"),
+                                             ("--noise", "inf"), ("--kappa", "1e308")])
+    def test_market_that_would_not_load_is_usage_error(self, tmp_path, capsys, flag, value):
+        """A value refused by the config, or whose pledges are not positive and finite,
+        writes no market."""
+        code = main(["synth", "--n", "60", "--days", "5", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: SynthConfig")
+        assert not (tmp_path / "investments.jsonl").exists()
 
 
 class TestTrain:
@@ -207,28 +219,30 @@ class TestEval:
         ("checkpoint.json", lambda doc: _edit_first_parameter(doc, data=5)),
         ("encoder.json", lambda doc: {**doc, "text_dim": "50"}),
         ("encoder.json", lambda doc: {**doc, "goal_log2_edges": ["7", "8"]}),
-        ("encoder.json", lambda doc: {**doc, "text_seed": 5}),
+        ("encoder.json", lambda doc: {**doc, "text_mode": 5}),
         ("encoder.json", lambda doc: {**doc, "goal_log2_edges": [7.0, 10**400]}),
         ("checkpoint.json", lambda doc: {**doc, "version": True}),
         ("checkpoint.json", _repeat_aux_bias),
         ("checkpoint.json", lambda doc: _edit_config(doc, t_h=1.5)),
         ("checkpoint.json", lambda doc: _edit_config(doc, hidden=10**20)),
         ("checkpoint.json", lambda doc: _edit_config(doc, tz_offset=True)),
-        ("checkpoint.json", lambda doc: _edit_config(doc, leaky_slope=10**400)),
+        ("checkpoint.json", lambda doc: _edit_config(doc, eta=10**400)),
         ("checkpoint.json", lambda doc: _edit_config(doc, ablation=None)),
         ("encoder.json", lambda doc: {**doc, "goal_log2_edges": [*doc["goal_log2_edges"][:-1],
                                                                  float("nan")]}),
-        ("encoder.json", lambda doc: {**doc, "text_sed": doc["text_seed"]}),
+        ("encoder.json", lambda doc: {**doc, "text_mod": doc["text_mode"]}),
+        # a field written before the trend bins and the text seed were fixed
+        ("checkpoint.json", lambda doc: _edit_config(doc, trend_bins=6)),
+        ("encoder.json", lambda doc: {**doc, "text_seed": "gme-text-v1"}),
         # widths no machine could allocate: refused before the model is built
         ("checkpoint.json", lambda doc: _edit_config(doc, hidden=10**12)),
-        ("checkpoint.json", lambda doc: _edit_config(doc, trend_bins=10**15)),
     ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
-            "data-number", "text_dim-string", "goal-edges-strings", "text_seed-number",
+            "data-number", "text_dim-string", "goal-edges-strings", "text_mode-number",
             "goal-edge-huge",
             "version-true", "parameter-twice", "config-t_h-float", "config-hidden-huge",
-            "config-tz_offset-true", "config-slope-huge", "config-ablation-missing",
-            "goal-edge-nan-last", "encoder-unknown-key", "config-hidden-large",
-            "config-trend-bins-large"])
+            "config-tz_offset-true", "config-eta-huge", "config-ablation-missing",
+            "goal-edge-nan-last", "encoder-unknown-key", "config-trend_bins-old",
+            "encoder-text_seed-old", "config-hidden-large"])
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
                                                           trained_dir, capsys, command,
@@ -456,6 +470,13 @@ class TestExitCodes:
         for flag, value in (("--eta", "1.5"), ("--learning-rate", "inf"), ("--seed", str(2**64))):
             code = main(["train", *_data_flags(market_dir), flag, value, "--out", str(tmp_path)])
             assert code == EXIT_USAGE, flag
+
+    def test_every_train_config_field_is_a_flag_of_train(self):
+        """A field that no flag sets is a setting no run can change; it belongs in a constant."""
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in subcommands.choices["train"]._actions}
+        assert {f.name for f in dataclasses.fields(TrainConfig)} - flags == set()
 
     def test_unknown_flag_rejected(self, tmp_path, market_dir):
         with pytest.raises(SystemExit) as exc:

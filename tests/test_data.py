@@ -106,8 +106,8 @@ class TestEarlyStageAmount:
         assert d.early_stage_amount(market, [0], 24)[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def trend_of(p, pairs, t_obs, bins=6):
-    trend, index = d.prior_trend(market_of(pairs, p), [0], t_obs, bins)
+def trend_of(p, pairs, t_obs):
+    trend, index = d.prior_trend(market_of(pairs, p), [0], t_obs)
     return trend[0], index[0]
 
 
@@ -125,17 +125,10 @@ class TestPriorTrend:
         assert trend == 1.0
         assert index == 5  # the last of six bins holds 1.0 too
 
-    def test_bin_with_five_bins(self):
-        p = make_project(goal=100.0)
-        t_obs = p.published_time + 6 * d.HOUR
-        trend, index = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=5)
-        assert trend == pytest.approx(0.1, abs=1e-12)
-        assert index == 0
-
     def test_bin_with_six_bins(self):
         p = make_project(goal=100.0)
         t_obs = p.published_time + 6 * d.HOUR
-        _, index = trend_of(p, [(p.published_time + 1, 10.0)], t_obs, bins=6)
+        _, index = trend_of(p, [(p.published_time + 1, 10.0)], t_obs)
         assert index == 0
 
     def test_days_funded_rounds_up(self):
@@ -726,7 +719,7 @@ def encoders_and_projects(draw):
         **{vocab: draw(VOCABULARY) for vocab, _ in d.VOCABULARY_BLOCKS},
         goal_log2_edges=tuple(sorted(draw(GOAL_EDGES))),
         duration_day_edges=tuple(sorted(draw(st.sets(st.integers(1, 8), max_size=3)))),
-        text_mode=text_mode, text_dim=text_dim, text_seed=draw(st.sampled_from(["s", "gme-text-v1"])))
+        text_mode=text_mode, text_dim=text_dim)
     vec = st.lists(FINITE, min_size=text_dim, max_size=text_dim).map(tuple)
     text = st.text(max_size=12)
     if draw(st.booleans()):  # a project may lack the text form in use

@@ -154,14 +154,14 @@ def test_contexts_hold_edges_bins_and_the_records_ids(synth_contexts):
         assert not set(tree.dropped_ids) & {p.id for p in market.projects[tree.rows]}
 
 
-@pytest.mark.parametrize("bins", [6, 5, 300])
+@pytest.mark.parametrize("bins", [6])
 def test_rival_trends_are_one_hot_rows_of_the_bins(synth_contexts, bins):
     market, _ = synth_contexts
-    bundle = build_contexts(market, TrainConfig(t_h=2, trend_bins=bins))
+    bundle = build_contexts(market, TrainConfig(t_h=2))
     for ctx in (*bundle.train, *bundle.test):
-        index = gd.prior_trend(market, ctx.rival_rows, ctx.observation_time, bins)[1]
+        index = gd.prior_trend(market, ctx.rival_rows, ctx.observation_time)[1]
         np.testing.assert_array_equal(ctx.rival_trend_bins, index)
-        assert ctx.rival_trend_bins.itemsize == (1 if bins <= 256 else 2)
+        assert ctx.rival_trend_bins.itemsize == 1
         trends = ctx.rival_trends
         assert trends.dtype == np.float64 and trends.shape == (ctx.rival_rows.size, bins)
         assert np.array_equal(trends, np.eye(bins)[index])
@@ -216,7 +216,7 @@ def test_rivals_without_an_edge_change_no_prediction_or_gradient(quantifier, abl
         t = ctx.observation_time
         full = dataclasses.replace(
             ctx, rival_rows=rows, rival_series=gd.hourly_series(market, rows, t),
-            rival_trend_bins=gd.prior_trend(market, rows, t, config.trend_bins)[1], graph=graph)
+            rival_trend_bins=gd.prior_trend(market, rows, t)[1], graph=graph)
         widened += len(rows) > len(ctx.rival_rows)
         (pred, grads, alpha), (pred_full, grads_full, alpha_full) = scored(ctx), scored(full)
         reached += any(np.any(g) for p, g in zip(params, grads) if p.name.startswith("competition."))
