@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gme.data import DAY, HOUR, DataError
+from gme.data import DAY, HOUR
 from gme.synth import DURATIONS, GOALS, SynthConfig, generate_market, write_trace
 
 
@@ -130,13 +130,6 @@ class TestLatentStructure:
             SynthConfig(kappa=-0.1)
         with pytest.raises(ValueError):
             SynthConfig(budget=0.0)
-
-    def test_configs_and_pledges_that_would_not_load_are_refused(self):
-        with pytest.raises(DataError, match="must be finite"):
-            SynthConfig(noise=float("inf"))
-        for changes in (dict(kappa=1e308), dict(budget=1e-320)):  # pledges of 0.0
-            with pytest.raises(ValueError, match="not positive and finite"):
-                generate_market(small_config(**changes))
 
     def test_goal_grid_and_duration_grid_respected(self):
         market, _ = generate_market(small_config())
