@@ -324,7 +324,7 @@ class Market:
     def raised_before(self, rows, t) -> np.ndarray:
         """Funds each row raised strictly before t; rows and t broadcast together."""
         rows = np.asarray(rows, dtype=np.int64)
-        t = np.clip(t, self._t0, self._t0 + self._span - 1)
+        t = np.minimum(np.maximum(t, self._t0), self._t0 + self._span - 1)  # np.clip costs 3-4x more
         i = np.searchsorted(self._keys, rows * self._span + (t - self._t0), side="left")
         return self._prefix[i + rows]
 
@@ -372,7 +372,7 @@ def prior_trend(market: Market, rows, t_obs: int):
         raise DataError(f"project {pid}: observation predates publication")
     days = np.maximum(1, -(-elapsed // DAY))
     trend = (market.raised_before(rows, t_obs) / market.goals[rows]) / np.log2(days + 1)
-    trend = np.clip(trend, 0.0, 1.0)
+    trend = np.minimum(np.maximum(trend, 0.0), 1.0)  # not NaN: goals are positive, the divisor >= 1
     index = np.minimum(TREND_BINS - 1, (trend * TREND_BINS).astype(np.int64))
     return trend, index.astype(np.uint8)
 

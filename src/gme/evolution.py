@@ -64,10 +64,14 @@ def build_propagation_tree(targets, observables, t_h: int, tau_hours: int, *,
 
     Runs t_h attachment iterations over candidates in row order, which is
     (published_time, id) order, whatever order they are given in.  A
-    candidate child c may attach to a node p already in the tree when
-    tau < T_p - T_c < 2*tau (strict, in hours).  Parents are always drawn
-    from the tree as it stood when the iteration began, so nodes attached
-    in the same sweep cannot parent each other.
+    candidate c may attach to a node p when tau < T_p - T_c < 2*tau
+    (strict, in hours).  That test reads launch times only, so a candidate
+    left when iteration k begins fitted no node older than iteration k-1:
+    it can fit only the frontier, the nodes attached in iteration k-1 (the
+    roots when k = 1), and nodes attached in one sweep never parent each
+    other.  In the frontier's (launch time, node number) order, c's fits
+    are one run.  Iteration 1 attaches c to every root in it; later ones
+    to its first node, the smallest gap and on a tie the lowest node number.
     """
     if not len(targets):
         raise ValueError("tree needs at least one root")
@@ -85,20 +89,25 @@ def build_propagation_tree(targets, observables, t_h: int, tau_hours: int, *,
 
     depth = np.zeros(nodes.size, dtype=np.int64)
     edges = np.zeros((2, 0), dtype=np.int64)  # (parent, child) node numbers
+    frontier = np.argsort(times[nodes], kind="stable")  # node numbers in (time, node) order
     for k in range(1, t_h + 1):
         if not remaining.size:
             break
-        # gaps[c, p]: how long before tree node p candidate c launched
-        gaps = times[nodes][None, :] - times[remaining][:, None]
-        fits = (gaps > tau_s) & (gaps < 2 * tau_s)
-        if k > 1:  # later iterations keep the first smallest-gap parent
-            best = np.where(fits, gaps, np.iinfo(np.int64).max).argmin(axis=1)
-            fits &= np.arange(nodes.size) == best[:, None]
-        attached = fits.any(axis=1)
-        child, parent = np.nonzero(fits[attached])
-        edges = np.concatenate([edges, [parent, nodes.size + child]], axis=1)
+        # c fits the frontier's run [lo, hi): T_c + tau + 1 <= T_p < T_c + 2*tau, in int64 seconds
+        lo, hi = np.searchsorted(times[nodes[frontier]], times[remaining] + [[tau_s + 1], [2 * tau_s]])
+        attached = lo < hi
+        level = nodes.size + np.arange(np.count_nonzero(attached))  # node numbers of the new nodes
+        if k == 1:  # every root in the run, listed by node number
+            runs = (hi - lo)[attached]
+            child = np.repeat(level, runs)
+            parent = frontier[np.arange(child.size) + np.repeat(lo[attached] + runs - np.cumsum(runs), runs)]
+            parent = parent[np.lexsort((parent, child))]
+        else:
+            parent, child = frontier[lo[attached]], level
+        frontier = level  # remaining is in row order, so this is (time, node) order already
+        edges = np.concatenate([edges, [parent, child]], axis=1)
         nodes = np.concatenate([nodes, remaining[attached]])
-        depth = np.concatenate([depth, np.full(np.count_nonzero(attached), k, dtype=np.int64)])
+        depth = np.concatenate([depth, np.full(frontier.size, k, dtype=np.int64)])
         remaining = remaining[~attached]
 
     return PropagationTree(

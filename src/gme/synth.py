@@ -60,6 +60,8 @@ class SynthConfig:
             raise ValueError("need n_projects >= 1 and days >= 2")
         if self.kappa < 0 or self.noise < 0:
             raise ValueError("kappa and noise must be non-negative")
+        if self.noise * self.noise == float("inf"):  # noise ** 2 would raise OverflowError
+            raise ValueError(f"{self} has a noise whose square is past the float range")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
 
@@ -117,7 +119,8 @@ def generate_market(config: SynthConfig):
         d1 = min(launch_day[idx] + p.duration_days, horizon)
         mass[launch_day[idx]:d1] += attractiveness[idx]
     mean_mass = float(mass.mean()) or 1.0
-    divisor = 1.0 + config.kappa * mass / mean_mass
+    with np.errstate(over="ignore"):  # a kappa that overflows here draws pledges of 0.0, refused below
+        divisor = 1.0 + config.kappa * mass / mean_mass
 
     cat_index = {c: i for i, c in enumerate(CATEGORIES)}
 

@@ -108,11 +108,13 @@ class TestSynth:
         assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("projects.jsonl", "investments.jsonl", "trace.jsonl")] == digests
 
-    @pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--kappa", "inf"),
-                                             ("--noise", "inf"), ("--kappa", "1e308")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--kappa", "nan"), ("--kappa", "inf"), ("--noise", "inf"), ("--noise", "1e200"),
+        pytest.param("--kappa", "1e308", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    ])
     def test_market_that_would_not_load_is_usage_error(self, tmp_path, capsys, flag, value):
         """A value refused by the config, or whose pledges are not positive and finite,
-        writes no market."""
+        writes no market, and a kappa that overflows the crowding divisor warns of nothing."""
         code = main(["synth", "--n", "60", "--days", "5", flag, value, "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: SynthConfig")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from gme import autodiff as ad
 from gme import evolution as evo
-from gme.data import HOUR, Market, ProjectRecord
+from gme.data import HOUR, Market, ProjectRecord, observable_set, segment_target_sets
+from gme.model import TrainConfig
+from gme.synth import SynthConfig, generate_market
 
 T0 = 1_600_000_000
 
@@ -235,23 +237,42 @@ def test_growth_invariants_hold_on_random_markets():
     assert total_nodes > 500  # the sweep actually grew trees
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), t_h=st.integers(1, 7), tau=st.sampled_from([24, 48]))
-def test_growth_matches_per_candidate_reference(data, t_h, tau):
-    # launch hours on a 12 h grid, so equal times, equal gaps and window edges recur
-    hours = st.integers(0, tau * t_h // 12).map(lambda k: 12 * k)
-    roots = data.draw(st.lists(hours, min_size=1, max_size=3))
-    observed = data.draw(st.lists(hours, max_size=12))
-    targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
-    obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
-    tree = grow(targets, obs, t_h, tau)
+def assert_grows_reference_tree(tree, market, targets, obs, t_h, tau):
+    """`tree`, grown over `market`, is the one `oracles.grow_tree` grows one candidate at a time."""
     ids, node_times, depth, edges, dropped = oracles.grow_tree(targets, obs, t_h, tau)
-    assert node_ids(tree, targets + obs) == ids
+    assert tuple(p.id for p in market.projects[tree.rows]) == ids
     assert tree.dropped_ids == dropped
     np.testing.assert_array_equal(tree.node_times, node_times)
     np.testing.assert_array_equal(tree.depth, depth)
     np.testing.assert_array_equal(tree.edges, edges)
     assert tree.depth.dtype == depth.dtype
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), t_h=st.integers(1, 7), tau=st.sampled_from([1, 24, 48]))
+def test_growth_matches_per_candidate_reference(data, t_h, tau):
+    # launches on a tau/4 grid, so equal times, equal gaps and window edges recur
+    seconds = st.integers(0, 4 * t_h).map(lambda k: k * tau * HOUR // 4)
+    roots = data.draw(st.lists(seconds, min_size=1, max_size=8))
+    observed = data.draw(st.lists(seconds, max_size=40))
+    targets = [make_project(f"t{i}", T0 - s) for i, s in enumerate(roots)]
+    obs = [make_project(f"o{i}", T0 - s) for i, s in enumerate(observed)]
+    tree = grow(targets, obs, t_h, tau)
+    assert_grows_reference_tree(tree, Market(targets + obs, []), targets, obs, t_h, tau)
+
+
+def test_synth_market_trees_match_per_candidate_reference():
+    """Every target set of the seed-0 800-project, 60-day market, as `build_context` grows it."""
+    market, _ = generate_market(SynthConfig(n_projects=800, days=60, seed=0))
+    t_h, tau = TrainConfig.t_h, TrainConfig.tau
+    sets = segment_target_sets(market, TrainConfig.tz_offset)
+    for ts in sets:
+        targets = np.arange(ts.rows.start, ts.rows.stop)
+        obs = observable_set(market, ts.observation_time, t_h, tau)
+        tree = evo.build_propagation_tree(targets, obs, t_h, tau, market=market)
+        assert_grows_reference_tree(tree, market, list(market.projects[targets]),
+                                    list(market.projects[obs]), t_h, tau)
+    assert len(sets) == 95
 
 
 class TestInitStates:

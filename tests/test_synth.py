@@ -131,6 +131,12 @@ class TestLatentStructure:
         with pytest.raises(ValueError):
             SynthConfig(budget=0.0)
 
+    def test_budget_whose_pledges_underflow_is_refused(self):
+        """A positive budget so small that every pledge rounds to 0.0 would write
+        a market that does not load."""
+        with pytest.raises(ValueError, match="not positive and finite"):
+            generate_market(SynthConfig(n_projects=60, days=5, budget=1e-320))
+
     def test_goal_grid_and_duration_grid_respected(self):
         market, _ = generate_market(small_config())
         assert {p.goal for p in market.projects} <= set(GOALS)
