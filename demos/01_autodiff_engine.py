@@ -23,8 +23,8 @@ params = [w1, b1, w2, b2]
 
 def loss_value():
     h = ad.tanh(ad.add(ad.matmul(ad.Tensor(x), w1), b1))
-    err = ad.sub(ad.add(ad.matmul(h, w2), b2), ad.Tensor(y))
-    return ad.mean(ad.mul(err, err))
+    err = ad.add(ad.add(ad.matmul(h, w2), b2), ad.Tensor(-y))
+    return ad.matmul(ad.mul(err, err), ad.Tensor(np.full(len(y), 1 / len(y))))  # the mean
 
 # --- gradient fidelity ----------------------------------------------------
 worst = ad.grad_check(loss_value, params, epsilon=1e-6)

@@ -28,7 +28,6 @@ __all__ = [
     "Tape",
     "backward",
     "add",
-    "sub",
     "mul",
     "matmul",
     "take_rows",
@@ -39,8 +38,7 @@ __all__ = [
     "tree_gru",
     "softmax",
     "dropout",
-    "absolute",
-    "mean",
+    "l1_loss",
     "sgd_step",
     "grad_check",
     "glorot_uniform",
@@ -191,14 +189,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("sub", a, b)
-    out = Tensor(a.data - b.data)
-    sa, sb = a.data.shape, b.data.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise("mul", a, b)
@@ -265,7 +255,7 @@ def relu(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
-def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(x, negative_slope: float) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.where(x.data > 0.0, x.data, negative_slope * x.data))
     scale = np.where(x.data > 0.0, 1.0, negative_slope)
@@ -515,20 +505,20 @@ def dropout(x, keep_prob: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
-def absolute(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.abs(x.data))
-    s = np.sign(x.data)
-    return _record(out, (x,), lambda g: (g * s,))
+def l1_loss(pred, truth) -> Tensor:
+    """Mean |pred - truth| as one tape node; `truth` is a constant of exactly pred's shape.
 
-
-def mean(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.size == 0:
-        raise ShapeError("mean: empty input")
-    out = Tensor(x.data.mean())
-    shape, n = x.data.shape, x.data.size
-    return _record(out, (x,), lambda g: (np.full(shape, float(g) / n),))
+    Its backward, sign(pred - truth) * (g / n), is the product that taped
+    subtraction, absolute value and mean form in turn, so value and gradient
+    equal that chain's bit for bit.
+    """
+    pred, truth = _as_tensor(pred), np.asarray(truth, dtype=np.float64)
+    if pred.data.shape != truth.shape or not truth.size:
+        raise ShapeError(f"l1_loss: prediction of shape {pred.data.shape} needs a non-empty "
+                         f"truth of the same shape, got {truth.shape}")
+    diff = pred.data - truth
+    out = Tensor(np.abs(diff).mean())
+    return _record(out, (pred,), lambda g: (np.sign(diff) * (float(g) / diff.size),))
 
 
 def sgd_step(params, rate: float, step: int) -> None:
@@ -647,12 +637,12 @@ def load_checkpoint(path):
         if not (type(entry) is dict and type(entry.get("name")) is str
                 and type(entry.get("shape")) is list
                 and all(type(n) is int and n >= 0 for n in entry["shape"])
-                and type(entry.get("data")) is str):
-            raise ValueError(f"parameter entry {i} in {path} needs a string 'name', a 'shape' "
-                             f"list of non-negative integers and a base64 string 'data'")
+                and entry.get("dtype") == "float64" and type(entry.get("data")) is str):
+            raise ValueError(f"parameter entry {i} in {path} needs a string 'name', a 'shape' list "
+                             f"of non-negative integers, 'dtype' \"float64\" and base64 'data'")
         if entry["name"] in values:
             raise ValueError(f"parameter {entry['name']!r} appears twice in {path}")
-        raw = base64.b64decode(entry["data"])
+        raw = base64.b64decode(entry["data"], validate=True)
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         values[entry["name"]] = arr
     return values, meta

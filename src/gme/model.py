@@ -243,13 +243,13 @@ class GMEModel:
         alone; a tree with no non-root nodes contributes a zero auxiliary
         term but keeps the eta weighting.
         """
-        pred_err = ad.mean(ad.absolute(ad.sub(result.pred, ad.Tensor(ctx.truths))))
+        pred_err = ad.l1_loss(result.pred, ctx.truths)
         if self.config.ablation == "pcm-only":
             return LossResult(pred_err, float(pred_err.data), 0.0)
         eta = self.config.eta
         if result.aux_pred is None:
             return LossResult(ad.mul(pred_err, eta), float(pred_err.data), 0.0)
-        aux_err = ad.mean(ad.absolute(ad.sub(result.aux_pred, ad.Tensor(ctx.aux_truths))))
+        aux_err = ad.l1_loss(result.aux_pred, ctx.aux_truths)
         total = ad.add(ad.mul(pred_err, eta), ad.mul(aux_err, 1.0 - eta))
         return LossResult(total, float(pred_err.data), float(aux_err.data))
 

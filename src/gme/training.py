@@ -228,8 +228,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
         for ctx in train_contexts:
             with ad.Tape() as tape:
                 out = mlp.forward(ctx.target_features)
-                err = ad.mean(ad.absolute(ad.sub(
-                    ad.matmul(out, ad.Tensor(np.ones(1))), ad.Tensor(ctx.truths))))
+                err = ad.l1_loss(out, ctx.truths[:, None])
                 ad.backward(tape, err)
             ad.sgd_step(params, rate, step)
             step += 1

@@ -164,6 +164,32 @@ def piecewise_sigmoid(d):
     return y
 
 
+def sub(a, b):
+    """Taped broadcasting subtraction: with `absolute` and `mean`, the per-op form of `ad.l1_loss`."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check_elementwise("sub", a, b)
+    out = ad.Tensor(a.data - b.data)
+    sa, sb = a.data.shape, b.data.shape
+    return ad._record(out, (a, b), lambda g: (ad._unbroadcast(g, sa), ad._unbroadcast(-g, sb)))
+
+
+def absolute(x):
+    x = ad._as_tensor(x)
+    out = ad.Tensor(np.abs(x.data))
+    s = np.sign(x.data)
+    return ad._record(out, (x,), lambda g: (g * s,))
+
+
+def mean(x):
+    """Taped mean of every entry; the tests' scalarizer."""
+    x = ad._as_tensor(x)
+    if x.data.size == 0:
+        raise ad.ShapeError("mean: empty input")
+    out = ad.Tensor(x.data.mean())
+    shape, n = x.data.shape, x.data.size
+    return ad._record(out, (x,), lambda g: (np.full(shape, float(g) / n),))
+
+
 def sigmoid(x):
     """Taped logistic function, as the fused ops compute it."""
     x = ad._as_tensor(x)
@@ -221,7 +247,7 @@ def taped_rollup(states, levels, b_agg, gates):
         z = sigmoid(ad.add(ad.matmul(agg, w_z), ad.matmul(h, u_z)))
         r = sigmoid(ad.add(ad.matmul(agg, w_r), ad.matmul(h, u_r)))
         cand = ad.tanh(ad.add(ad.matmul(agg, w_c), ad.matmul(ad.mul(r, h), u_c)))
-        h_all = row_update(h_all, rows, ad.add(ad.sub(h, ad.mul(z, h)), ad.mul(z, cand)))
+        h_all = row_update(h_all, rows, ad.add(sub(h, ad.mul(z, h)), ad.mul(z, cand)))
     return h_all
 
 

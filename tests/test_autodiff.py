@@ -41,7 +41,7 @@ def test_backward_linear_map():
 def test_backward_relu_dead_branch_gets_zero():
     w = ad.Parameter([-1.0], name="w")
     with ad.Tape() as tape:
-        loss = ad.mean(ad.relu(w))
+        loss = oracles.mean(ad.relu(w))
     ad.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, [0.0])
 
@@ -50,7 +50,7 @@ def test_backward_visits_each_node_once_and_accumulates_reuse():
     # y = w*w uses w twice; gradient must sum both paths: d(w^2)/dw = 2w
     w = ad.Parameter([1.5], name="w")
     with ad.Tape() as tape:
-        loss = ad.mean(ad.mul(w, w))
+        loss = oracles.mean(ad.mul(w, w))
     assert len(tape) == 2
     ad.backward(tape, loss)
     np.testing.assert_allclose(w.grad, [3.0], atol=1e-15)
@@ -68,7 +68,7 @@ def test_unreachable_parameter_keeps_zero_gradient():
     used = ad.Parameter([2.0], name="used")
     unused = ad.Parameter([5.0], name="unused")
     with ad.Tape() as tape:
-        loss = ad.mean(ad.mul(used, used))
+        loss = oracles.mean(ad.mul(used, used))
     ad.backward(tape, loss)
     np.testing.assert_array_equal(unused.grad, [0.0])
 
@@ -102,7 +102,7 @@ class TestGradCheckOracle:
         w = ad.Parameter([3.0], name="w")
 
         def loss():
-            return ad.mean(ad.mul(ad.mul(w, w), 0.5))
+            return oracles.mean(ad.mul(ad.mul(w, w), 0.5))
 
         assert ad.grad_check(loss, [w]) < 1e-8
 
@@ -130,8 +130,8 @@ class TestGradCheckOracle:
                 ad.add(ad.matmul(queries, v_query), ad.matmul(keys, v_key)), 0.2)
             alpha = ad.softmax(score, mask)
             pooled = ad.matmul(alpha, keys)
-            mixed = ad.add(ad.mul(pooled, v_key), ad.mean(top))
-            return ad.mean(ad.absolute(ad.sub(mixed, ad.Tensor(target))))
+            mixed = ad.add(ad.mul(pooled, v_key), oracles.mean(top))
+            return oracles.mean(oracles.absolute(oracles.sub(mixed, ad.Tensor(target))))
 
         params = [w1, b1, w2, v]
         assert ad.grad_check(loss, params) < 1e-4
@@ -141,7 +141,7 @@ class TestGradCheckOracle:
 
         def loss():
             rng = np.random.default_rng(123)  # re-seeded closure keeps the mask fixed
-            return ad.mean(ad.dropout(ad.mul(w, w), 0.5, rng))
+            return oracles.mean(ad.dropout(ad.mul(w, w), 0.5, rng))
 
         assert ad.grad_check(loss, [w]) < 1e-7
 
@@ -165,10 +165,10 @@ def test_softmax_extreme_logits_stay_finite():
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
-       op=st.sampled_from([ad.add, ad.sub, ad.mul]),
+       op=st.sampled_from([ad.add, oracles.sub, ad.mul]),
        seed=st.integers(0, 2**32 - 1))
 @example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=ad.add, seed=0)
-@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=ad.sub, seed=1)
+@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=oracles.sub, seed=1)
 @example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=ad.mul, seed=2)
 def test_elementwise_gradients_under_broadcasting(shapes, op, seed):
     rng = np.random.default_rng(seed)
@@ -180,7 +180,7 @@ def test_elementwise_gradients_under_broadcasting(shapes, op, seed):
 
     def loss():
         out = op(a, b)
-        return ad.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [a, b]) < 1e-4
 
@@ -211,7 +211,7 @@ def test_masked_softmax_properties(case, seed):
         return  # no entries, nothing to differentiate
     x = ad.Parameter(scores.copy(), name="scores")
     weight = rng.normal(0, 1, scores.shape)
-    assert ad.grad_check(lambda: ad.mean(ad.mul(ad.softmax(x, mask), weight)), [x]) < 1e-4
+    assert ad.grad_check(lambda: oracles.mean(ad.mul(ad.softmax(x, mask), weight)), [x]) < 1e-4
 
 
 def _same_bits(a, b):
@@ -241,7 +241,7 @@ def _lstm_gates(rng, hidden):
 def _lstm_loss(lstm, series, gates, weight):
     """(loss, states); the row sum keeps the loss defined for an empty series."""
     out = lstm(series, gates)
-    return ad.mean(ad.matmul(np.ones(len(series)), ad.mul(out, weight))), out
+    return oracles.mean(ad.matmul(np.ones(len(series)), ad.mul(out, weight))), out
 
 
 def _fused_against_taped(n, hidden, steps, seed, saturate=False):
@@ -300,7 +300,7 @@ def test_taped_lstm_keeps_gates_and_cell_state_one_block_a_step():
     try:
         base = tracemalloc.get_traced_memory()[0]
         with ad.Tape() as tape:
-            loss = ad.mean(ad.lstm(series, gates))
+            loss = oracles.mean(ad.lstm(series, gates))
         held = tracemalloc.get_traced_memory()[0] - base
         largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
         tracemalloc.reset_peak()
@@ -336,7 +336,7 @@ def test_matmul_gradients_in_every_rank_combination(a_vector, b_vector, m, k, p,
 
     def loss():
         out = ad.matmul(a, b)
-        return ad.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [a, b]) < 1e-4
 
@@ -357,7 +357,7 @@ def test_take_rows_gradients_with_repeated_indices(data, seed):
 
     def loss():
         out = ad.take_rows(x, idx)
-        return ad.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x]) < 1e-4
 
@@ -369,7 +369,7 @@ def test_take_rows_gradients_with_repeated_indices(data, seed):
     for rows_of in (block, np.arange(rows)[block]):
         with ad.Tape() as tape:
             out = ad.take_rows(x, rows_of)
-            loss = ad.mean(ad.mul(ad.mul(out, out), weight))
+            loss = oracles.mean(ad.mul(ad.mul(out, out), weight))
         ad.backward(tape, loss)
         runs.append((out.data, x.grad.copy()))
         x.zero_grad()
@@ -389,7 +389,7 @@ def test_row_update_gradients(data, seed):
 
     def loss():
         out = oracles.row_update(x, idx, new)
-        return ad.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x, new]) < 1e-4
 
@@ -399,8 +399,8 @@ UNARY_OPS = {
     "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
     "tanh": ad.tanh,
     "sigmoid": oracles.sigmoid,
-    "absolute": ad.absolute,
-    "mean": ad.mean,
+    "absolute": oracles.absolute,
+    "mean": oracles.mean,
     "dropout": lambda t: ad.dropout(t, 0.6, np.random.default_rng(3)),  # re-seeded: pinned mask
 }
 
@@ -417,9 +417,40 @@ def test_unary_gradients_away_from_kinks(op, shape, seed):
 
     def loss():
         out = UNARY_OPS[op](x)
-        return ad.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x]) < 1e-4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_l1_loss_equals_the_per_op_chain_bit_for_bit(shape, seed):
+    """Value and gradient equal mean(absolute(sub(pred, truth))), ties included."""
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(0, 1, shape)
+    start = rng.normal(0, 1, shape)
+    ties = rng.random(shape) < 0.3
+    start[ties] = truth[ties]
+    scale = rng.normal(0, 2)  # stands in for eta: the gradient reaching the loss node
+    runs = []
+    for l1 in (ad.l1_loss,
+               lambda p, t: oracles.mean(oracles.absolute(oracles.sub(p, ad.Tensor(t))))):
+        pred = ad.Parameter(start.copy(), name="pred")
+        with ad.Tape() as tape:
+            loss = ad.mul(l1(pred, truth), scale)
+        ad.backward(tape, loss)
+        runs.append((loss.data, pred.grad))
+    (fused, fused_grad), (chain, chain_grad) = runs
+    assert _same_bits(fused, chain) and _same_bits(fused_grad, chain_grad)
+    assert np.all(fused_grad[ties] == 0.0)
+
+
+def test_l1_loss_refuses_broadcasting_and_empty_input():
+    with pytest.raises(ad.ShapeError, match=r"l1_loss: .*\(3, 1\).*\(3,\)"):
+        ad.l1_loss(ad.Tensor(np.zeros((3, 1))), np.zeros(3))
+    with pytest.raises(ad.ShapeError, match="l1_loss"):
+        ad.l1_loss(ad.Tensor(np.zeros(0)), np.zeros(0))
 
 
 def test_sgd_single_step():
@@ -449,7 +480,7 @@ def _mini_training(seed: int) -> np.ndarray:
     for step in range(10):
         with ad.Tape() as tape:
             pred = ad.tanh(ad.add(ad.matmul(ad.Tensor(xs[step]), w), b))
-            loss = ad.mean(ad.absolute(ad.sub(pred, ad.Tensor(ys[step]))))
+            loss = oracles.mean(oracles.absolute(oracles.sub(pred, ad.Tensor(ys[step]))))
         ad.backward(tape, loss)
         ad.sgd_step([w, b], 0.05 * 0.9 ** (step // 2), step)
     return np.concatenate([w.data.ravel(), b.data.ravel()])
@@ -479,7 +510,7 @@ def test_grad_check_reports_nonfinite_perturbation():
         # nan as soon as the perturbation pushes w negative
         with np.errstate(divide="ignore", invalid="ignore"):
             val = float(np.log(w.data + 0.0).sum())
-        return ad.add(ad.mean(w), ad.Tensor(val))
+        return ad.add(oracles.mean(w), ad.Tensor(val))
 
     with pytest.raises(ad.GradientError, match="bad"):
         ad.grad_check(loss, [w])
@@ -551,7 +582,7 @@ def test_independent_tapes_on_threads():
     def work(key, seed):
         w = ad.Parameter([float(seed)], name=f"w{key}")
         with ad.Tape() as tape:
-            loss = ad.mean(ad.mul(w, w))
+            loss = oracles.mean(ad.mul(w, w))
         ad.backward(tape, loss)
         results[key] = w.grad.copy()
 

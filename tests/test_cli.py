@@ -238,13 +238,20 @@ class TestEval:
         ("encoder.json", lambda doc: {**doc, "text_seed": "gme-text-v1"}),
         # widths no machine could allocate: refused before the model is built
         ("checkpoint.json", lambda doc: _edit_config(doc, hidden=10**12)),
+        # base64 and dtype forms the decoder would otherwise accept with the same values
+        ("checkpoint.json", lambda doc: _edit_first_parameter(
+            doc, data=" " + doc["parameters"][0]["data"])),
+        ("checkpoint.json", lambda doc: _edit_first_parameter(
+            doc, data=_split_base64(doc["parameters"][0]["data"], "!*\n"))),
+        ("checkpoint.json", lambda doc: _edit_first_parameter(doc, dtype="float32")),
     ], ids=["checkpoint-array", "parameters-object", "parameter-not-object", "shape-string",
             "data-number", "text_dim-string", "goal-edges-strings", "text_mode-number",
             "goal-edge-huge",
             "version-true", "parameter-twice", "config-t_h-float", "config-hidden-huge",
             "config-tz_offset-true", "config-eta-huge", "config-ablation-missing",
             "goal-edge-nan-last", "encoder-unknown-key", "config-trend_bins-old",
-            "encoder-text_seed-old", "config-hidden-large"])
+            "encoder-text_seed-old", "config-hidden-large", "data-leading-space",
+            "data-stray-characters", "dtype-float32"])
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_malformed_artifact_is_data_error_naming_file(self, tmp_path, market_dir,
                                                           trained_dir, capsys, command,
@@ -269,6 +276,11 @@ def _edit_config(doc, **changes):
 
 def _edit_first_parameter(doc, **changes):
     return {**doc, "parameters": [{**doc["parameters"][0], **changes}, *doc["parameters"][1:]]}
+
+
+def _split_base64(data, junk):
+    """`data` with `junk` and a stray padding run after its first 4-character group."""
+    return data[:4] + junk + "====" + data[4:]
 
 
 def _rewrite_descriptions(src, dst, describe):

@@ -166,6 +166,17 @@ class TestLossAlgebra:
         assert float(out.total.data) == pytest.approx(0.7 * 1.3, abs=1e-15)
         assert out.loss_l == 0.0
 
+    @pytest.mark.parametrize("ablation, aux, nodes", [("full", True, 5), ("full", False, 2),
+                                                      ("pcm-only", False, 1)])
+    def test_each_error_is_one_tape_node(self, ablation, aux, nodes):
+        """One `ad.l1_loss` node per error; the eta weighting adds a `mul` per error and an `add`."""
+        model = GMEModel(4, TrainConfig(ablation=ablation, hidden=6))
+        result = SimpleNamespace(pred=ad.Tensor(np.array([2.0])),
+                                 aux_pred=ad.Tensor(np.array([1.0, 2.0])) if aux else None)
+        with ad.Tape() as tape:
+            model.loss(result, self.scalar_ctx())
+        assert len(tape) == nodes
+
     @pytest.mark.parametrize("eta,dead_param", [(1.0, "head.aux.w"), (0.0, "head.out.w")])
     def test_extreme_eta_silences_one_branch(self, eta, dead_param):
         config, bundle = toy_bundle(eta=eta)

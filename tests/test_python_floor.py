@@ -1,6 +1,7 @@
 """The package's source parses under the oldest Python that pyproject.toml declares."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,13 @@ def test_every_module_level_name_is_used_by_the_package():
                        for m, n, node in loads):
                 unused.append(f"{module}:{definition.lineno} {name}")
     assert unused == []
+
+
+def test_every_all_entry_names_something_its_module_defines():
+    """A stale string in `__all__` breaks `from gme.<module> import *`, and nothing else."""
+    stale = []
+    for path in SOURCES:
+        module = importlib.import_module("gme" if path.stem == "__init__" else f"gme.{path.stem}")
+        stale += [f"{path.name} {name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []
