@@ -32,11 +32,10 @@ __all__ = [
     "matmul",
     "take_rows",
     "relu",
-    "leaky_relu",
     "tanh",
     "lstm",
     "tree_gru",
-    "softmax",
+    "attention",
     "dropout",
     "l1_loss",
     "sgd_step",
@@ -59,6 +58,7 @@ class GradientError(RuntimeError):
 
 
 _LOCAL = threading.local()  # independent tapes may run on separate threads
+GRAD_CHECK_FLOOR = 1e-6  # the least denominator of grad_check's relative error
 
 
 def _tape_stack() -> list:
@@ -222,27 +222,16 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), _bwd)
 
 
-def take_rows(x, indices) -> Tensor:
-    """Gather rows (2-D input) or entries (1-D input) by an integer index array or a slice.
-
-    The output takes the index array's shape, so a column of indices into a
-    vector gives a column.  A slice reads one block, and its backward writes
-    the block back without a scatter.
-    """
+def take_rows(x, rows: slice) -> Tensor:
+    """A block of rows of a 2-D input; its backward writes the block back."""
     x = _as_tensor(x)
-    block = isinstance(indices, slice)
-    idx = indices if block else np.asarray(indices, dtype=np.intp)
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"take_rows: input of shape {x.data.shape} is not 1-D or 2-D")
-    out = Tensor(x.data[idx].copy() if block else x.data[idx])
-    xshape = x.data.shape
+    if x.data.ndim != 2 or not isinstance(rows, slice):
+        raise ShapeError(f"take_rows: needs a 2-D input and a slice, got {x.data.shape} and {rows!r}")
+    out = Tensor(x.data[rows].copy())
 
     def _bwd(g):
-        gx = np.zeros(xshape)
-        if block:
-            gx[idx] = g
-        else:
-            np.add.at(gx, idx, g)
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
         return (gx,)
 
     return _record(out, (x,), _bwd)
@@ -253,13 +242,6 @@ def relu(x) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
     mask = x.data > 0.0
     return _record(out, (x,), lambda g: (g * mask,))
-
-
-def leaky_relu(x, negative_slope: float) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.where(x.data > 0.0, x.data, negative_slope * x.data))
-    scale = np.where(x.data > 0.0, 1.0, negative_slope)
-    return _record(out, (x,), lambda g: (g * scale,))
 
 
 def tanh(x) -> Tensor:
@@ -466,27 +448,47 @@ def tree_gru(states, levels, b_agg, gates) -> Tensor:
     return _record(out, (b_agg, *(p for gate in gates for p in gate)), _bwd)
 
 
-def softmax(x, mask) -> Tensor:
-    """Row-wise softmax of a 2-D score matrix over the entries where mask is nonzero.
+def attention(target_x, rival_x, rival_states, mask, params, slope: float):
+    """Content-scored attention pooling as one tape node; returns (pooled, weights).
 
-    Masked-out entries get weight 0 and a row with no entries is all zeros.
-    Each row is stable under a constant shift of its scores.
+    `params` holds w_score (F, H), v (2H,), w_value (H, H), w_embed (F, H) and b_embed
+    (H,).  The weights are a softmax, over the entries where the (targets, rivals) mask
+    is nonzero, of leaky(x_t w_score v[:H] + x_r w_score v[H:]) with `slope` below 0; a
+    target pools the weighted rival_states @ w_value, or takes x_t w_embed + b_embed if
+    it has no rival.  The backward adds terms in the order the per-op tape would, so
+    values and gradients equal that tape's bit for bit.  Features and mask are constants.
     """
-    x = _as_tensor(x)
-    keep = np.asarray(mask) != 0
-    if x.data.ndim != 2 or keep.shape != x.data.shape:
-        raise ShapeError(f"softmax: scores of shape {x.data.shape} need a 2-D mask of the "
-                         f"same shape, got {keep.shape}")
-    top = np.max(x.data, axis=1, keepdims=True, initial=-np.inf, where=keep)
-    e = np.exp(np.where(keep, x.data - top, -np.inf))
+    xt, xr = np.asarray(target_x, dtype=np.float64), np.asarray(rival_x, dtype=np.float64)
+    states, keep, params = _as_tensor(rival_states), np.asarray(mask) != 0, [_as_tensor(p) for p in params]
+    dims = xt.shape + keep.shape[1:] + (params[-1].data.shape if params else ())
+    t, f, r, h = dims if len(dims) == 4 else (0, 0, 0, 0)
+    want = [(t, f), (r, f), (r, h), (t, r), (f, h), (2 * h,), (h, h), (f, h), (h,)]
+    got = [xt.shape, xr.shape, states.data.shape, keep.shape, *(p.data.shape for p in params)]
+    if got != want:
+        raise ShapeError(f"attention: features, states, mask and params of shapes {got} need (T, F), "
+                         f"(R, F), (R, H), (T, R), (F, H), (2H,), (H, H), (F, H) and (H,)")
+    w_score, v, w_value, w_embed, b_embed = (p.data for p in params)
+    v_t, v_r = v[:h, None].copy(), v[h:]
+    proj_t, proj_r = xt @ w_score, xr @ w_score
+    s = proj_t @ v_t + proj_r @ v_r
+    scale = np.where(s > 0.0, 1.0, slope)
+    scores = s * scale
+    top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=keep)
+    e = np.exp(np.where(keep, scores - top, -np.inf))
     total = e.sum(axis=1, keepdims=True)
     y = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
-    out = Tensor(y)
+    values, isolated = states.data @ w_value, (~keep.any(axis=1, keepdims=True)).astype(np.float64)
+    out = Tensor(y @ values + (xt @ w_embed + b_embed) * isolated)
 
     def _bwd(g):
-        return (y * (g - (y * g).sum(axis=1, keepdims=True)),)
+        g_own, g_values, g_y = g * isolated, y.T @ g, g @ values.T
+        g_s = y * (g_y - (y * g_y).sum(axis=1, keepdims=True)) * scale
+        g_t, g_r = g_s.sum(axis=1, keepdims=True), g_s.sum(axis=0)
+        g_score = xr.T @ np.outer(g_r, v_r) + xt.T @ (g_t @ v_t.T)
+        g_v = np.concatenate([(proj_t.T @ g_t)[:, 0], proj_r.T @ g_r])
+        return g_values @ w_value.T, g_score, g_v, states.data.T @ g_values, xt.T @ g_own, g_own.sum(0)
 
-    return _record(out, (x,), _bwd)
+    return _record(out, (states, *params), _bwd), y
 
 
 def dropout(x, keep_prob: float, rng: np.random.Generator) -> Tensor:
@@ -534,13 +536,13 @@ def sgd_step(params, rate: float, step: int) -> None:
         p.grad[...] = 0.0
 
 
-def grad_check(loss_fn, params, epsilon: float = 1e-5, floor: float = 1e-6) -> float:
+def grad_check(loss_fn, params, epsilon: float = 1e-5) -> float:
     """Max relative error between taped gradients and central differences.
 
     `loss_fn` must be a deterministic closure returning the scalar loss
     tensor; it is re-evaluated untaped with each parameter entry perturbed by
     ±epsilon.  Relative error per entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, floor).
+    |analytic - numeric| / max(|analytic|, |numeric|, GRAD_CHECK_FLOOR).
     The floor sits at the resolution of the difference quotient itself
     (loss cancellation noise is about 1e-16 * |loss| / epsilon), so
     gradients too small for central differences to measure do not raise
@@ -568,7 +570,7 @@ def grad_check(loss_fn, params, epsilon: float = 1e-5, floor: float = 1e-6) -> f
                 raise GradientError(f"non-finite loss while perturbing {p.name!r}[{i}]")
             numeric = (hi - lo) / (2.0 * epsilon)
             a = aflat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             if rel > worst:
                 worst = rel
     for p in params:

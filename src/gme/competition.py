@@ -154,15 +154,5 @@ class AttentionAggregator:
     def forward(self, graph: CompetitivenessGraph, target_features: np.ndarray,
                 rival_features: np.ndarray, rival_states: ad.Tensor):
         """Returns ((targets, hidden) pooled states, (targets, rivals) attention weights)."""
-        xt = ad.Tensor(target_features)
-        v_target = ad.take_rows(self.v, np.arange(self.hidden)[:, None])  # (hidden, 1)
-        v_rival = ad.take_rows(self.v, np.arange(self.hidden, 2 * self.hidden))  # (hidden,)
-        target_scores = ad.matmul(ad.matmul(xt, self.w_score), v_target)  # (targets, 1)
-        rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_features), self.w_score), v_rival)
-        scores = ad.leaky_relu(ad.add(target_scores, rival_scores), LEAKY_SLOPE)
-        alpha = ad.softmax(scores, graph.adjacency)
-        pooled = ad.matmul(alpha, ad.matmul(rival_states, self.w_value))
-        # alpha pools 0 for a target with no rivals; it takes its own embedding instead
-        isolated = ~graph.adjacency.any(axis=1, keepdims=True)
-        own = ad.add(ad.matmul(xt, self.w_embed), self.b_embed)
-        return ad.add(pooled, ad.mul(own, isolated.astype(np.float64))), alpha.data
+        return ad.attention(target_features, rival_features, rival_states, graph.adjacency,
+                            self.parameters(), LEAKY_SLOPE)

@@ -417,7 +417,7 @@ def segment_target_sets(market: Market, tz_offset: int = 0) -> list[TargetSet]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def hashed_text_embedding(text: str, dim: int = 50) -> np.ndarray:
+def hashed_text_embedding(text: str, dim: int) -> np.ndarray:
     """Deterministic signed bag-of-tokens hash, L2-normalized when non-empty."""
     vec = np.zeros(dim)
     for token in re.findall(r"[a-z0-9]+", text.lower()):

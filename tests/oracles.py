@@ -198,6 +198,76 @@ def sigmoid(x):
     return ad._record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
+def gather(x, indices):
+    """Taped gather of rows (2-D input) or entries (1-D input) by an integer index array.
+
+    The output takes the index array's shape, so a column of indices into a
+    vector gives a column; the backward scatters with np.add.at, so repeated
+    indices sum their gradients.
+    """
+    x = ad._as_tensor(x)
+    idx = np.asarray(indices, dtype=np.intp)
+    if x.data.ndim not in (1, 2):
+        raise ad.ShapeError(f"gather: input of shape {x.data.shape} is not 1-D or 2-D")
+    out = ad.Tensor(x.data[idx])
+    xshape = x.data.shape
+
+    def _bwd(g):
+        gx = np.zeros(xshape)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return ad._record(out, (x,), _bwd)
+
+
+def leaky_relu(x, negative_slope):
+    x = ad._as_tensor(x)
+    out = ad.Tensor(np.where(x.data > 0.0, x.data, negative_slope * x.data))
+    scale = np.where(x.data > 0.0, 1.0, negative_slope)
+    return ad._record(out, (x,), lambda g: (g * scale,))
+
+
+def softmax(x, mask):
+    """Row-wise softmax of a 2-D score matrix over the entries where mask is nonzero.
+
+    Masked-out entries get weight 0 and a row with no entries is all zeros.
+    Each row is stable under a constant shift of its scores.
+    """
+    x = ad._as_tensor(x)
+    keep = np.asarray(mask) != 0
+    if x.data.ndim != 2 or keep.shape != x.data.shape:
+        raise ad.ShapeError(f"softmax: scores of shape {x.data.shape} need a 2-D mask of the "
+                            f"same shape, got {keep.shape}")
+    top = np.max(x.data, axis=1, keepdims=True, initial=-np.inf, where=keep)
+    e = np.exp(np.where(keep, x.data - top, -np.inf))
+    total = e.sum(axis=1, keepdims=True)
+    y = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
+    out = ad.Tensor(y)
+
+    def _bwd(g):
+        return (y * (g - (y * g).sum(axis=1, keepdims=True)),)
+
+    return ad._record(out, (x,), _bwd)
+
+
+def taped_attention(target_x, rival_x, rival_states, mask, params, slope):
+    """`ad.attention` as the per-op taped chain: 15 tape nodes."""
+    w_score, v, w_value, w_embed, b_embed = params
+    hidden = b_embed.shape[0]
+    xt = ad.Tensor(target_x)
+    v_target = gather(v, np.arange(hidden)[:, None])  # (hidden, 1)
+    v_rival = gather(v, np.arange(hidden, 2 * hidden))  # (hidden,)
+    target_scores = ad.matmul(ad.matmul(xt, w_score), v_target)  # (targets, 1)
+    rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_x), w_score), v_rival)
+    scores = leaky_relu(ad.add(target_scores, rival_scores), slope)
+    alpha = softmax(scores, mask)
+    pooled = ad.matmul(alpha, ad.matmul(rival_states, w_value))
+    # alpha pools 0 for a target with no rivals; it takes its own embedding instead
+    isolated = ~np.asarray(mask).any(axis=1, keepdims=True)
+    own = ad.add(ad.matmul(xt, w_embed), b_embed)
+    return ad.add(pooled, ad.mul(own, isolated.astype(np.float64))), alpha.data
+
+
 def row_update(x, indices, rows):
     """Taped functional row replacement: out = x with out[indices] = rows (distinct indices)."""
     x, rows = ad._as_tensor(x), ad._as_tensor(rows)
@@ -243,7 +313,7 @@ def taped_rollup(states, levels, b_agg, gates):
     h_all = ad._as_tensor(states)
     for rows, child_sum in levels:
         agg = ad.add(ad.matmul(ad.Tensor(child_sum), h_all), b_agg)
-        h = ad.take_rows(h_all, rows)
+        h = gather(h_all, rows)
         z = sigmoid(ad.add(ad.matmul(agg, w_z), ad.matmul(h, u_z)))
         r = sigmoid(ad.add(ad.matmul(agg, w_r), ad.matmul(h, u_r)))
         cand = ad.tanh(ad.add(ad.matmul(agg, w_c), ad.matmul(ad.mul(r, h), u_c)))

@@ -14,7 +14,7 @@ from gme import autodiff as ad
 
 
 def test_softmax_equal_logits_is_uniform():
-    out = ad.softmax(ad.Tensor([[0.0, 0.0]]), [[1, 1]])
+    out = oracles.softmax(ad.Tensor([[0.0, 0.0]]), [[1, 1]])
     np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
 
@@ -24,7 +24,7 @@ def test_relu_values():
 
 
 def test_leaky_relu_slope():
-    out = ad.leaky_relu(ad.Tensor([-2.0, 3.0]), negative_slope=0.2)
+    out = oracles.leaky_relu(ad.Tensor([-2.0, 3.0]), negative_slope=0.2)
     np.testing.assert_allclose(out.data, [-0.4, 3.0], atol=1e-15)
 
 
@@ -120,15 +120,15 @@ class TestGradCheckOracle:
         def loss():
             h = ad.tanh(ad.add(ad.matmul(ad.Tensor(x), w1), b1))
             g = oracles.sigmoid(ad.matmul(h, w2))
-            top = ad.take_rows(g, [0, 2, 4])
-            merged = oracles.row_update(g, [1], ad.take_rows(g, [3]))
-            queries = ad.take_rows(merged, [1, 5, 2])
-            keys = ad.take_rows(g, [0, 5])
-            v_query = ad.take_rows(v, np.arange(4)[:, None])
-            v_key = ad.take_rows(v, np.arange(4, 8))
-            score = ad.leaky_relu(
+            top = oracles.gather(g, [0, 2, 4])
+            merged = oracles.row_update(g, [1], oracles.gather(g, [3]))
+            queries = oracles.gather(merged, [1, 5, 2])
+            keys = oracles.gather(g, [0, 5])
+            v_query = oracles.gather(v, np.arange(4)[:, None])
+            v_key = oracles.gather(v, np.arange(4, 8))
+            score = oracles.leaky_relu(
                 ad.add(ad.matmul(queries, v_query), ad.matmul(keys, v_key)), 0.2)
-            alpha = ad.softmax(score, mask)
+            alpha = oracles.softmax(score, mask)
             pooled = ad.matmul(alpha, keys)
             mixed = ad.add(ad.mul(pooled, v_key), oracles.mean(top))
             return oracles.mean(oracles.absolute(oracles.sub(mixed, ad.Tensor(target))))
@@ -151,15 +151,15 @@ def test_softmax_sums_to_one_and_shift_invariant():
     for _ in range(200):
         logits = rng.normal(0, 5, size=(1, rng.integers(1, 12)))
         mask = np.ones(logits.shape)
-        base = ad.softmax(ad.Tensor(logits), mask).data
+        base = oracles.softmax(ad.Tensor(logits), mask).data
         assert abs(base.sum() - 1.0) < 1e-9
-        shifted = ad.softmax(ad.Tensor(logits + rng.normal(0, 100)), mask).data
+        shifted = oracles.softmax(ad.Tensor(logits + rng.normal(0, 100)), mask).data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
         assert np.all(base > 0.0) and np.all(base < 1.0 + 1e-15)
 
 
 def test_softmax_extreme_logits_stay_finite():
-    out = ad.softmax(ad.Tensor([[1000.0, 999.0, -1000.0]]), np.ones((1, 3))).data
+    out = oracles.softmax(ad.Tensor([[1000.0, 999.0, -1000.0]]), np.ones((1, 3))).data
     assert np.all(np.isfinite(out)) and abs(out.sum() - 1.0) < 1e-9
 
 
@@ -199,19 +199,19 @@ def masked_scores(draw):
 def test_masked_softmax_properties(case, seed):
     scores, mask = case
     rng = np.random.default_rng(seed)
-    y = ad.softmax(ad.Tensor(scores), mask).data
+    y = oracles.softmax(ad.Tensor(scores), mask).data
     live = mask.any(axis=1)
     assert np.all(y[~mask] == 0.0)  # empty rows and masked entries exactly 0
     np.testing.assert_allclose(y[live].sum(axis=1), 1.0, rtol=0, atol=1e-9)
     shift = rng.normal(0, 40, (len(scores), 1))
-    shifted = ad.softmax(ad.Tensor(scores + shift), mask).data
+    shifted = oracles.softmax(ad.Tensor(scores + shift), mask).data
     np.testing.assert_allclose(shifted, y, rtol=0, atol=1e-12)
 
     if not scores.size:
         return  # no entries, nothing to differentiate
     x = ad.Parameter(scores.copy(), name="scores")
     weight = rng.normal(0, 1, scores.shape)
-    assert ad.grad_check(lambda: oracles.mean(ad.mul(ad.softmax(x, mask), weight)), [x]) < 1e-4
+    assert ad.grad_check(lambda: oracles.mean(ad.mul(oracles.softmax(x, mask), weight)), [x]) < 1e-4
 
 
 def _same_bits(a, b):
@@ -343,37 +343,46 @@ def test_matmul_gradients_in_every_rank_combination(a_vector, b_vector, m, k, p,
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_take_rows_gradients_with_repeated_indices(data, seed):
+def test_gather_gradients_with_repeated_indices(data, seed):
     rng = np.random.default_rng(seed)
-    rows = data.draw(st.integers(1, 5))
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     vector = data.draw(st.booleans())
-    shape = (rows,) if vector else (rows, data.draw(st.integers(1, 4)))
+    shape = (rows,) if vector else (rows, cols)
     picks = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=6))
     idx = np.array(picks + picks[:1])  # at least one index repeats
     if vector and data.draw(st.booleans()):
         idx = idx[:, None]  # a column of indices into a vector gives a column
     x = ad.Parameter(rng.normal(0, 1, shape), name="x")
-    weight = rng.normal(0, 1, ad.take_rows(x, idx).shape)
+    weight = rng.normal(0, 1, oracles.gather(x, idx).shape)
 
     def loss():
-        out = ad.take_rows(x, idx)
+        out = oracles.gather(x, idx)
         return oracles.mean(ad.mul(ad.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x]) < 1e-4
 
-    # a slice reads the same block as its index array, and writes back the same gradient
+    # `ad.take_rows` reads a slice of a matrix as the gather of its indices does, and
+    # writes back the same gradient
     lo = data.draw(st.integers(0, rows - 1))
     block = slice(lo, data.draw(st.integers(lo + 1, rows)))
-    weight = rng.normal(0, 1, x.data[block].shape)
+    m = ad.Parameter(rng.normal(0, 1, (rows, cols)), name="m")
+    weight = rng.normal(0, 1, m.data[block].shape)
     runs = []
-    for rows_of in (block, np.arange(rows)[block]):
+    for take in (lambda: ad.take_rows(m, block), lambda: oracles.gather(m, np.arange(rows)[block])):
         with ad.Tape() as tape:
-            out = ad.take_rows(x, rows_of)
+            out = take()
             loss = oracles.mean(ad.mul(ad.mul(out, out), weight))
         ad.backward(tape, loss)
-        runs.append((out.data, x.grad.copy()))
-        x.zero_grad()
+        runs.append((out.data, m.grad.copy()))
+        m.zero_grad()
     assert np.array_equal(runs[0][0], runs[1][0]) and np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_take_rows_takes_a_slice_of_a_matrix_only():
+    with pytest.raises(ad.ShapeError, match=r"take_rows: .*\(4,\)"):
+        ad.take_rows(np.zeros(4), slice(0, 2))
+    with pytest.raises(ad.ShapeError, match=r"take_rows: .*\[0, 1\]"):
+        ad.take_rows(np.zeros((4, 2)), [0, 1])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -396,7 +405,7 @@ def test_row_update_gradients(data, seed):
 
 UNARY_OPS = {
     "relu": ad.relu,
-    "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
+    "leaky_relu": lambda t: oracles.leaky_relu(t, 0.2),
     "tanh": ad.tanh,
     "sigmoid": oracles.sigmoid,
     "absolute": oracles.absolute,
@@ -451,6 +460,71 @@ def test_l1_loss_refuses_broadcasting_and_empty_input():
         ad.l1_loss(ad.Tensor(np.zeros((3, 1))), np.zeros(3))
     with pytest.raises(ad.ShapeError, match="l1_loss"):
         ad.l1_loss(ad.Tensor(np.zeros(0)), np.zeros(0))
+
+
+def _attention_params(rng, f, h):
+    shapes = {"w_score": (f, h), "v": (2 * h,), "w_value": (h, h), "w_embed": (f, h), "b_embed": (h,)}
+    return [ad.Parameter(rng.normal(0, 0.8, shape), name) for name, shape in shapes.items()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=st.integers(1, 5), r=st.integers(0, 6), f=st.integers(1, 4), h=st.integers(1, 4),
+       zero=st.sampled_from(["none", "one", "all"]), seed=st.integers(0, 2**32 - 1))
+@example(t=3, r=0, f=2, h=3, zero="none", seed=0)
+@example(t=3, r=4, f=2, h=3, zero="all", seed=1)
+def test_attention_equals_the_per_op_chain_bit_for_bit(t, r, f, h, zero, seed):
+    """Value, weights and every gradient equal the 15-op chain's.  The last target has no
+    rival; `zero` puts one score (a zero target and a zero rival row, attended) or every
+    score (v = 0) exactly at the rectifier's kink."""
+    rng = np.random.default_rng(seed)
+    xt, xr = rng.normal(0, 1, (t, f)), rng.normal(0, 1, (r, f))
+    mask = rng.random((t, r)) < 0.6
+    mask[-1] = False
+    params = _attention_params(rng, f, h)
+    states = ad.Parameter(rng.normal(0, 1, (r, h)), "states")
+    if zero == "one" and r:
+        xt[0], xr[0], mask[0, 0] = 0.0, 0.0, t > 1
+    if zero == "all":
+        params[1].data[...] = 0.0
+    weight = rng.normal(0, 1, (t, h))
+    runs = []
+    for attention in (ad.attention, oracles.taped_attention):
+        with ad.Tape() as tape:
+            out, weights = attention(xt, xr, states, mask, params, 0.2)
+            loss = oracles.mean(ad.mul(out, weight))
+        ad.backward(tape, loss)
+        runs.append((out.data, weights, [p.grad.copy() for p in (*params, states)]))
+        for p in (*params, states):
+            p.zero_grad()
+    (fused, fused_weights, fused_grads), (chain, chain_weights, chain_grads) = runs
+    assert _same_bits(fused, chain) and _same_bits(fused_weights, chain_weights)
+    for p, a, b in zip((*params, states), fused_grads, chain_grads):
+        assert _same_bits(a, b), p.name
+
+    scores = (xt @ params[0].data) @ params[1].data[:h, None] + (xr @ params[0].data) @ params[1].data[h:]
+    if zero == "none" and np.all(np.abs(scores) > 1e-3):  # central differences straddle no kink
+        def loss_fn():
+            return oracles.mean(ad.mul(ad.attention(xt, xr, states, mask, params, 0.2)[0], weight))
+
+        assert ad.grad_check(loss_fn, [*params, states]) < 1e-4
+
+
+def test_attention_shape_errors_name_the_shapes():
+    rng = np.random.default_rng(0)
+    t, r, f, h = 2, 4, 3, 5
+    good = dict(target_x=np.zeros((t, f)), rival_x=np.zeros((r, f)), rival_states=np.zeros((r, h)),
+                mask=np.ones((t, r)), params=_attention_params(rng, f, h), slope=0.2)
+    ad.attention(**good)
+    bad_v = [*good["params"][:1], ad.Parameter(np.zeros(2 * h + 1), "v"), *good["params"][2:]]
+    for key, value, shape in (("mask", np.ones((t, r + 3)), "(2, 7)"),
+                              ("rival_states", np.zeros((r, h + 1)), "(4, 6)"),
+                              ("target_x", np.zeros(f), "(3,)"),
+                              ("params", bad_v, "(11,)"),
+                              ("params", [*good["params"][:4], np.zeros((h, 1))], "(5, 1)"),
+                              ("params", good["params"][:4], "(5, 5), (3, 5)] need")):
+        with pytest.raises(ad.ShapeError) as err:
+            ad.attention(**{**good, key: value})
+        assert "attention" in str(err.value) and shape in str(err.value), key
 
 
 def test_sgd_single_step():

@@ -531,13 +531,13 @@ def test_api_times_take_numpy_integers_as_python_ints():
 
 
 def test_hashed_embedding_properties():
-    a = d.hashed_text_embedding("solar powered garden lamp")
-    b = d.hashed_text_embedding("solar powered garden lamp")
-    c = d.hashed_text_embedding("documentary film about rivers")
+    a = d.hashed_text_embedding("solar powered garden lamp", 50)
+    b = d.hashed_text_embedding("solar powered garden lamp", 50)
+    c = d.hashed_text_embedding("documentary film about rivers", 50)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(d.hashed_text_embedding(""), np.zeros(50))
+    assert np.array_equal(d.hashed_text_embedding("", 50), np.zeros(50))
 
 
 def test_project_validation():

@@ -80,6 +80,39 @@ class TestForwardMatchesOracle:
                                    oracles.aux_predictions(model, ctx), atol=1e-12)
 
 
+class TestFusedAttention:
+    def test_attention_forward_is_one_tape_node(self):
+        config, bundle = toy_bundle(seed=3)
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        ctx = next(c for c in bundle.train if c.graph.adjacency.any())
+        states = model._rival_states(ctx)
+        with ad.Tape() as tape:
+            model.attention.forward(ctx.graph, ctx.target_features, ctx.rival_features, states)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("quantifier", ["recurrent", "prior-mlp"])
+    def test_training_steps_keep_the_per_op_chain_bits(self, monkeypatch, quantifier):
+        """Three SGD steps leave every parameter bit for bit where the 15-op chain leaves it."""
+        config, bundle = toy_bundle(seed=4, quantifier=quantifier, dropout_keep=0.9)
+        runs = []
+        for attention in (ad.attention, oracles.taped_attention):
+            monkeypatch.setattr(ad, "attention", attention)
+            model = GMEModel(bundle.encoder.feature_dim, config)
+            rng = np.random.default_rng(0)
+            nodes = []
+            for step, ctx in enumerate(bundle.train[:3]):
+                with ad.Tape() as tape:
+                    losses = model.loss(model.forward(ctx, training=True, dropout_rng=rng), ctx)
+                ad.backward(tape, losses.total)
+                ad.sgd_step(model.parameters(), 0.05, step)
+                nodes.append(len(tape))
+            runs.append(([p.data.copy() for p in model.parameters()], nodes))
+        (fused, fused_nodes), (chain, chain_nodes) = runs
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+        assert [n + 14 for n in fused_nodes] == chain_nodes
+
+
 class TestAblationConsistency:
     def test_all_variants_share_initial_parameters(self):
         config, bundle = toy_bundle(seed=1)

@@ -34,31 +34,42 @@ def _module_level_names(tree):
                         yield name.id, node
 
 
-def _loaded_names(tree):
-    """(name, node) for each name the module reads: a loaded name or attribute, or an import."""
+def _uses(module, tree):
+    """(module, name, node) for each read of a top-level name of some package module.
+
+    A read is a bare loaded name, which reads `module`'s own; `<alias>.<name>`, where
+    `from . import <module> as <alias>` bound the alias; or `from .<module> import <name>`.
+    """
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = f"{alias.name}.py"
+                else:
+                    yield f"{node.module}.py", alias.name, node
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.name, node
+            yield module, node.id, node
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            yield aliases[node.value.id], node.attr, node
 
 
 def test_every_module_level_name_is_used_by_the_package():
     """No helper only tests use: each top-level function, class and constant of `src/gme`
-    is read by package code outside its own definition.  Names match by spelling alone,
-    whatever module they come from, and a string in `__all__` is not a use."""
+    is read by package code outside its own definition.  A read names its module (see
+    `_uses`), so `np.mean` or another module's local `sub` does not count as a use of
+    an `autodiff.mean` or `autodiff.sub`, and a string in `__all__` is not a use."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    loads = [(module, name, node) for module, tree in trees.items()
-             for name, node in _loaded_names(tree)]
+    uses = [(owner, name, id(node)) for module, tree in trees.items()
+            for owner, name, node in _uses(module, tree)]
     unused = []
     for module, tree in trees.items():
         for name, definition in _module_level_names(tree):
             inside = {id(n) for n in ast.walk(definition)}
-            if not any(n == name and not (m == module and id(node) in inside)
-                       for m, n, node in loads):
+            if not any(owner == module and n == name and node_id not in inside
+                       for owner, n, node_id in uses):
                 unused.append(f"{module}:{definition.lineno} {name}")
     assert unused == []
 
