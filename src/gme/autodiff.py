@@ -271,15 +271,16 @@ def lstm(series, gates) -> Tensor:
 
     `gates` holds the (wx, uh, b) triples of the input, forget and output
     gates and the candidate, shaped (1, H), (H, H) and (H,).  Each step sets
-    z = (x_k wx + h uh) + b per gate, i, f, o = sigmoid(z), g = tanh(z),
-    c = f c + i g and h = o tanh(c), from h = c = 0.  The whole run is one
-    tape node.  Its backward is closed-form backpropagation through time
-    that adds terms in the order the per-step tape of these equations would
-    (dh over the gates candidate first, dc from the next step before
-    tanh(c), parameter terms from the last step back), so values and
-    gradients equal that tape's bit for bit.  Taped, a step keeps only its
-    gates and the c entering it; the backward rebuilds tanh(c) and h with
-    the forward's own numpy calls, so they keep their bits.
+    z = [h, x_k, 1] [uh; wx; b] per gate, i, f, o = 1 / (1 + exp(-z)),
+    g = 2 / (1 + exp(-2z)) - 1 = tanh(z), c = f c + i g and h = o tanh(c),
+    from h = c = 0: one product by the stacked weights scaled exactly by -1
+    or -2, and one exp pass (inf where a gate is 0).  The run is one tape
+    node, whose backward adds terms in the order the per-step tape would
+    (dh from the first H columns of dz [uh; wx; b]^T, candidate first; dc
+    from the next step before tanh(c); parameter terms from the last step
+    back), so values and gradients equal that tape's bit for bit.  Taped, a
+    step keeps its gates and the c entering it; the backward rebuilds tanh(c)
+    and h with the forward's own numpy calls.
     """
     x = np.asarray(series, dtype=np.float64)
     gates = [tuple(_as_tensor(p) for p in gate) for gate in gates]
@@ -290,9 +291,10 @@ def lstm(series, gates) -> Tensor:
         raise ShapeError(f"lstm: series of shape {x.shape} needs 2-D, and gates of shapes "
                          f"{shapes} need four (wx, uh, b) triples shaped {want}")
     n, steps = x.shape
-    wx = np.stack([gate[0].data for gate in gates])  # (4, 1, H)
-    uh = np.stack([gate[1].data for gate in gates])  # (4, H, H)
-    b = np.stack([gate[2].data for gate in gates])[:, None, :]  # (4, 1, H)
+    w = np.stack([np.vstack([uh.data, wx.data, b.data]) for wx, uh, b in gates])  # (4, H + 2, H)
+    scaled = w * np.array([-1.0, -1.0, -1.0, -2.0])[:, None, None]
+    hx = np.hstack([np.zeros((n, hidden + 1)), np.ones((n, 1))])  # [h | x_k | 1]
+    h = hx[:, :hidden]
     # Taped, each step keeps its gates and the c entering it (and the last c)
     # for the backward, each in its own array: numpy madvises arrays of 4 MiB
     # or more for huge pages, and a (4, n, H) block stays under that up to
@@ -301,27 +303,28 @@ def lstm(series, gates) -> Tensor:
     keep = steps if _tape_stack() else 1
     acts = [np.empty((4, n, hidden)) for _ in range(keep)]  # i, f, o, g
     cs = [np.zeros((n, hidden))] + [np.empty((n, hidden)) for _ in range(keep)]
-    h, tc = np.zeros((n, hidden)), np.empty((n, hidden))
-    tmp = np.empty((4, n, hidden))
+    tc, tmp = np.empty((n, hidden)), np.empty((n, hidden))
     for k in range(steps):
-        z = np.matmul(h, uh, out=acts[k % keep])
-        z += np.multiply(x[:, k:k + 1], wx, out=tmp)
-        z += b
-        _logistic(z[:3], out=z[:3])
-        np.tanh(z[3], out=z[3])
+        hx[:, hidden] = x[:, k]
+        z = np.matmul(hx, scaled, out=acts[k % keep])
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        np.reciprocal(np.add(z, 1.0, out=z), out=z)
+        z[3] *= 2.0
+        z[3] -= 1.0
         i, f, o, g = z
         c, c_next = cs[k % len(cs)], cs[(k + 1) % len(cs)]
         np.multiply(f, c, out=c_next)
-        c_next += np.multiply(i, g, out=tmp[0])
+        c_next += np.multiply(i, g, out=tmp)
         np.multiply(o, np.tanh(c_next, out=tc), out=h)
-    out = Tensor(h)
+    out = Tensor(h.copy())
 
     def _bwd(gout):
-        g_wx, g_uh, g_b = np.zeros_like(wx), np.zeros_like(uh), np.zeros_like(b[:, 0])
-        uh_t = uh.transpose(0, 2, 1)
-        dz, tmp = np.empty((4, n, hidden)), np.empty((4, n, hidden))
+        g_w, w_t = np.zeros_like(w), w.transpose(0, 2, 1)
+        dz, back = np.empty((4, n, hidden)), np.empty((4, n, hidden + 2))
+        tmp = back.reshape(-1)[:dz.size].reshape(dz.shape)  # scratch, dead once back is made
         gh, (gh_next, gc, carry) = gout, np.empty((3, n, hidden))
-        h, tc = np.empty((n, hidden)), np.tanh(cs[steps])  # h entering step k, tanh(c) after it
+        tc = np.tanh(cs[steps])  # tanh(c) after step k
         for k in range(steps - 1, -1, -1):
             act = acts[k]
             i, f, o, g = act
@@ -336,20 +339,19 @@ def lstm(series, gates) -> Tensor:
             dz[:3] *= np.subtract(1.0, act[:3], out=tmp[:3])
             np.multiply(gc, i, out=dz[3])
             dz[3] *= np.subtract(1.0, np.multiply(g, g, out=tmp[3]), out=tmp[3])
-            g_b += dz.sum(axis=1)
             if k:  # as the forward made them: tanh(c) after step k - 1, then its h
                 np.multiply(acts[k - 1][2], np.tanh(cs[k], out=tc), out=h)
             else:
                 h.fill(0.0)
-            g_uh += np.matmul(h.T, dz)
-            g_wx += np.matmul(x[:, k:k + 1].T, dz)
+            hx[:, hidden] = x[:, k]
+            g_w += np.matmul(hx.T, dz)
             if k:
-                back = np.matmul(dz, uh_t, out=tmp)  # dh per gate, summed candidate first
-                gh = np.add(back[3], back[2], out=gh_next)
-                gh += back[1]
-                gh += back[0]
+                np.matmul(dz, w_t, out=back)  # dh per gate, summed candidate first
+                gh = np.add(back[3, :, :hidden], back[2, :, :hidden], out=gh_next)
+                gh += back[1, :, :hidden]
+                gh += back[0, :, :hidden]
                 np.multiply(gc, f, out=carry)
-        return [grad[j] for j in range(4) for grad in (g_wx, g_uh, g_b)]
+        return [grad[j] for j in range(4) for grad in (g_w[:, hidden:-1], g_w[:, :hidden], g_w[:, -1])]
 
     return _record(out, tuple(p for gate in gates for p in gate), _bwd)
 

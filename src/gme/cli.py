@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -48,8 +49,10 @@ def _write_json(path, doc) -> None:
 
 
 def _echo(out_dir: Path, config: dict, args) -> None:
-    """config_echo.json: the subcommand, its config and each input file it was given."""
-    doc = {"command": args.subcommand, "config": config}
+    """config_echo.json: the subcommand, its config, each input file it was given and
+    the BLAS thread settings in its environment (None where unset), which set output bits."""
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    doc = {"command": args.subcommand, "config": config, "threads": threads}
     inputs = {name: getattr(args, name) for name in ("projects", "investments", "checkpoint", "encoder")
               if hasattr(args, name)}
     if inputs:

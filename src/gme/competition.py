@@ -64,8 +64,6 @@ class RecurrentQuantifier:
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden
-
         def make(kind):
             wx = ad.Parameter(ad.glorot_uniform(rng, (1, hidden)), f"competition.recurrent.{kind}.wx")
             uh = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden)), f"competition.recurrent.{kind}.uh")
@@ -141,7 +139,6 @@ class AttentionAggregator:
     """
 
     def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden
         self.w_score = ad.Parameter(ad.glorot_uniform(rng, (feature_dim, hidden)), "competition.attention.w_score")
         self.v = ad.Parameter(ad.glorot_uniform(rng, (2 * hidden,)), "competition.attention.v")
         self.w_value = ad.Parameter(ad.glorot_uniform(rng, (hidden, hidden)), "competition.attention.w_value")

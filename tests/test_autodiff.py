@@ -2,6 +2,8 @@
 
 import json
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,7 +279,7 @@ def _fused_against_taped(n, hidden, steps, seed, saturate=False):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(n=st.integers(0, 6), hidden=st.integers(1, 5), steps=st.integers(1, 24),
+@given(n=st.integers(0, 7), hidden=st.integers(1, 5), steps=st.integers(1, 24),
        seed=st.integers(0, 2**32 - 1))
 def test_fused_lstm_equals_taped_loop_and_central_differences(n, hidden, steps, seed):
     params, loss = _fused_against_taped(n, hidden, steps, seed)
@@ -285,9 +287,43 @@ def test_fused_lstm_equals_taped_loop_and_central_differences(n, hidden, steps, 
 
 
 def test_fused_lstm_equals_taped_loop_at_model_width():
-    _fused_against_taped(n=130, hidden=50, steps=24, seed=5)
+    # At 1 to 7 rows, dh from the product with uh alone differs in bits from
+    # the first H columns of the product with the stacked [uh; wx; b].
+    for n in (1, 3, 7, 130):
+        _fused_against_taped(n=n, hidden=50, steps=24, seed=5)
     # Bits only: saturated gates give central differences no signal.
     _fused_against_taped(n=130, hidden=50, steps=24, seed=5, saturate=True)
+
+
+def test_lstm_states_match_logistic_and_tanh_formulas():
+    """The exp-form gates give the states of logistic gates and a np.tanh candidate
+    within 1e-12, through saturation, -0.0 and zero rows, without a warning."""
+    rng = np.random.default_rng(26)
+    gates = _lstm_gates(rng, 8)
+    quantifier = SimpleNamespace(**dict(zip(("input_gate", "forget_gate", "output_gate", "candidate"),
+                                            gates)))
+    saturated = rng.uniform(1e4, 2e4, (4, 24)) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    series = np.vstack([rng.uniform(0, 6, (5, 24)), saturated, np.zeros((1, 24)), np.zeros((1, 24))])
+    series[[1, 6, 7, 10], ::3] = -0.0
+    for rows in (series, series[:0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            untaped = ad.lstm(rows, gates).data
+            with ad.Tape():
+                taped = ad.lstm(rows, gates).data
+        assert untaped.shape == (len(rows), 8) and untaped.tobytes() == taped.tobytes()
+        with np.errstate(over="ignore"):
+            want = np.array([oracles.lstm_state(quantifier, row) for row in rows]).reshape(-1, 8)
+        np.testing.assert_allclose(untaped, want, rtol=0, atol=1e-12)
+    # One unit whose gates saturate: at +1e4 the input and output gates are
+    # exactly 1, the forget gate 0 and the candidate -1, so c = -1 and
+    # h = tanh(-1); at -1e4 the input and output gates are 0, so h = 0.
+    unit = [tuple(ad.Parameter(np.array(p), "p") for p in ([[s]], [[0.0]], [0.0]))
+            for s in (1.0, -1.0, 1.0, -1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.lstm(np.array([[1e4] * 24, [-1e4] * 24]), unit).data
+    assert out[0, 0] == np.tanh(-1.0) and out[1, 0] == 0.0
 
 
 def test_taped_lstm_keeps_gates_and_cell_state_one_block_a_step():

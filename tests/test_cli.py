@@ -79,6 +79,17 @@ class TestSynth:
         assert echo["config"]["n_projects"] == 90
         assert echo["config"]["seed"] == 3
 
+    def test_echo_records_blas_thread_settings(self, tmp_path, monkeypatch):
+        """The BLAS thread settings, which change output bits, are echoed as the
+        process saw them, None where unset."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        assert main(["synth", "--n", "60", "--days", "5", "--out", str(tmp_path)]) == EXIT_OK
+        echo = json.loads((tmp_path / "config_echo.json").read_text())
+        assert echo["threads"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+                                   "MKL_NUM_THREADS": ""}
+
     def test_same_seed_same_bytes(self, tmp_path, market_dir):
         out = tmp_path / "again"
         assert main(["synth", "--n", "90", "--days", "14", "--seed", "3",

@@ -233,7 +233,7 @@ class TestAttention:
                 scores = np.asarray(scores)
                 act = np.where(scores > 0, scores, 0.2 * scores)
                 alpha = np.exp(act) / np.exp(act).sum()
-                want = np.zeros(attn.hidden)
+                want = np.zeros(attn.b_embed.data.shape)
                 for i in range(3):
                     want += alpha[i] * (states.data[i] @ attn.w_value.data)
                 np.testing.assert_allclose(weights[g], alpha, atol=1e-12)
@@ -254,7 +254,7 @@ class TestAttention:
     def test_gradients_flow_through_attention(self):
         attn, graph, xt, xr, _ = _attention_fixture(2, 4, seed=77)
         rng = np.random.default_rng(78)
-        state_data = rng.normal(0, 1, (4, attn.hidden))
+        state_data = rng.normal(0, 1, (4, attn.b_embed.data.size))
 
         def loss():
             pooled, _ = attn.forward(graph, xt, xr, ad.Tensor(state_data))
