@@ -24,6 +24,7 @@ DAY = 86400
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1  # times are held in int64 columns
 SERIES_HOURS = 24  # length of a rival's hourly funding series
 TREND_BINS = 6  # bins of a rival's achieved-progress trend
+BLOCK = 1 << 20  # bytes of a JSONL file scanned, or whose lines are cut into columns, at a time
 
 # Intra-day segment start hours, chronological. Segment k spans
 # [SEGMENT_STARTS[k], next start); the last segment ends at 24:00.
@@ -547,16 +548,22 @@ def _line_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
     Lines are split as text mode's line iterator splits them: at LF, CR LF or a
     lone CR only, so a U+2028 or a form feed inside a line does not end it.  The
     last line runs to the end of the file (it is empty if the file ends a line).
+    Line ends are found `BLOCK` bytes at a time, so no mask the size of the file is made.
     """
     buf = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    step = 1
-    if raw.find(b"\r") >= 0:
-        cr = np.flatnonzero(buf == ord("\r"))
-        crlf = cr[buf[np.minimum(cr + 1, buf.size - 1)] == ord("\n")]
-        ends = np.union1d(cr, np.setdiff1d(ends, crlf + 1))  # a CR LF ends one line, at its CR
-        step = 1 + np.isin(ends, crlf)
-    return np.append(0, ends + step), np.append(ends, len(raw))
+    has_cr = raw.find(b"\r") >= 0
+    starts, ends = [np.zeros(1, np.int64)], []
+    for b in range(0, buf.size, BLOCK):
+        block = buf[b:b + BLOCK]
+        at, step = np.flatnonzero(block == ord("\n")) + b, 1
+        if has_cr:  # a CR LF ends one line, at its CR
+            at = np.union1d(np.flatnonzero(block == ord("\r")) + b,
+                            at[buf[np.maximum(at - 1, 0)] != ord("\r")])
+            step = 1 + ((buf[at] == ord("\r")) & (buf[np.minimum(at + 1, buf.size - 1)] == ord("\n")))
+        starts.append(at + step)
+        ends.append(at)
+    ends.append(np.array([len(raw)], np.int64))
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _decode_line(where: str, line: bytes):
@@ -635,7 +642,7 @@ def _read_investments(path) -> _Events:
     """Every investment in a JSONL file as event columns, refused as a line-by-line reader would.
 
     `_COMPACT_RUN` finds the runs of lines in `save_investments`' layout, and
-    those are read as whole columns; each other line (blank, spaced,
+    those are cut into columns a block at a time; each other line (blank, spaced,
     reordered, escaped or malformed) is decoded on its own.  The first
     refusal in file order is raised, naming ``path:lineno``.
     """
@@ -662,18 +669,25 @@ def _read_investments(path) -> _Events:
         pos, i = starts.item(i + 1) if i + 1 < starts.size else len(raw), i + 1
     compact[others] = False
 
-    lines = np.flatnonzero(compact)
-    colons = np.flatnonzero(buf == ord(":"))
-    last = np.searchsorted(colons, ends[lines]) - 1
-    at_time, at_amount = colons[last - 1], colons[last]
-    ids = _spans(buf, starts[lines] + len('{"project_id":"'), at_time - len('","timestamp"'))
-    names, codes = np.unique(ids, return_inverse=True)
-    index = {name.decode("ascii"): c for c, name in enumerate(names)}
-    # One slot per line, then the lines that hold a record.
+    # One slot per line; the compact lines that start in each block of `BLOCK`
+    # bytes are cut into their slots together, so no column spans the file.
     (code_at, time_at), amount_at = np.zeros((2, ends.size), np.int64), np.zeros(ends.size)
-    code_at[lines] = codes
-    time_at[lines] = _spans(buf, at_time + 1, at_amount - len(',"amount"')).astype(np.int64)
-    amount_at[lines] = _spans(buf, at_amount + 1, ends[lines] - 1).astype(np.float64)
+    index = {}
+    for b in range(0, buf.size, BLOCK):
+        lo, hi = starts.searchsorted([b, b + BLOCK])
+        lines = lo + np.flatnonzero(compact[lo:hi])
+        if lines.size == 0:
+            continue
+        first = starts.item(lines[0])
+        colons = np.flatnonzero(buf[first:ends.item(lines[-1])] == ord(":")) + first
+        last = np.searchsorted(colons, ends[lines]) - 1
+        at_time, at_amount = colons[last - 1], colons[last]
+        ids = _spans(buf, starts[lines] + len('{"project_id":"'), at_time - len('","timestamp"'))
+        names, codes = np.unique(ids, return_inverse=True)
+        code_at[lines] = np.array([index.setdefault(name.decode("ascii"), len(index))
+                                   for name in names.tolist()], np.int64)[codes]
+        time_at[lines] = _spans(buf, at_time + 1, at_amount - len(',"amount"')).astype(np.int64)
+        amount_at[lines] = _spans(buf, at_amount + 1, ends[lines] - 1).astype(np.float64)
     del raw, buf  # free the file's bytes before the tables are built
     at = np.fromiter(records, np.int64, len(records))
     code_at[at] = [index.setdefault(fields["project_id"], len(index)) for fields in records.values()]

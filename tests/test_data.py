@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -337,6 +338,20 @@ class TestEncoder:
             self.fit(**{field: value})
 
 
+# A few bytes: line ends, CR LF pairs, colons and compact runs then straddle blocks.
+TINY_BLOCK = 7
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block(request, monkeypatch):
+    """Loaders run at the default `data.BLOCK` and at `TINY_BLOCK`, where every line
+    of a file spans blocks.  Tests take it through `usefixtures`: hypothesis refuses a
+    function-scoped fixture only as an argument."""
+    if request.param == "tiny":
+        monkeypatch.setattr(d, "BLOCK", TINY_BLOCK)
+
+
+@pytest.mark.usefixtures("block")
 class TestIO:
     def test_roundtrip(self, tmp_path):
         projects = [make_project(pid="a", t=100), make_project(pid="b", t=200, goal=5000.0)]
@@ -753,6 +768,7 @@ def test_encode_matches_the_per_project_reference_bit_for_bit(case):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.usefixtures("block")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(projects=st.lists(records(
     d.ProjectRecord, id=st.text(min_size=1, max_size=6), published_time=st.integers(-10**12, 10**12),
@@ -764,6 +780,7 @@ def test_jsonl_round_trip_keeps_records_and_event_columns(tmp_path_factory, proj
     assert d.load_projects(folder / "p.jsonl") == projects
 
 
+@pytest.mark.usefixtures("block")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(market=random_markets(), layout=st.lists(st.sampled_from(
     ["compact", "spaced", "reordered", "escaped", "blank"]), min_size=1, max_size=4),
@@ -793,6 +810,7 @@ def test_from_files_builds_the_tables_the_records_build(tmp_path_factory, market
                        d.Market(d.load_projects(folder / "p.jsonl"), events))
 
 
+@pytest.mark.usefixtures("block")
 def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
     projects = [make_project(pid=f"p{k}", t=T0 + k * d.HOUR, dur=2) for k in range(4)]
     events = [d.InvestmentEvent(p.id, p.published_time + h, 1.5 * h)
@@ -808,6 +826,7 @@ def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
     assert_same_tables(d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl"), want)
 
 
+@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_long_compact_runs_load_every_line_once(tmp_path, newline):
     """Compact lines are matched a bounded run at a time; runs meet without losing a line."""
@@ -826,6 +845,53 @@ def test_long_compact_runs_load_every_line_once(tmp_path, newline):
     (tmp_path / "i.jsonl").write_bytes(newline.join(lines).encode())
     with pytest.raises(d.DataError, match=re.escape(f"{tmp_path / 'i.jsonl'}:701: invalid JSON")):
         d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"project_id":"p1","timestamp":1000500,"amount":2.0', "invalid JSON"),
+    ('{"project_id":"p1","timestamp":1000500,"amount":-2.0}', "field 'amount' must be positive"),
+    ('{"project_id":"","timestamp":1000500,"amount":2.0}', "field 'project_id' is empty"),
+    ('{"project_id": "p1", "timestamp": 1000500, "amount": "2"}', "field 'amount' must be"),
+    ('{"project_id":"ghost","timestamp":1000500,"amount":2.0}', "unknown project id"),
+    ('{"project_id":"p1","timestamp":5,"amount":2.0}', "outside its live window"),
+])
+def test_a_refusal_in_a_later_block_names_its_line(tmp_path, monkeypatch, line, message):
+    """A refusal past the first block names the same `path:lineno` at every block size."""
+    projects = [make_project(pid=f"p{k}") for k in range(3)]
+    lines = [f'{{"project_id":"p{k % 3}","timestamp":{1_000_000 + k},"amount":{1.0 + k / 7!r}}}'
+             for k in range(400)]
+    lines[300] = line
+    d.save_projects(tmp_path / "p.jsonl", projects)
+    (tmp_path / "i.jsonl").write_text("\r\n".join(lines))
+    refusals = set()
+    for size in (d.BLOCK, 4096, TINY_BLOCK):  # line 301 lies in a later block at the last two
+        monkeypatch.setattr(d, "BLOCK", size)
+        with pytest.raises(d.DataError, match=re.escape(f"{tmp_path / 'i.jsonl'}:301: ")) as refused:
+            d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
+        assert message in str(refused.value)
+        refusals.add(str(refused.value))
+    assert len(refusals) == 1
+
+
+def test_reading_investments_holds_the_file_and_a_few_columns_a_line(tmp_path):
+    """The reader's peak is the file's bytes, a few int64 columns a line and a fixed number
+    of blocks: no mask, index or span matrix grows with the file.  At 100,000 lines the
+    per-line part decides: a reader with such temporaries (176 bytes a line) fails."""
+    n, rng = 100_000, np.random.default_rng(0)
+    projects = [make_project(pid=f"p{k}", t=T0 + k) for k in range(200)]
+    market = d.Market(projects, d._Events(
+        [p.id for p in projects], rng.integers(0, 200, n), T0 + 200 + rng.integers(0, 29 * d.DAY, n),
+        rng.lognormal(3.0, 1.0, n)))
+    assert d.save_investments(tmp_path / "i.jsonl", market) == n
+    tracemalloc.start()
+    try:
+        events = d._read_investments(tmp_path / "i.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events.times.size == n
+    # line bounds, the compact mask and the three per-line slots take 41 bytes a line
+    assert peak <= (tmp_path / "i.jsonl").stat().st_size + 64 * n + 4 * d.BLOCK
 
 
 # Launches near one shared time anywhere in int64, so a market of them can index its events.
