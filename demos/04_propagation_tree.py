@@ -48,7 +48,7 @@ states = rng.normal(0, 1, (tree.n_nodes, width))
 updater = GatedTreeUpdater(width, np.random.default_rng(1))
 result = updater.propagate(tree, ad.Tensor(states.copy()))
 
-print(f"\nroot summary shape {result.roots.shape}")
+print(f"\nroot summary shape {result.states.data[:tree.n_roots].shape}")
 for i, pid in enumerate(node_ids):
     moved = float(np.max(np.abs(result.states.data[i] - states[i])))
     print(f"  {pid}: updates {int(result.counts[i])}, state moved {moved:.3f}")

@@ -27,16 +27,11 @@ __all__ = [
     "Parameter",
     "Tape",
     "backward",
-    "add",
-    "mul",
-    "matmul",
-    "take_rows",
-    "relu",
-    "tanh",
+    "affine_stack",
     "lstm",
     "tree_gru",
     "attention",
-    "dropout",
+    "head",
     "l1_loss",
     "sgd_step",
     "grad_check",
@@ -105,7 +100,7 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Each entry is (output, inputs, backward_fn) appended in execution order,
+    Each entry is (outputs, inputs, backward_fn) appended in execution order,
     so a reversed replay visits consumers before producers.
     """
 
@@ -133,27 +128,29 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+def _record(out, inputs: tuple, backward_fn):
+    """Tape `out`, a tensor or a tuple of them; backward_fn takes one gradient per output,
+    None for an output the loss does not reach, and returns one per input."""
     stack = _tape_stack()
     if stack:
-        stack[-1]._nodes.append((out, inputs, backward_fn))
+        stack[-1]._nodes.append((out if isinstance(out, tuple) else (out,), inputs, backward_fn))
     return out
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(input) into every tensor recorded on the tape.
 
-    The reversed replay visits each recorded node exactly once; nodes whose
-    output never reached the loss carry no gradient and are skipped.
+    The reversed replay visits each recorded node exactly once; nodes none of
+    whose outputs reached the loss carry no gradient and are skipped.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss of shape {loss.data.shape} is not scalar")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(tape._nodes):
-        gout = out.grad
-        if gout is None:
+    for outs, inputs, backward_fn in reversed(tape._nodes):
+        gouts = [out.grad for out in outs]
+        if all(g is None for g in gouts):
             continue
-        grads = backward_fn(gout)
+        grads = backward_fn(*gouts)
         for tensor, g in zip(inputs, grads):
             if g is None:
                 continue
@@ -162,93 +159,46 @@ def backward(tape: Tape, loss: Tensor) -> None:
             tensor.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to `shape` after a broadcast forward."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+def affine_stack(x, layers, last) -> Tensor:
+    """Affine layers h w + b over the rows of a 2-D constant x as one tape node.
 
-
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    """Operand shapes must broadcast under numpy's rules."""
-    sa, sb = a.data.shape, b.data.shape
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}") from None
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("add", a, b)
-    out = Tensor(a.data + b.data)
-    sa, sb = a.data.shape, b.data.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("mul", a, b)
-    out = Tensor(a.data * b.data)
-    sa, sb = a.data.shape, b.data.shape
+    `layers` holds (w, b) pairs shaped (a, b) and (b,), the first a the width
+    of x and each later a the previous b.  ReLU sits between the layers, and
+    tanh follows the last when `last` is "tanh" (it is None otherwise).  The
+    backward adds terms in the order the per-op tape of matmul, add, relu and
+    tanh would, so values and parameter gradients equal that tape's bit for bit.
+    """
+    h, layers = _as_tensor(x).data, [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    widths = [h.shape[-1] if h.ndim else 0] + [w.data.shape[-1] if w.data.ndim else 0 for w, _ in layers]
+    got = [(w.data.shape, b.data.shape) for w, b in layers]
+    if h.ndim != 2 or not layers or got != [((a, b), (b,)) for a, b in zip(widths, widths[1:])]:
+        raise ShapeError(f"affine_stack: input of shape {h.shape} needs 2-D, and layers of shapes {got} "
+                         f"need (w, b) pairs shaped (a, b) and (b,), the first a the input width")
+    if last not in (None, "tanh"):
+        raise ValueError(f"affine_stack: last must be None or 'tanh', got {last!r}")
+    inputs, live = [h], []  # each layer's input, and where each ReLU passes
+    for i, (w, b) in enumerate(layers):
+        if i:
+            live.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+            inputs.append(h)
+        h = h @ w.data
+        h += b.data
+    y = np.tanh(h) if last else h
+    out = Tensor(y)
 
     def _bwd(g):
-        return _unbroadcast(g * b.data, sa), _unbroadcast(g * a.data, sb)
+        if last:
+            g = g * (1.0 - y * y)
+        grads = []
+        for i in range(len(layers) - 1, -1, -1):
+            grads += [g.sum(axis=0), inputs[i].T @ g]
+            if i:
+                g = g @ layers[i][0].data.T
+                g *= live[i - 1]
+        return grads[::-1]
 
-    return _record(out, (a, b), _bwd)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} must be 1-D or 2-D")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    da, db = a.data, b.data
-
-    def _bwd(g):
-        if da.ndim == 2 and db.ndim == 2:
-            return g @ db.T, da.T @ g
-        if da.ndim == 2 and db.ndim == 1:
-            return np.outer(g, db), da.T @ g
-        if da.ndim == 1 and db.ndim == 2:
-            return db @ g, np.outer(da, g)
-        return g * db, g * da
-
-    return _record(out, (a, b), _bwd)
-
-
-def take_rows(x, rows: slice) -> Tensor:
-    """A block of rows of a 2-D input; its backward writes the block back."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or not isinstance(rows, slice):
-        raise ShapeError(f"take_rows: needs a 2-D input and a slice, got {x.data.shape} and {rows!r}")
-    out = Tensor(x.data[rows].copy())
-
-    def _bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows] = g
-        return (gx,)
-
-    return _record(out, (x,), _bwd)
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
-    return _record(out, (x,), lambda g: (g * mask,))
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.tanh(x.data))
-    y = out.data
-    return _record(out, (x,), lambda g: (g * (1.0 - y * y),))
+    return _record(out, tuple(p for pair in layers for p in pair), _bwd)
 
 
 def _logistic(d: np.ndarray, out=None) -> np.ndarray:
@@ -493,36 +443,95 @@ def attention(target_x, rival_x, rival_states, mask, params, slope: float):
     return _record(out, (states, *params), _bwd), y
 
 
-def dropout(x, keep_prob: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero entries with probability 1-keep and rescale.
+def head(pooled, states, n_roots: int, keep_mask, params):
+    """The target prediction and the auxiliary readout as one tape node; returns (pred, aux).
 
-    keep_prob == 1 is the identity and records nothing; training-mode gating
-    is the caller's job.
+    pred = relu((pooled + (states[:n_roots] * keep_mask) @ proj_w + proj_b) @ out_w + out_b)
+    and aux = relu(states[n_roots:] @ aux_w + aux_b), with `params` holding proj_w (W, H),
+    proj_b (H,), out_w (H,), out_b (1,), aux_w (W,) and aux_b (1,).  `pooled` (n_roots, H)
+    or `states` (n, W) may be None, which leaves its branch out; aux is None when `states`
+    is None or has no row past the roots; a None `keep_mask` multiplies by nothing.  The
+    backward adds terms in the order the per-op tape would, so values and gradients
+    equal that tape's bit for bit.  The mask is a constant.
     """
-    x = _as_tensor(x)
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"dropout: keep_prob {keep_prob} outside (0, 1]")
-    if keep_prob == 1.0:
-        return x
-    mask = (rng.random(x.data.shape) < keep_prob) / keep_prob
-    out = Tensor(x.data * mask)
-    return _record(out, (x,), lambda g: (g * mask,))
+    pooled, states = (None if t is None else _as_tensor(t) for t in (pooled, states))
+    params = [_as_tensor(p) for p in params]
+    shapes = [None if t is None else np.shape(getattr(t, "data", t)) for t in (pooled, states, keep_mask)]
+    w, h = params[0].data.shape if params and params[0].data.ndim == 2 else (0, 0)
+    n = len(states.data) if states is not None and states.data.ndim == 2 else n_roots  # all states' rows
+    want = [(n_roots, h), (max(n, n_roots), w), (n_roots, w)]
+    got = [p.data.shape for p in params]
+    if (got != [(w, h), (h,), (h,), (1,), (w,), (1,)] or shapes[:2] == [None, None]
+            or any(shape not in (None, need) for shape, need in zip(shapes, want))):
+        raise ShapeError(f"head: pooled, states and keep_mask of shapes {shapes} and params of "
+                         f"shapes {got} need ({n_roots}, H), (n >= {n_roots}, W) and ({n_roots}, W), "
+                         f"not both of the first two None, and (W, H), (H,), (H,), (1,), (W,), (1,)")
+    proj_w, proj_b, out_w, out_b, aux_w, aux_b = (p.data for p in params)
+    combined = roots = aux = None
+    if pooled is not None:
+        combined = pooled.data
+    if states is not None:
+        roots = states.data[:n_roots] if keep_mask is None else states.data[:n_roots] * keep_mask
+        proj = roots @ proj_w
+        proj += proj_b
+        combined = proj if combined is None else combined + proj
+        nonroot = states.data[n_roots:]
+    z = combined @ out_w
+    z += out_b
+    live = z > 0.0
+    pred = Tensor(np.maximum(z, 0.0))
+    if states is not None and len(nonroot):
+        z_aux = nonroot @ aux_w
+        z_aux += aux_b
+        aux_live = z_aux > 0.0
+        aux = Tensor(np.maximum(z_aux, 0.0))
+
+    def _bwd(g, g_aux=None):
+        grads = [None] * 8  # pooled, states, proj_w, proj_b, out_w, out_b, aux_w, aux_b
+        if states is not None:
+            grads[1] = np.zeros_like(states.data)
+        if g is not None:
+            g = g * live
+            grads[5], g_combined, grads[4] = g.sum(keepdims=True), np.outer(g, out_w), combined.T @ g
+            grads[0] = g_combined if pooled is not None else None
+            if states is not None:
+                grads[3], g_roots, grads[2] = g_combined.sum(axis=0), g_combined @ proj_w.T, roots.T @ g_combined
+                grads[1][:n_roots] = g_roots if keep_mask is None else g_roots * keep_mask
+        if g_aux is not None:
+            g_aux = g_aux * aux_live
+            grads[7], grads[6] = g_aux.sum(keepdims=True), nonroot.T @ g_aux
+            grads[1][n_roots:] = np.outer(g_aux, aux_w)
+        return grads
+
+    _record((pred,) if aux is None else (pred, aux), (pooled, states, *params), _bwd)
+    return pred, aux
 
 
-def l1_loss(pred, truth) -> Tensor:
-    """Mean |pred - truth| as one tape node; `truth` is a constant of exactly pred's shape.
+def l1_loss(terms):
+    """sum_k w_k mean |pred_k - truth_k| over (pred, truth, w) terms as one tape node.
 
-    Its backward, sign(pred - truth) * (g / n), is the product that taped
-    subtraction, absolute value and mean form in turn, so value and gradient
-    equal that chain's bit for bit.
+    Returns (total, errors): `errors` are the terms' unweighted means, as
+    floats.  Each truth is a constant of exactly its prediction's shape.  The
+    total is e_1 w_1 + e_2 w_2 + ... in term order, and a term's gradient is
+    sign(pred - truth) * (g w / n): the products that taped subtraction,
+    absolute value, mean, a product by the weight and the sum form in turn, so
+    value and gradients equal that chain's bit for bit.  As e * 1.0 == e and
+    g * 1.0 == g, a term of weight 1.0 keeps the bits of an unweighted error.
     """
-    pred, truth = _as_tensor(pred), np.asarray(truth, dtype=np.float64)
-    if pred.data.shape != truth.shape or not truth.size:
-        raise ShapeError(f"l1_loss: prediction of shape {pred.data.shape} needs a non-empty "
-                         f"truth of the same shape, got {truth.shape}")
-    diff = pred.data - truth
-    out = Tensor(np.abs(diff).mean())
-    return _record(out, (pred,), lambda g: (np.sign(diff) * (float(g) / diff.size),))
+    terms = [(_as_tensor(p), np.asarray(t, dtype=np.float64), w) for p, t, w in terms]
+    for pred, truth, _ in terms:
+        if pred.data.shape != truth.shape or not truth.size:
+            raise ShapeError(f"l1_loss: prediction of shape {pred.data.shape} needs a non-empty "
+                             f"truth of the same shape, got {truth.shape}")
+    diffs = [pred.data - truth for pred, truth, _ in terms]
+    errors = [np.abs(d).mean() for d in diffs]
+    weighted = [e * w for e, (_, _, w) in zip(errors, terms)]
+    out = Tensor(sum(weighted[1:], weighted[0]))
+
+    def _bwd(g):
+        return [np.sign(d) * (float(g * w) / d.size) for d, (_, _, w) in zip(diffs, terms)]
+
+    return _record(out, tuple(pred for pred, _, _ in terms), _bwd), [float(e) for e in errors]
 
 
 def sgd_step(params, rate: float, step: int) -> None:

@@ -102,12 +102,7 @@ class AffineStack:
 
     def forward(self, inputs: np.ndarray) -> ad.Tensor:
         """(n, dims[0]) rows -> (n, dims[-1]) outputs, rows independent."""
-        out = ad.Tensor(inputs)
-        for li, (w, b) in enumerate(self.layers):
-            if li:
-                out = ad.relu(out)
-            out = ad.add(ad.matmul(out, w), b)
-        return out
+        return ad.affine_stack(inputs, self.layers, None)
 
 
 class PriorQuantifier(AffineStack):
@@ -118,14 +113,11 @@ class PriorQuantifier(AffineStack):
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        self.input_dim = SERIES_HOURS + TREND_BINS
-        super().__init__([self.input_dim, hidden, hidden, hidden], rng, "competition.prior")
+        super().__init__([SERIES_HOURS + TREND_BINS, hidden, hidden, hidden], rng, "competition.prior")
 
     def forward(self, inputs: np.ndarray) -> ad.Tensor:
         """(n, series+bins) rows -> (n, hidden) states, rows independent."""
-        if inputs.shape[1] != self.input_dim:
-            raise ad.ShapeError(f"prior quantifier: input of shape {inputs.shape} does not have width {self.input_dim}")
-        return ad.tanh(super().forward(inputs))
+        return ad.affine_stack(inputs, self.layers, "tanh")
 
 
 class AttentionAggregator:

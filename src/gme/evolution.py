@@ -154,7 +154,6 @@ def update_levels(tree: PropagationTree) -> list:
 
 
 class PropagationResult(NamedTuple):
-    roots: ad.Tensor
     states: ad.Tensor
     counts: np.ndarray
 
@@ -166,8 +165,8 @@ class GatedTreeUpdater:
     depth the nodes that have children (and, at depth 0, every root)
     absorb the sum of their children's current states through a gated
     cell; leaves are left untouched.  The whole walk is one
-    `autodiff.tree_gru` node.  `propagate` returns the root states, all
-    states, and a per-node update count for auditing.
+    `autodiff.tree_gru` node.  `propagate` returns all states, the roots'
+    first, and a per-node update count for auditing.
     """
 
     def __init__(self, width: int, rng):
@@ -201,5 +200,4 @@ class GatedTreeUpdater:
             counts[rows] += 1
         h_all = ad.tree_gru(states, levels, self.b_agg,
                             [(self.w_z, self.u_z), (self.w_r, self.u_r), (self.w_c, self.u_c)])
-        roots = ad.take_rows(h_all, slice(0, tree.n_roots))
-        return PropagationResult(roots, h_all, counts)
+        return PropagationResult(h_all, counts)

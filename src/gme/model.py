@@ -209,49 +209,34 @@ class GMEModel:
                 dropout_rng=None) -> ForwardResult:
         if not ctx.target_rows.size:
             raise ValueError("empty target set")
-        use_pcm = self.config.ablation != "met-only"
-        use_met = self.config.ablation != "pcm-only"
-
-        parts = []
-        attention = None
-        aux_pred = None
-        if use_pcm:
+        pooled = attention = states = keep_mask = None
+        if self.config.ablation != "met-only":
             pooled, attention = self.attention.forward(
                 ctx.graph, ctx.target_features, ctx.rival_features, self._rival_states(ctx))
-            parts.append(pooled)
-        if use_met:
-            rolled = self.updater.propagate(ctx.tree, ad.Tensor(ctx.tree_init))
-            roots = rolled.roots
-            if training and self.config.dropout_keep < 1.0:
+        if self.config.ablation != "pcm-only":
+            states = self.updater.propagate(ctx.tree, ad.Tensor(ctx.tree_init)).states
+            keep = self.config.dropout_keep
+            if training and keep < 1.0:
                 if dropout_rng is None:
                     raise ValueError("training forward needs a dropout rng")
-                roots = ad.dropout(roots, self.config.dropout_keep, dropout_rng)
-            parts.append(ad.add(ad.matmul(roots, self.proj_w), self.proj_b))
-            n_aux = ctx.tree.n_nodes - ctx.tree.n_roots
-            if n_aux > 0:
-                nonroot = ad.take_rows(rolled.states, slice(ctx.tree.n_roots, ctx.tree.n_nodes))
-                aux_pred = ad.relu(ad.add(ad.matmul(nonroot, self.aux_w), self.aux_b))
-
-        combined = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
-        pred = ad.relu(ad.add(ad.matmul(combined, self.out_w), self.out_b))
+                keep_mask = (dropout_rng.random((ctx.tree.n_roots, self.tree_width)) < keep) / keep
+        pred, aux_pred = ad.head(pooled, states, ctx.tree.n_roots, keep_mask,
+                                 [self.proj_w, self.proj_b, self.out_w, self.out_b, self.aux_w, self.aux_b])
         return ForwardResult(pred, aux_pred, attention)
 
     def loss(self, result: ForwardResult, ctx: TargetSetContext) -> LossResult:
-        """Weighted sum of target error and per-node auxiliary error.
+        """Weighted sum of target error and per-node auxiliary error, one `ad.l1_loss` node.
 
         With the tree branch ablated the objective is the target error
-        alone; a tree with no non-root nodes contributes a zero auxiliary
-        term but keeps the eta weighting.
+        alone; a tree with no non-root nodes contributes no auxiliary term
+        but keeps the eta weighting.
         """
-        pred_err = ad.l1_loss(result.pred, ctx.truths)
-        if self.config.ablation == "pcm-only":
-            return LossResult(pred_err, float(pred_err.data), 0.0)
-        eta = self.config.eta
-        if result.aux_pred is None:
-            return LossResult(ad.mul(pred_err, eta), float(pred_err.data), 0.0)
-        aux_err = ad.l1_loss(result.aux_pred, ctx.aux_truths)
-        total = ad.add(ad.mul(pred_err, eta), ad.mul(aux_err, 1.0 - eta))
-        return LossResult(total, float(pred_err.data), float(aux_err.data))
+        eta = 1.0 if self.config.ablation == "pcm-only" else self.config.eta
+        terms = [(result.pred, ctx.truths, eta)]
+        if result.aux_pred is not None:
+            terms.append((result.aux_pred, ctx.aux_truths, 1.0 - eta))
+        total, (loss_p, *loss_l) = ad.l1_loss(terms)
+        return LossResult(total, loss_p, loss_l[0] if loss_l else 0.0)
 
     def predict(self, ctx: TargetSetContext) -> np.ndarray:
         """Inference-mode scores for one target set."""

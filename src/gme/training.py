@@ -228,7 +228,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
         for ctx in train_contexts:
             with ad.Tape() as tape:
                 out = mlp.forward(ctx.target_features)
-                err = ad.l1_loss(out, ctx.truths[:, None])
+                err = ad.l1_loss([(out, ctx.truths[:, None], 1.0)])[0]
                 ad.backward(tape, err)
             ad.sgd_step(params, rate, step)
             step += 1

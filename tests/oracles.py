@@ -2,9 +2,9 @@
 
 Everything here is plain loops over ndarray views of the model's
 parameters: no batching, and no Tensor or tape except in the engine
-references, which keep the per-step forms the fused ops replaced.  Tests
-compare these against the engine to catch wiring mistakes that unit tests
-on single ops miss.
+references, which keep the generic taped ops and the per-op and per-step
+forms the fused ops replaced.  Tests compare these against the engine to
+catch wiring mistakes that unit tests on single ops miss.
 The data formulas work one project at a time on that project's own
 events, the feature encoder one project and one block at a time, and tree
 growth attaches one candidate at a time, as the whole-market array code
@@ -153,6 +153,113 @@ def joint_loss(model, ctx):
 
 
 # --- engine references for the fused ops ---------------------------------------
+# The generic taped ops below (add, mul, matmul, take_rows, relu, tanh, dropout and
+# the rest) are the per-op forms that each fused `ad` node must equal bit for bit.
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g down to `shape` after a broadcast forward."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def _check_elementwise(op: str, a, b) -> None:
+    """Operand shapes must broadcast under numpy's rules."""
+    sa, sb = a.data.shape, b.data.shape
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ad.ShapeError(f"{op}: incompatible shapes {sa} and {sb}") from None
+
+
+def add(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    _check_elementwise("add", a, b)
+    out = ad.Tensor(a.data + b.data)
+    sa, sb = a.data.shape, b.data.shape
+    return ad._record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def mul(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    _check_elementwise("mul", a, b)
+    out = ad.Tensor(a.data * b.data)
+    sa, sb = a.data.shape, b.data.shape
+
+    def _bwd(g):
+        return _unbroadcast(g * b.data, sa), _unbroadcast(g * a.data, sb)
+
+    return ad._record(out, (a, b), _bwd)
+
+
+def matmul(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+        raise ad.ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} must be 1-D or 2-D")
+    if a.data.shape[-1] != b.data.shape[0]:
+        raise ad.ShapeError(f"matmul: inner dimensions differ for shapes {a.data.shape} and {b.data.shape}")
+    out = ad.Tensor(a.data @ b.data)
+    da, db = a.data, b.data
+
+    def _bwd(g):
+        if da.ndim == 2 and db.ndim == 2:
+            return g @ db.T, da.T @ g
+        if da.ndim == 2 and db.ndim == 1:
+            return np.outer(g, db), da.T @ g
+        if da.ndim == 1 and db.ndim == 2:
+            return db @ g, np.outer(da, g)
+        return g * db, g * da
+
+    return ad._record(out, (a, b), _bwd)
+
+
+def take_rows(x, rows: slice):
+    """A block of rows of a 2-D input; its backward writes the block back."""
+    x = ad._as_tensor(x)
+    if x.data.ndim != 2 or not isinstance(rows, slice):
+        raise ad.ShapeError(f"take_rows: needs a 2-D input and a slice, got {x.data.shape} and {rows!r}")
+    out = ad.Tensor(x.data[rows].copy())
+
+    def _bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
+        return (gx,)
+
+    return ad._record(out, (x,), _bwd)
+
+
+def relu(x):
+    x = ad._as_tensor(x)
+    out = ad.Tensor(np.maximum(x.data, 0.0))
+    mask = x.data > 0.0
+    return ad._record(out, (x,), lambda g: (g * mask,))
+
+
+def tanh(x):
+    x = ad._as_tensor(x)
+    out = ad.Tensor(np.tanh(x.data))
+    y = out.data
+    return ad._record(out, (x,), lambda g: (g * (1.0 - y * y),))
+
+
+def dropout(x, keep_prob: float, rng: np.random.Generator):
+    """Inverted dropout: zero entries with probability 1-keep and rescale.
+
+    keep_prob == 1 is the identity and records nothing; training-mode gating
+    is the caller's job.
+    """
+    x = ad._as_tensor(x)
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError(f"dropout: keep_prob {keep_prob} outside (0, 1]")
+    if keep_prob == 1.0:
+        return x
+    mask = (rng.random(x.data.shape) < keep_prob) / keep_prob
+    out = ad.Tensor(x.data * mask)
+    return ad._record(out, (x,), lambda g: (g * mask,))
+
 
 def piecewise_sigmoid(d):
     """The logistic function with one exp per entry, split on the sign of d."""
@@ -167,10 +274,10 @@ def piecewise_sigmoid(d):
 def sub(a, b):
     """Taped broadcasting subtraction: with `absolute` and `mean`, the per-op form of `ad.l1_loss`."""
     a, b = ad._as_tensor(a), ad._as_tensor(b)
-    ad._check_elementwise("sub", a, b)
+    _check_elementwise("sub", a, b)
     out = ad.Tensor(a.data - b.data)
     sa, sb = a.data.shape, b.data.shape
-    return ad._record(out, (a, b), lambda g: (ad._unbroadcast(g, sa), ad._unbroadcast(-g, sb)))
+    return ad._record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def absolute(x):
@@ -257,15 +364,15 @@ def taped_attention(target_x, rival_x, rival_states, mask, params, slope):
     xt = ad.Tensor(target_x)
     v_target = gather(v, np.arange(hidden)[:, None])  # (hidden, 1)
     v_rival = gather(v, np.arange(hidden, 2 * hidden))  # (hidden,)
-    target_scores = ad.matmul(ad.matmul(xt, w_score), v_target)  # (targets, 1)
-    rival_scores = ad.matmul(ad.matmul(ad.Tensor(rival_x), w_score), v_rival)
-    scores = leaky_relu(ad.add(target_scores, rival_scores), slope)
+    target_scores = matmul(matmul(xt, w_score), v_target)  # (targets, 1)
+    rival_scores = matmul(matmul(ad.Tensor(rival_x), w_score), v_rival)
+    scores = leaky_relu(add(target_scores, rival_scores), slope)
     alpha = softmax(scores, mask)
-    pooled = ad.matmul(alpha, ad.matmul(rival_states, w_value))
+    pooled = matmul(alpha, matmul(rival_states, w_value))
     # alpha pools 0 for a target with no rivals; it takes its own embedding instead
     isolated = ~np.asarray(mask).any(axis=1, keepdims=True)
-    own = ad.add(ad.matmul(xt, w_embed), b_embed)
-    return ad.add(pooled, ad.mul(own, isolated.astype(np.float64))), alpha.data
+    own = add(matmul(xt, w_embed), b_embed)
+    return add(pooled, mul(own, isolated.astype(np.float64))), alpha.data
 
 
 def row_update(x, indices, rows):
@@ -334,10 +441,10 @@ def taped_lstm(series, gates):
     c = ad.Tensor(np.zeros((n, hidden)))
     for k in range(steps):
         hx = join_columns(h, series[:, k:k + 1], np.ones((n, 1)))
-        i, f, o = (exp_sigmoid(ad.matmul(hx, w)) for w in weights[:3])
-        g = exp_tanh(ad.matmul(hx, weights[3]))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        i, f, o = (exp_sigmoid(matmul(hx, w)) for w in weights[:3])
+        g = exp_tanh(matmul(hx, weights[3]))
+        c = add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
     return h
 
 
@@ -346,13 +453,77 @@ def taped_rollup(states, levels, b_agg, gates):
     (w_z, u_z), (w_r, u_r), (w_c, u_c) = gates
     h_all = ad._as_tensor(states)
     for rows, child_sum in levels:
-        agg = ad.add(ad.matmul(ad.Tensor(child_sum), h_all), b_agg)
+        agg = add(matmul(ad.Tensor(child_sum), h_all), b_agg)
         h = gather(h_all, rows)
-        z = sigmoid(ad.add(ad.matmul(agg, w_z), ad.matmul(h, u_z)))
-        r = sigmoid(ad.add(ad.matmul(agg, w_r), ad.matmul(h, u_r)))
-        cand = ad.tanh(ad.add(ad.matmul(agg, w_c), ad.matmul(ad.mul(r, h), u_c)))
-        h_all = row_update(h_all, rows, ad.add(sub(h, ad.mul(z, h)), ad.mul(z, cand)))
+        z = sigmoid(add(matmul(agg, w_z), matmul(h, u_z)))
+        r = sigmoid(add(matmul(agg, w_r), matmul(h, u_r)))
+        cand = tanh(add(matmul(agg, w_c), matmul(mul(r, h), u_c)))
+        h_all = row_update(h_all, rows, add(sub(h, mul(z, h)), mul(z, cand)))
     return h_all
+
+
+def taped_affine_stack(x, layers, last):
+    """`ad.affine_stack` as the per-op chain: matmul and add a layer, relu between, tanh last."""
+    out = ad.Tensor(x)
+    for i, (w, b) in enumerate(layers):
+        if i:
+            out = relu(out)
+        out = add(matmul(out, w), b)
+    return tanh(out) if last == "tanh" else out
+
+
+def taped_head(pooled, states, n_roots, keep_prob, rng, params):
+    """`ad.head` as the per-op chain, with `dropout` drawing the roots' mask from rng."""
+    proj_w, proj_b, out_w, out_b, aux_w, aux_b = params
+    combined, aux = pooled, None
+    if states is not None:
+        roots = dropout(take_rows(states, slice(0, n_roots)), keep_prob, rng)
+        proj = add(matmul(roots, proj_w), proj_b)
+        n = states.shape[0]
+        if n > n_roots:
+            aux = relu(add(matmul(take_rows(states, slice(n_roots, n)), aux_w), aux_b))
+        combined = proj if pooled is None else add(pooled, proj)
+    return relu(add(matmul(combined, out_w), out_b)), aux
+
+
+def taped_forward(model, ctx, dropout_rng=None):
+    """`GMEModel.forward` as the per-op chain, training when given a dropout rng: (pred, aux_pred).
+
+    The prior quantifier and the head run per op; the recurrent quantifier,
+    attention and the roll-up are the model's own fused nodes.
+    """
+    cfg = model.config
+    pooled = states = None
+    if cfg.ablation != "met-only":
+        if cfg.quantifier == "prior-mlp":
+            rivals = taped_affine_stack(np.concatenate([ctx.rival_series, ctx.rival_trends], axis=1),
+                                        model.prior.layers, "tanh")
+        else:
+            rivals = model.recurrent.forward(ctx.rival_series)
+        pooled = model.attention.forward(ctx.graph, ctx.target_features, ctx.rival_features, rivals)[0]
+    if cfg.ablation != "pcm-only":
+        states = model.updater.propagate(ctx.tree, ad.Tensor(ctx.tree_init)).states
+    keep = 1.0 if dropout_rng is None else cfg.dropout_keep
+    return taped_head(pooled, states, ctx.tree.n_roots, keep, dropout_rng,
+                      [model.proj_w, model.proj_b, model.out_w, model.out_b, model.aux_w, model.aux_b])
+
+
+def taped_l1(pred, truth):
+    """One L1 error as the per-op chain of `sub`, `absolute` and `mean`."""
+    return mean(absolute(sub(pred, ad.Tensor(truth))))
+
+
+def taped_loss(model, pred, aux_pred, ctx):
+    """`GMEModel.loss` as the per-op chain: a bare error under pcm-only, eta * e_p
+    with no auxiliary node, else eta * e_p + (1 - eta) * e_l.  Returns (total, e_p, e_l)."""
+    pred_err = taped_l1(pred, ctx.truths)
+    if model.config.ablation == "pcm-only":
+        return pred_err, float(pred_err.data), 0.0
+    eta = model.config.eta
+    if aux_pred is None:
+        return mul(pred_err, eta), float(pred_err.data), 0.0
+    aux_err = taped_l1(aux_pred, ctx.aux_truths)
+    return add(mul(pred_err, eta), mul(aux_err, 1.0 - eta)), float(pred_err.data), float(aux_err.data)
 
 
 # --- per-project data formulas ------------------------------------------------

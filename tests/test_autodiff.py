@@ -21,7 +21,7 @@ def test_softmax_equal_logits_is_uniform():
 
 
 def test_relu_values():
-    out = ad.relu(ad.Tensor([-1.0, 0.0, 2.5]))
+    out = oracles.relu(ad.Tensor([-1.0, 0.0, 2.5]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.5])
 
 
@@ -35,7 +35,7 @@ def test_backward_linear_map():
     w = ad.Parameter([3.0, -4.0], name="w")
     x = ad.Tensor([1.0, 2.0])
     with ad.Tape() as tape:
-        loss = ad.matmul(w, x)
+        loss = oracles.matmul(w, x)
     ad.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, [1.0, 2.0])
 
@@ -43,7 +43,7 @@ def test_backward_linear_map():
 def test_backward_relu_dead_branch_gets_zero():
     w = ad.Parameter([-1.0], name="w")
     with ad.Tape() as tape:
-        loss = oracles.mean(ad.relu(w))
+        loss = oracles.mean(oracles.relu(w))
     ad.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, [0.0])
 
@@ -52,7 +52,7 @@ def test_backward_visits_each_node_once_and_accumulates_reuse():
     # y = w*w uses w twice; gradient must sum both paths: d(w^2)/dw = 2w
     w = ad.Parameter([1.5], name="w")
     with ad.Tape() as tape:
-        loss = oracles.mean(ad.mul(w, w))
+        loss = oracles.mean(oracles.mul(w, w))
     assert len(tape) == 2
     ad.backward(tape, loss)
     np.testing.assert_allclose(w.grad, [3.0], atol=1e-15)
@@ -61,7 +61,7 @@ def test_backward_visits_each_node_once_and_accumulates_reuse():
 def test_backward_rejects_vector_loss():
     w = ad.Parameter([1.0, 2.0], name="w")
     with ad.Tape() as tape:
-        out = ad.relu(w)
+        out = oracles.relu(w)
     with pytest.raises(ad.ShapeError):
         ad.backward(tape, out)
 
@@ -70,7 +70,7 @@ def test_unreachable_parameter_keeps_zero_gradient():
     used = ad.Parameter([2.0], name="used")
     unused = ad.Parameter([5.0], name="unused")
     with ad.Tape() as tape:
-        loss = oracles.mean(ad.mul(used, used))
+        loss = oracles.mean(oracles.mul(used, used))
     ad.backward(tape, loss)
     np.testing.assert_array_equal(unused.grad, [0.0])
 
@@ -79,11 +79,11 @@ def test_shape_mismatch_diagnostics_name_op_and_shapes():
     a = ad.Tensor(np.zeros((2, 3)))
     b = ad.Tensor(np.zeros((4,)))
     with pytest.raises(ad.ShapeError) as err:
-        ad.matmul(a, b)
+        oracles.matmul(a, b)
     msg = str(err.value)
     assert "matmul" in msg and "(2, 3)" in msg and "(4,)" in msg
     with pytest.raises(ad.ShapeError) as err2:
-        ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))))
+        oracles.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))))
     msg2 = str(err2.value)
     assert "add" in msg2 and "(2, 3)" in msg2 and "(3, 2)" in msg2
 
@@ -93,7 +93,7 @@ def test_untaped_ops_record_nothing():
     with tape:
         pass
     before = len(tape)
-    ad.relu(ad.Tensor([1.0]))
+    oracles.relu(ad.Tensor([1.0]))
     assert len(tape) == before
 
 
@@ -104,7 +104,7 @@ class TestGradCheckOracle:
         w = ad.Parameter([3.0], name="w")
 
         def loss():
-            return oracles.mean(ad.mul(ad.mul(w, w), 0.5))
+            return oracles.mean(oracles.mul(oracles.mul(w, w), 0.5))
 
         assert ad.grad_check(loss, [w]) < 1e-8
 
@@ -120,8 +120,8 @@ class TestGradCheckOracle:
         mask = np.asarray([[1, 1], [0, 1], [0, 0]])  # the last query has no keys
 
         def loss():
-            h = ad.tanh(ad.add(ad.matmul(ad.Tensor(x), w1), b1))
-            g = oracles.sigmoid(ad.matmul(h, w2))
+            h = oracles.tanh(oracles.add(oracles.matmul(ad.Tensor(x), w1), b1))
+            g = oracles.sigmoid(oracles.matmul(h, w2))
             top = oracles.gather(g, [0, 2, 4])
             merged = oracles.row_update(g, [1], oracles.gather(g, [3]))
             queries = oracles.gather(merged, [1, 5, 2])
@@ -129,10 +129,10 @@ class TestGradCheckOracle:
             v_query = oracles.gather(v, np.arange(4)[:, None])
             v_key = oracles.gather(v, np.arange(4, 8))
             score = oracles.leaky_relu(
-                ad.add(ad.matmul(queries, v_query), ad.matmul(keys, v_key)), 0.2)
+                oracles.add(oracles.matmul(queries, v_query), oracles.matmul(keys, v_key)), 0.2)
             alpha = oracles.softmax(score, mask)
-            pooled = ad.matmul(alpha, keys)
-            mixed = ad.add(ad.mul(pooled, v_key), oracles.mean(top))
+            pooled = oracles.matmul(alpha, keys)
+            mixed = oracles.add(oracles.mul(pooled, v_key), oracles.mean(top))
             return oracles.mean(oracles.absolute(oracles.sub(mixed, ad.Tensor(target))))
 
         params = [w1, b1, w2, v]
@@ -143,7 +143,7 @@ class TestGradCheckOracle:
 
         def loss():
             rng = np.random.default_rng(123)  # re-seeded closure keeps the mask fixed
-            return oracles.mean(ad.dropout(ad.mul(w, w), 0.5, rng))
+            return oracles.mean(oracles.dropout(oracles.mul(w, w), 0.5, rng))
 
         assert ad.grad_check(loss, [w]) < 1e-7
 
@@ -167,11 +167,11 @@ def test_softmax_extreme_logits_stay_finite():
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
-       op=st.sampled_from([ad.add, oracles.sub, ad.mul]),
+       op=st.sampled_from([oracles.add, oracles.sub, oracles.mul]),
        seed=st.integers(0, 2**32 - 1))
-@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=ad.add, seed=0)
+@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=oracles.add, seed=0)
 @example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=oracles.sub, seed=1)
-@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=ad.mul, seed=2)
+@example(shapes=hnp.BroadcastableShapes(((3, 1), (4,)), (3, 4)), op=oracles.mul, seed=2)
 def test_elementwise_gradients_under_broadcasting(shapes, op, seed):
     rng = np.random.default_rng(seed)
     (sa, sb), result = shapes
@@ -182,7 +182,7 @@ def test_elementwise_gradients_under_broadcasting(shapes, op, seed):
 
     def loss():
         out = op(a, b)
-        return oracles.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
     assert ad.grad_check(loss, [a, b]) < 1e-4
 
@@ -213,7 +213,7 @@ def test_masked_softmax_properties(case, seed):
         return  # no entries, nothing to differentiate
     x = ad.Parameter(scores.copy(), name="scores")
     weight = rng.normal(0, 1, scores.shape)
-    assert ad.grad_check(lambda: oracles.mean(ad.mul(oracles.softmax(x, mask), weight)), [x]) < 1e-4
+    assert ad.grad_check(lambda: oracles.mean(oracles.mul(oracles.softmax(x, mask), weight)), [x]) < 1e-4
 
 
 def _same_bits(a, b):
@@ -243,7 +243,7 @@ def _lstm_gates(rng, hidden):
 def _lstm_loss(lstm, series, gates, weight):
     """(loss, states); the row sum keeps the loss defined for an empty series."""
     out = lstm(series, gates)
-    return oracles.mean(ad.matmul(np.ones(len(series)), ad.mul(out, weight))), out
+    return oracles.mean(oracles.matmul(np.ones(len(series)), oracles.mul(out, weight))), out
 
 
 def _fused_against_taped(n, hidden, steps, seed, saturate=False):
@@ -368,11 +368,11 @@ def test_matmul_gradients_in_every_rank_combination(a_vector, b_vector, m, k, p,
     rng = np.random.default_rng(seed)
     a = ad.Parameter(rng.normal(0, 1, (k,) if a_vector else (m, k)), name="a")
     b = ad.Parameter(rng.normal(0, 1, (k,) if b_vector else (k, p)), name="b")
-    weight = rng.normal(0, 1, ad.matmul(a, b).shape)
+    weight = rng.normal(0, 1, oracles.matmul(a, b).shape)
 
     def loss():
-        out = ad.matmul(a, b)
-        return oracles.mean(ad.mul(ad.mul(out, out), weight))
+        out = oracles.matmul(a, b)
+        return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
     assert ad.grad_check(loss, [a, b]) < 1e-4
 
@@ -393,21 +393,21 @@ def test_gather_gradients_with_repeated_indices(data, seed):
 
     def loss():
         out = oracles.gather(x, idx)
-        return oracles.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x]) < 1e-4
 
-    # `ad.take_rows` reads a slice of a matrix as the gather of its indices does, and
+    # `oracles.take_rows` reads a slice of a matrix as the gather of its indices does, and
     # writes back the same gradient
     lo = data.draw(st.integers(0, rows - 1))
     block = slice(lo, data.draw(st.integers(lo + 1, rows)))
     m = ad.Parameter(rng.normal(0, 1, (rows, cols)), name="m")
     weight = rng.normal(0, 1, m.data[block].shape)
     runs = []
-    for take in (lambda: ad.take_rows(m, block), lambda: oracles.gather(m, np.arange(rows)[block])):
+    for take in (lambda: oracles.take_rows(m, block), lambda: oracles.gather(m, np.arange(rows)[block])):
         with ad.Tape() as tape:
             out = take()
-            loss = oracles.mean(ad.mul(ad.mul(out, out), weight))
+            loss = oracles.mean(oracles.mul(oracles.mul(out, out), weight))
         ad.backward(tape, loss)
         runs.append((out.data, m.grad.copy()))
         m.zero_grad()
@@ -416,9 +416,9 @@ def test_gather_gradients_with_repeated_indices(data, seed):
 
 def test_take_rows_takes_a_slice_of_a_matrix_only():
     with pytest.raises(ad.ShapeError, match=r"take_rows: .*\(4,\)"):
-        ad.take_rows(np.zeros(4), slice(0, 2))
+        oracles.take_rows(np.zeros(4), slice(0, 2))
     with pytest.raises(ad.ShapeError, match=r"take_rows: .*\[0, 1\]"):
-        ad.take_rows(np.zeros((4, 2)), [0, 1])
+        oracles.take_rows(np.zeros((4, 2)), [0, 1])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -434,19 +434,19 @@ def test_row_update_gradients(data, seed):
 
     def loss():
         out = oracles.row_update(x, idx, new)
-        return oracles.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x, new]) < 1e-4
 
 
 UNARY_OPS = {
-    "relu": ad.relu,
+    "relu": oracles.relu,
     "leaky_relu": lambda t: oracles.leaky_relu(t, 0.2),
-    "tanh": ad.tanh,
+    "tanh": oracles.tanh,
     "sigmoid": oracles.sigmoid,
     "absolute": oracles.absolute,
     "mean": oracles.mean,
-    "dropout": lambda t: ad.dropout(t, 0.6, np.random.default_rng(3)),  # re-seeded: pinned mask
+    "dropout": lambda t: oracles.dropout(t, 0.6, np.random.default_rng(3)),  # re-seeded: pinned mask
 }
 
 
@@ -462,40 +462,54 @@ def test_unary_gradients_away_from_kinks(op, shape, seed):
 
     def loss():
         out = UNARY_OPS[op](x)
-        return oracles.mean(ad.mul(ad.mul(out, out), weight))
+        return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
     assert ad.grad_check(loss, [x]) < 1e-4
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=5),
-       seed=st.integers(0, 2**32 - 1))
-def test_l1_loss_equals_the_per_op_chain_bit_for_bit(shape, seed):
-    """Value and gradient equal mean(absolute(sub(pred, truth))), ties included."""
+@given(shapes=st.lists(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5), min_size=1, max_size=2),
+       weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shapes=[(1,), (2,)], weighted=True, seed=0)
+def test_l1_loss_equals_the_per_op_chain_bit_for_bit(shapes, weighted, seed):
+    """Value, errors and gradients equal mean(absolute(sub(pred, truth))) per term, ties
+    included, weighted as GMEModel.loss once did: eta * e_1 + (1 - eta) * e_2 through
+    `mul` and `add`, eta * e_1 alone, or a bare e_1 at weight 1.0."""
     rng = np.random.default_rng(seed)
-    truth = rng.normal(0, 1, shape)
-    start = rng.normal(0, 1, shape)
-    ties = rng.random(shape) < 0.3
-    start[ties] = truth[ties]
-    scale = rng.normal(0, 2)  # stands in for eta: the gradient reaching the loss node
+    truths = [rng.normal(0, 1, shape) for shape in shapes]
+    starts = [rng.normal(0, 1, shape) for shape in shapes]
+    for start, truth in zip(starts, truths):
+        ties = rng.random(truth.shape) < 0.3
+        start[ties] = truth[ties]
+    eta = rng.uniform(0, 1) if weighted or len(shapes) > 1 else 1.0
+    weights = [eta, 1.0 - eta][:len(shapes)]
+    scale = rng.normal(0, 2)  # the gradient reaching the loss node
     runs = []
-    for l1 in (ad.l1_loss,
-               lambda p, t: oracles.mean(oracles.absolute(oracles.sub(p, ad.Tensor(t))))):
-        pred = ad.Parameter(start.copy(), name="pred")
+    for fused in (True, False):
+        preds = [ad.Parameter(start.copy(), name=f"pred{k}") for k, start in enumerate(starts)]
         with ad.Tape() as tape:
-            loss = ad.mul(l1(pred, truth), scale)
+            if fused:
+                total, errors = ad.l1_loss(list(zip(preds, truths, weights)))
+            else:
+                chains = [oracles.taped_l1(p, t) for p, t in zip(preds, truths)]
+                errors = [float(e.data) for e in chains]
+                total = chains[0] if weights == [1.0] else oracles.mul(chains[0], eta)
+                if len(chains) > 1:
+                    total = oracles.add(total, oracles.mul(chains[1], 1.0 - eta))
+            loss = oracles.mul(total, scale)
         ad.backward(tape, loss)
-        runs.append((loss.data, pred.grad))
-    (fused, fused_grad), (chain, chain_grad) = runs
-    assert _same_bits(fused, chain) and _same_bits(fused_grad, chain_grad)
-    assert np.all(fused_grad[ties] == 0.0)
+        runs.append((total.data, errors, [p.grad for p in preds]))
+    (fused, fused_errors, fused_grads), (chain, chain_errors, chain_grads) = runs
+    assert _same_bits(fused, chain) and fused_errors == chain_errors
+    for a, b, start, truth in zip(fused_grads, chain_grads, starts, truths):
+        assert _same_bits(a, b) and np.all(a[start == truth] == 0.0)
 
 
 def test_l1_loss_refuses_broadcasting_and_empty_input():
     with pytest.raises(ad.ShapeError, match=r"l1_loss: .*\(3, 1\).*\(3,\)"):
-        ad.l1_loss(ad.Tensor(np.zeros((3, 1))), np.zeros(3))
+        ad.l1_loss([(ad.Tensor(np.zeros((3, 1))), np.zeros(3), 1.0)])
     with pytest.raises(ad.ShapeError, match="l1_loss"):
-        ad.l1_loss(ad.Tensor(np.zeros(0)), np.zeros(0))
+        ad.l1_loss([(ad.Tensor(np.ones(2)), np.ones(2), 0.5), (ad.Tensor(np.zeros(0)), np.zeros(0), 0.5)])
 
 
 def _attention_params(rng, f, h):
@@ -527,7 +541,7 @@ def test_attention_equals_the_per_op_chain_bit_for_bit(t, r, f, h, zero, seed):
     for attention in (ad.attention, oracles.taped_attention):
         with ad.Tape() as tape:
             out, weights = attention(xt, xr, states, mask, params, 0.2)
-            loss = oracles.mean(ad.mul(out, weight))
+            loss = oracles.mean(oracles.mul(out, weight))
         ad.backward(tape, loss)
         runs.append((out.data, weights, [p.grad.copy() for p in (*params, states)]))
         for p in (*params, states):
@@ -540,7 +554,7 @@ def test_attention_equals_the_per_op_chain_bit_for_bit(t, r, f, h, zero, seed):
     scores = (xt @ params[0].data) @ params[1].data[:h, None] + (xr @ params[0].data) @ params[1].data[h:]
     if zero == "none" and np.all(np.abs(scores) > 1e-3):  # central differences straddle no kink
         def loss_fn():
-            return oracles.mean(ad.mul(ad.attention(xt, xr, states, mask, params, 0.2)[0], weight))
+            return oracles.mean(oracles.mul(ad.attention(xt, xr, states, mask, params, 0.2)[0], weight))
 
         assert ad.grad_check(loss_fn, [*params, states]) < 1e-4
 
@@ -561,6 +575,116 @@ def test_attention_shape_errors_name_the_shapes():
         with pytest.raises(ad.ShapeError) as err:
             ad.attention(**{**good, key: value})
         assert "attention" in str(err.value) and shape in str(err.value), key
+
+
+def _grads_of(params):
+    grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    return grads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       last=st.sampled_from([None, "tanh"]), seed=st.integers(0, 2**32 - 1))
+@example(n=0, widths=[30, 6, 6, 6], last="tanh", seed=0)  # a prior-mlp set with no rivals
+@example(n=7, widths=[9, 150, 50, 1], last=None, seed=1)  # the MLP baseline's layers
+def test_affine_stack_equals_the_per_op_chain_bit_for_bit(n, widths, last, seed):
+    """Value and every parameter gradient equal those of matmul, add, relu and tanh per op."""
+    rng = np.random.default_rng(seed)
+    layers = [(ad.Parameter(rng.normal(0, 0.8, (a, b)), f"w{i}"), ad.Parameter(rng.normal(0, 0.5, b), f"b{i}"))
+              for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    params = [p for pair in layers for p in pair]
+    x, weight = rng.normal(0, 1, (n, widths[0])), rng.normal(0, 1, (n, widths[-1]))
+    runs = []
+    for stack in (ad.affine_stack, oracles.taped_affine_stack):
+        with ad.Tape() as tape:
+            out = stack(x, layers, last)
+            loss = oracles.mean(oracles.matmul(np.ones(n), oracles.mul(out, weight)))  # defined at n = 0
+        ad.backward(tape, loss)
+        runs.append((len(tape), out.data, _grads_of(params)))
+    (fused_nodes, fused, fused_grads), (_, chain, chain_grads) = runs
+    assert fused_nodes == 4 and fused.shape == (n, widths[-1]) and _same_bits(fused, chain)
+    for p, a, b in zip(params, fused_grads, chain_grads):
+        assert _same_bits(a, b), p.name
+    if n and len(widths) == 2:  # one layer has no ReLU kink for central differences to straddle
+        assert ad.grad_check(lambda: oracles.mean(oracles.mul(ad.affine_stack(x, layers, last), weight)),
+                             params) < 1e-4
+
+
+def test_affine_stack_refusals_name_the_shapes():
+    rng = np.random.default_rng(0)
+    layers = [(ad.Parameter(rng.normal(0, 1, (3, 4)), "w1"), ad.Parameter(np.zeros(4), "b1")),
+              (ad.Parameter(rng.normal(0, 1, (4, 2)), "w2"), ad.Parameter(np.zeros(2), "b2"))]
+    assert ad.affine_stack(np.zeros((5, 3)), layers, None).shape == (5, 2)
+    for x, stack, shape in ((np.zeros(3), layers, "(3,)"), (np.zeros((5, 4)), layers, "(5, 4)"),
+                            (np.zeros((5, 3)), layers[::-1], "(4, 2)"),
+                            (np.zeros((5, 3)), [(layers[0][0], np.zeros(3))], "(3,)"),
+                            (np.zeros((5, 3)), [], "[]")):
+        with pytest.raises(ad.ShapeError, match="affine_stack") as err:
+            ad.affine_stack(x, stack, None)
+        assert shape in str(err.value)
+    with pytest.raises(ValueError, match="last"):
+        ad.affine_stack(np.zeros((5, 3)), layers, "relu")
+
+
+def _head_params(rng, w, h):
+    shapes = {"proj_w": (w, h), "proj_b": (h,), "out_w": (h,), "out_b": (1,), "aux_w": (w,), "aux_b": (1,)}
+    return [ad.Parameter(rng.normal(0, 0.8, shape), name) for name, shape in shapes.items()]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n_roots=st.integers(1, 4), n_aux=st.integers(0, 4), w=st.integers(1, 4), h=st.integers(1, 4),
+       ablation=st.sampled_from(["full", "pcm-only", "met-only"]), keep=st.sampled_from([1.0, 0.9, 0.5]),
+       reach=st.sampled_from(["both", "pred", "aux"]), seed=st.integers(0, 2**32 - 1))
+@example(n_roots=3, n_aux=0, w=4, h=3, ablation="full", keep=0.9, reach="both", seed=0)  # no aux node
+@example(n_roots=3, n_aux=5, w=4, h=3, ablation="met-only", keep=0.9, reach="both", seed=1)
+def test_head_equals_the_per_op_chain_bit_for_bit(n_roots, n_aux, w, h, ablation, keep, reach, seed):
+    """Both outputs and every gradient equal the per-op chain's, with the roots' dropout mask
+    drawn as `dropout` draws it from an equally seeded generator; `reach` lets the loss read
+    one output only."""
+    rng = np.random.default_rng(seed)
+    params = _head_params(rng, w, h)
+    pooled = ad.Parameter(rng.normal(0, 1, (n_roots, h)), "pooled") if ablation != "met-only" else None
+    states = ad.Parameter(rng.normal(0, 1, (n_roots + n_aux, w)), "states") if ablation != "pcm-only" else None
+    inputs = [t for t in (pooled, states, *params) if t is not None]
+    weight, aux_weight = rng.normal(0, 1, n_roots), rng.normal(0, 1, n_aux)
+    runs = []
+    for fused in (True, False):
+        drop = np.random.default_rng(seed + 1)
+        with ad.Tape() as tape:
+            if fused:
+                mask = (drop.random((n_roots, w)) < keep) / keep if keep < 1.0 and states is not None else None
+                pred, aux = ad.head(pooled, states, n_roots, mask, params)
+            else:
+                pred, aux = oracles.taped_head(pooled, states, n_roots, keep, drop, params)
+            terms = [oracles.mean(oracles.mul(pred, weight))] if reach != "aux" or aux is None else []
+            terms += [oracles.mean(oracles.mul(aux, aux_weight))] if aux is not None and reach != "pred" else []
+            loss = terms[0] if len(terms) == 1 else oracles.add(*terms)
+        ad.backward(tape, loss)
+        runs.append((pred.data, None if aux is None else aux.data, _grads_of(inputs)))
+    (fused, fused_aux, fused_grads), (chain, chain_aux, chain_grads) = runs
+    assert _same_bits(fused, chain) and fused.shape == (n_roots,)
+    assert (fused_aux is None) == (chain_aux is None) == (states is None or not n_aux)
+    assert fused_aux is None or _same_bits(fused_aux, chain_aux)
+    for p, a, b in zip(inputs, fused_grads, chain_grads):
+        assert _same_bits(a, b), p.name
+
+
+def test_head_refusals_name_the_shapes():
+    rng = np.random.default_rng(0)
+    params = _head_params(rng, 4, 3)
+    good = dict(pooled=np.zeros((2, 3)), states=np.zeros((5, 4)), n_roots=2, keep_mask=np.ones((2, 4)),
+                params=params)
+    assert [t.shape for t in ad.head(**good)] == [(2,), (3,)]
+    for key, value, shape in (("pooled", np.zeros((3, 3)), "(3, 3)"), ("states", np.zeros((1, 4)), "(1, 4)"),
+                              ("states", np.zeros((5, 3)), "(5, 3)"), ("keep_mask", np.ones((2, 3)), "(2, 3)"),
+                              ("params", params[:5], "(4,)]"), ("params", [*params[:5], np.zeros(2)], "(2,)]")):
+        with pytest.raises(ad.ShapeError, match="head") as err:
+            ad.head(**{**good, key: value})
+        assert shape in str(err.value), key
+    with pytest.raises(ad.ShapeError, match="head"):
+        ad.head(**{**good, "pooled": None, "states": None})
 
 
 def test_sgd_single_step():
@@ -589,8 +713,8 @@ def _mini_training(seed: int) -> np.ndarray:
     ys = rng.normal(0, 1, (10, 4, 2))
     for step in range(10):
         with ad.Tape() as tape:
-            pred = ad.tanh(ad.add(ad.matmul(ad.Tensor(xs[step]), w), b))
-            loss = oracles.mean(oracles.absolute(oracles.sub(pred, ad.Tensor(ys[step]))))
+            pred = ad.affine_stack(xs[step], [(w, b)], "tanh")
+            loss = ad.l1_loss([(pred, ys[step], 1.0)])[0]
         ad.backward(tape, loss)
         ad.sgd_step([w, b], 0.05 * 0.9 ** (step // 2), step)
     return np.concatenate([w.data.ravel(), b.data.ravel()])
@@ -620,7 +744,7 @@ def test_grad_check_reports_nonfinite_perturbation():
         # nan as soon as the perturbation pushes w negative
         with np.errstate(divide="ignore", invalid="ignore"):
             val = float(np.log(w.data + 0.0).sum())
-        return ad.add(oracles.mean(w), ad.Tensor(val))
+        return oracles.add(oracles.mean(w), ad.Tensor(val))
 
     with pytest.raises(ad.GradientError, match="bad"):
         ad.grad_check(loss, [w])
@@ -679,9 +803,9 @@ def test_derive_rng_stable_and_label_separated():
 
 def test_dropout_identity_when_keep_is_one():
     x = ad.Tensor([1.0, 2.0])
-    assert ad.dropout(x, 1.0, np.random.default_rng(0)) is x
+    assert oracles.dropout(x, 1.0, np.random.default_rng(0)) is x
     with pytest.raises(ValueError):
-        ad.dropout(x, 0.0, np.random.default_rng(0))
+        oracles.dropout(x, 0.0, np.random.default_rng(0))
 
 
 def test_independent_tapes_on_threads():
@@ -692,7 +816,7 @@ def test_independent_tapes_on_threads():
     def work(key, seed):
         w = ad.Parameter([float(seed)], name=f"w{key}")
         with ad.Tape() as tape:
-            loss = oracles.mean(ad.mul(w, w))
+            loss = oracles.mean(oracles.mul(w, w))
         ad.backward(tape, loss)
         results[key] = w.grad.copy()
 

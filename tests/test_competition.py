@@ -247,7 +247,7 @@ class TestAttention:
             mask = np.ones((1, k))
             alpha = oracles.softmax(oracles.leaky_relu(ad.Tensor(logits), 0.2), mask).data
             assert abs(alpha.sum() - 1.0) < 1e-9
-            shifted = oracles.softmax(ad.add(oracles.leaky_relu(ad.Tensor(logits), 0.2),
+            shifted = oracles.softmax(oracles.add(oracles.leaky_relu(ad.Tensor(logits), 0.2),
                                              float(rng.normal(0, 50))), mask).data
             np.testing.assert_allclose(shifted, alpha, atol=1e-12)
 

@@ -298,12 +298,13 @@ class TestGatedRollUp:
         tree, _ = chain_fixture()
         upd = evo.GatedTreeUpdater(4, np.random.default_rng(3))
         s = np.random.default_rng(4).normal(0, 1, (3, 4))
-        roots, _, counts = upd.propagate(tree, s)
+        states, counts = upd.propagate(tree, s)
+        roots = states.data[:tree.n_roots]
 
         b = upd.b_agg.data
         h_a = numpy_cell(upd, s[2] + b, s[1])       # a folds in leaf b
         h_g = numpy_cell(upd, h_a + b, s[0])        # root sees the refreshed a
-        np.testing.assert_allclose(roots.data[0], h_g, atol=1e-12)
+        np.testing.assert_allclose(roots[0], h_g, atol=1e-12)
         np.testing.assert_array_equal(counts, [1, 1, 0])
 
     def test_fanout_sums_children(self):
@@ -313,9 +314,10 @@ class TestGatedRollUp:
         tree = grow([g], [c1, c2], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(8))
         s = np.random.default_rng(9).normal(0, 1, (3, 3))
-        roots, _, counts = upd.propagate(tree, s)
+        states, counts = upd.propagate(tree, s)
+        roots = states.data[:tree.n_roots]
         want = numpy_cell(upd, s[1] + s[2] + upd.b_agg.data, s[0])
-        np.testing.assert_allclose(roots.data[0], want, atol=1e-12)
+        np.testing.assert_allclose(roots[0], want, atol=1e-12)
         np.testing.assert_array_equal(counts, [1, 0, 0])
 
     def test_shared_child_feeds_both_roots(self):
@@ -325,18 +327,19 @@ class TestGatedRollUp:
         tree = grow([r1, r2], [c], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(10))
         s = np.random.default_rng(11).normal(0, 1, (3, 3))
-        roots = upd.propagate(tree, s).roots
+        roots = upd.propagate(tree, s).states.data[:tree.n_roots]
         b = upd.b_agg.data
-        np.testing.assert_allclose(roots.data[0], numpy_cell(upd, s[2] + b, s[0]), atol=1e-12)
-        np.testing.assert_allclose(roots.data[1], numpy_cell(upd, s[2] + b, s[1]), atol=1e-12)
+        np.testing.assert_allclose(roots[0], numpy_cell(upd, s[2] + b, s[0]), atol=1e-12)
+        np.testing.assert_allclose(roots[1], numpy_cell(upd, s[2] + b, s[1]), atol=1e-12)
 
     def test_bare_root_updates_once_from_bias_alone(self):
         tree = grow([make_project("g", T0)], [], 1, 24)
         upd = evo.GatedTreeUpdater(3, np.random.default_rng(12))
         s = np.random.default_rng(13).normal(0, 1, (1, 3))
-        roots, _, counts = upd.propagate(tree, s)
+        states, counts = upd.propagate(tree, s)
+        roots = states.data[:tree.n_roots]
         want = numpy_cell(upd, np.broadcast_to(upd.b_agg.data, (1, 3)), s)
-        np.testing.assert_allclose(roots.data, want, atol=1e-12)
+        np.testing.assert_allclose(roots, want, atol=1e-12)
         np.testing.assert_array_equal(counts, [1])
 
     def test_every_node_touched_at_most_once(self):
@@ -363,7 +366,7 @@ class TestGatedRollUp:
         s = np.random.default_rng(22).normal(0, 1, (3, 3))
 
         def loss():
-            roots = upd.propagate(tree, s).roots
+            roots = oracles.gather(upd.propagate(tree, s).states, np.arange(tree.n_roots))
             return oracles.mean(oracles.absolute(roots))
 
         assert ad.grad_check(loss, upd.parameters()) < 1e-4
@@ -373,15 +376,15 @@ class TestGatedRollUp:
         tree = grow(targets, obs, t_h, tau)
         upd = evo.GatedTreeUpdater(2, np.random.default_rng(5))
         s = np.random.default_rng(6).normal(0, 1, (tree.n_nodes, 2))
-        a = upd.propagate(tree, s).roots
-        b = upd.propagate(tree, s).roots
-        np.testing.assert_array_equal(a.data, b.data)
+        a = upd.propagate(tree, s).states.data[:tree.n_roots]
+        b = upd.propagate(tree, s).states.data[:tree.n_roots]
+        np.testing.assert_array_equal(a, b)
 
 
 def _rollup_loss(rollup, states, levels, upd, weight):
     out = rollup(states, levels, upd.b_agg,
                  [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)])
-    return oracles.mean(ad.mul(ad.mul(out, out), weight)), out
+    return oracles.mean(oracles.mul(oracles.mul(out, out), weight)), out
 
 
 # launch hours on a 6 h grid over ten days, so chains reach depth t_h
@@ -460,12 +463,12 @@ def test_adjacency_is_the_dense_form_of_the_edges():
         tree.adjacency = adjacency
 
 
-def test_propagate_records_two_tape_nodes():
+def test_propagate_records_one_tape_node():
     tree, _ = chain_fixture()
     upd = evo.GatedTreeUpdater(3, np.random.default_rng(0))
     with ad.Tape() as tape:
         upd.propagate(tree, np.ones((3, 3)))
-    assert len(tape) == 2  # the roll-up and the block read of the roots
+    assert len(tape) == 1  # the roll-up; the head reads the roots' block itself
 
 
 def test_tree_gru_shape_errors_name_the_op():

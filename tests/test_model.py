@@ -12,7 +12,7 @@ import oracles
 from gme import autodiff as ad
 from gme.model import ABLATIONS, GMEModel, TrainConfig
 from gme.toy import TOY_ENCODER, build_toy_market
-from gme.training import build_contexts
+from gme.training import build_contexts, train_model
 
 
 def toy_bundle(seed=0, **config_kw):
@@ -113,6 +113,63 @@ class TestFusedAttention:
         assert [n + 14 for n in fused_nodes] == chain_nodes
 
 
+class TestFusedHeadAndLoss:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    @pytest.mark.parametrize("quantifier", ["recurrent", "prior-mlp"])
+    def test_training_steps_equal_the_per_op_chain(self, ablation, quantifier):
+        """Four SGD steps at dropout_keep 0.9 from one seeded generator: every prediction,
+        error and gradient equals the per-op prior stack, head and loss bit for bit.  The
+        first set has no rival (a 0-row prior stack) and no tree node past the roots."""
+        config, bundle = toy_bundle(seed=4, quantifier=quantifier, ablation=ablation, dropout_keep=0.9)
+        contexts = bundle.train[:4]
+        assert not contexts[0].rival_rows.size and contexts[0].tree.n_nodes == contexts[0].tree.n_roots
+        assert any(ctx.tree.n_nodes > ctx.tree.n_roots for ctx in contexts)
+        runs = []
+        for fused in (True, False):
+            model = GMEModel(bundle.encoder.feature_dim, config)
+            rng = np.random.default_rng(0)
+            steps = []
+            for step, ctx in enumerate(contexts):
+                with ad.Tape() as tape:
+                    if fused:
+                        result = model.forward(ctx, training=True, dropout_rng=rng)
+                        pred, aux = result.pred, result.aux_pred
+                        total, loss_p, loss_l = model.loss(result, ctx)
+                    else:
+                        pred, aux = oracles.taped_forward(model, ctx, rng)
+                        total, loss_p, loss_l = oracles.taped_loss(model, pred, aux, ctx)
+                ad.backward(tape, total)
+                outputs = [pred.data, np.zeros(0) if aux is None else aux.data, total.data]
+                steps.append((outputs, (loss_p, loss_l), [p.grad.copy() for p in model.parameters()]))
+                ad.sgd_step(model.parameters(), 0.05, step)
+            runs.append(steps)
+        for (outputs, errors, grads), (chain_outputs, chain_errors, chain_grads) in zip(*runs):
+            assert errors == chain_errors
+            for a, b in zip(outputs + grads, chain_outputs + chain_grads):
+                assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("quantifier", ["recurrent", "prior-mlp"])
+    def test_a_training_step_records_one_node_per_layer(self, monkeypatch, quantifier):
+        """One `train_model` step records the quantifier, attention, roll-up, head and loss
+        under `full`, and one or two nodes fewer under each ablation (the per-op prior
+        stack, head and loss made it 28, 14 and 17 nodes with prior-mlp, 20, 6 and 17
+        with recurrent)."""
+        nodes = {}
+        backward = ad.backward
+
+        def counting(tape, loss):
+            nodes[ablation] = len(tape)
+            return backward(tape, loss)
+
+        monkeypatch.setattr(ad, "backward", counting)
+        for ablation in ABLATIONS:
+            config, bundle = toy_bundle(seed=4, quantifier=quantifier, ablation=ablation)
+            ctx = bundle.train[2]  # rivals and a node past the roots
+            assert ctx.rival_rows.size and ctx.tree.n_nodes > ctx.tree.n_roots
+            train_model(GMEModel(bundle.encoder.feature_dim, config), [ctx])
+        assert nodes == {"full": 5, "pcm-only": 4, "met-only": 3}
+
+
 class TestAblationConsistency:
     def test_all_variants_share_initial_parameters(self):
         config, bundle = toy_bundle(seed=1)
@@ -198,17 +255,6 @@ class TestLossAlgebra:
         out = model.loss(result, self.scalar_ctx())
         assert float(out.total.data) == pytest.approx(0.7 * 1.3, abs=1e-15)
         assert out.loss_l == 0.0
-
-    @pytest.mark.parametrize("ablation, aux, nodes", [("full", True, 5), ("full", False, 2),
-                                                      ("pcm-only", False, 1)])
-    def test_each_error_is_one_tape_node(self, ablation, aux, nodes):
-        """One `ad.l1_loss` node per error; the eta weighting adds a `mul` per error and an `add`."""
-        model = GMEModel(4, TrainConfig(ablation=ablation, hidden=6))
-        result = SimpleNamespace(pred=ad.Tensor(np.array([2.0])),
-                                 aux_pred=ad.Tensor(np.array([1.0, 2.0])) if aux else None)
-        with ad.Tape() as tape:
-            model.loss(result, self.scalar_ctx())
-        assert len(tape) == nodes
 
     @pytest.mark.parametrize("eta,dead_param", [(1.0, "head.aux.w"), (0.0, "head.out.w")])
     def test_extreme_eta_silences_one_branch(self, eta, dead_param):
