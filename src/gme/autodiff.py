@@ -306,14 +306,19 @@ def lstm(series, gates) -> Tensor:
     return _record(out, tuple(p for gate in gates for p in gate), _bwd)
 
 
-def tree_gru(states, levels, b_agg, gates) -> Tensor:
-    """An (n, width) state matrix after a gated child-sum roll-up, level by level.
+def tree_gru(states, edges, depth, b_agg, gates) -> tuple:
+    """A gated child-sum roll-up of (n, width) states over a tree; returns (states, counts).
 
-    `levels` lists (rows, child_sum) pairs in update order: increasing node
-    numbers and their (len(rows), n) 0/1 child rows.  `gates` holds the
-    (w, u) pairs of the update gate, the reset gate and the candidate, each
-    (width, width).  Per level, with a = child_sum @ states + b_agg and
-    h = states[rows], z = sigmoid(a w_z + h u_z), r = sigmoid(a w_r + h u_r),
+    The tree is its (2, m) (parent, child) node numbers and its (n,) depths,
+    which never decrease with the node number; a child is one level below
+    its parent, and the depth-0 nodes are the roots.  The levels, deepest
+    first, hold the nodes of one depth that have children and, at depth 0,
+    every root; the int64 `counts` are 1 on them and 0 elsewhere.  Each call
+    builds the levels' 0/1 child-sum blocks from the edges, as runs of rows
+    of one (updated, n) matrix.  `gates` holds the (w, u) pairs of the
+    update gate, the reset gate and the candidate, each (width, width).
+    Per level, with a = child_sum @ states + b_agg and h = states[rows],
+    z = sigmoid(a w_z + h u_z), r = sigmoid(a w_r + h u_r),
     c = tanh(a w_c + (r h) u_c), and the rows become (h - z h) + z c before
     the next level reads the states.  The whole roll-up is one tape node.
     Its backward adds terms in the order the per-op tape of these equations
@@ -327,22 +332,36 @@ def tree_gru(states, levels, b_agg, gates) -> Tensor:
     h = np.array(_as_tensor(states).data)  # a copy, updated in place
     b_agg = _as_tensor(b_agg)
     gates = [tuple(_as_tensor(p) for p in gate) for gate in gates]
-    width = h.shape[-1] if h.ndim == 2 else 0
+    width = b_agg.data.size
     want = ((width, width), (width, width))
     shapes = [tuple(p.data.shape for p in gate) for gate in gates]
-    if h.ndim != 2 or b_agg.data.shape != (width,) or shapes != [want] * 3:
-        raise ShapeError(f"tree_gru: states of shape {h.shape} need 2-D, and b_agg of shape "
-                         f"{b_agg.data.shape} and gates of shapes {shapes} need ({width},) and "
-                         f"three (w, u) pairs shaped {want}")
+    if b_agg.data.shape != (width,) or shapes != [want] * 3:
+        raise ShapeError(f"tree_gru: b_agg of shape {b_agg.data.shape} and gates of shapes {shapes} "
+                         f"need (k,) and three (w, u) pairs shaped (k, k)")
+    if h.ndim != 2 or h.shape[1] != width:
+        raise ShapeError(f"tree_gru: states of shape {h.shape} have width {h.shape[-1] if h.ndim else 0}, "
+                         f"but the gates call for 2-D states of width {width}")
     n = h.shape[0]
-    levels = [(np.asarray(rows, dtype=np.intp), np.asarray(child_sum, dtype=np.float64))
-              for rows, child_sum in levels]
-    for rows, child_sum in levels:
-        if (rows.ndim != 1 or child_sum.shape != (rows.size, n) or rows.size and not (
-                0 <= rows[0] and rows[-1] < n and np.all(rows[1:] > rows[:-1]))):
-            raise ShapeError(f"tree_gru: a level needs increasing rows in [0, {n}) and a "
-                             f"child-sum matrix of shape ({rows.size}, {n}), got rows "
-                             f"{rows.tolist()} and shape {child_sum.shape}")
+    edges, depth = np.asarray(edges), np.asarray(depth)
+    if (edges.ndim != 2 or edges.shape[0] != 2 or edges.dtype.kind not in "iu"
+            or edges.size and not (0 <= edges.min() and edges.max() < n)):
+        raise ShapeError(f"tree_gru: edges of shape {edges.shape} and dtype {edges.dtype} need "
+                         f"(2, m) node numbers in [0, {n})")
+    if (depth.shape != (n,) or depth.dtype.kind not in "iu"
+            or n and depth[0] < 0 or (depth[1:] < depth[:-1]).any()):
+        raise ShapeError(f"tree_gru: depth of shape {depth.shape} and dtype {depth.dtype} needs ({n},) "
+                         f"integers from 0 up that never decrease with the node number")
+    parent, child = edges
+    if (np.subtract(depth[child], depth[parent], dtype=np.int64) != 1).any():  # an unsigned depth cannot wrap
+        raise ShapeError("tree_gru: every child needs a depth one more than its parent's")
+    updated = depth == 0  # a root updates even with no children
+    updated[parent] = True
+    rows = np.flatnonzero(updated)
+    child_sums = np.zeros((rows.size, n))
+    child_sums.ravel()[(np.cumsum(updated)[parent] - 1) * n + child] = 1.0
+    # depth d holds rows [lo[d], lo[d + 1]); the deepest parents sit one level above the deepest leaves
+    lo = np.searchsorted(depth[rows], np.arange(max(int(depth.max(initial=0)), 1) + 1)).tolist()
+    levels = [(rows[a:b], child_sums[a:b]) for a, b in zip(lo[-2::-1], lo[:0:-1]) if b > a]
     (w_z, u_z), (w_r, u_r), (w_c, u_c) = [(w.data, u.data) for w, u in gates]
     saved = [] if _tape_stack() else None
     for rows, child_sum in levels:
@@ -397,7 +416,7 @@ def tree_gru(states, levels, b_agg, gates) -> Tensor:
                 grad += child_sum.T @ g_agg
         return g_b, g_wz, g_uz, g_wr, g_ur, g_wc, g_uc
 
-    return _record(out, (b_agg, *(p for gate in gates for p in gate)), _bwd)
+    return _record(out, (b_agg, *(p for gate in gates for p in gate)), _bwd), updated.astype(np.int64)
 
 
 def attention(target_x, rival_x, rival_states, mask, params, slope: float):

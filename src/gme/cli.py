@@ -283,12 +283,19 @@ def _add_data_flags(parser) -> None:
     parser.add_argument("--investments", required=True, help="investments JSONL path")
 
 
-def _add_model_flags(parser) -> None:
+def _add_window_flags(parser) -> None:
     d = TrainConfig()
     parser.add_argument("--tau", type=int, choices=(24, 48), default=d.tau,
                         help="early-window hours")
     parser.add_argument("--t-h", dest="t_h", type=int, choices=range(1, 8),
                         default=d.t_h, help="history horizon in tau-days")
+    parser.add_argument("--tz-offset", dest="tz_offset", type=int, default=d.tz_offset,
+                        help="seconds added to timestamps before day/segment bucketing")
+
+
+def _add_model_flags(parser) -> None:
+    d = TrainConfig()
+    _add_window_flags(parser)
     parser.add_argument("--eta", type=float, default=d.eta,
                         help="weight of the target loss in the joint objective")
     parser.add_argument("--pruning", choices=PRUNING_MODES, default=d.pruning)
@@ -302,8 +309,6 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--learning-rate", dest="learning_rate", type=float,
                         default=d.learning_rate)
     parser.add_argument("--lr-decay", dest="lr_decay", type=float, default=d.lr_decay)
-    parser.add_argument("--tz-offset", dest="tz_offset", type=int, default=d.tz_offset,
-                        help="seconds added to timestamps before day/segment bucketing")
 
 
 def build_parser() -> _Parser:
@@ -349,11 +354,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dump-tree", help="dump propagation-tree topology per target set")
     _add_data_flags(p)
-    p.add_argument("--tau", type=int, choices=(24, 48), default=TrainConfig.tau)
-    p.add_argument("--t-h", dest="t_h", type=int, choices=range(1, 8),
-                   default=TrainConfig.t_h)
-    p.add_argument("--tz-offset", dest="tz_offset", type=int,
-                   default=TrainConfig.tz_offset)
+    _add_window_flags(p)
     p.add_argument("--set", default=None, help="one target-set label, e.g. d19700s3")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_dump_tree)

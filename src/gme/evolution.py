@@ -131,28 +131,6 @@ def init_states(tree: PropagationTree, early_amounts: np.ndarray) -> np.ndarray:
     return amounts
 
 
-def update_levels(tree: PropagationTree) -> list:
-    """The roll-up schedule: (rows, child-sum block) per depth, deepest first.
-
-    A level holds the nodes of one depth that have children and, at depth
-    0, every root; its block is the (len(rows), n) float64 0/1 matrix whose
-    row i marks the children of ``rows[i]``.  Nodes are numbered by depth,
-    so each level is one run of all levels' rows and its block the same
-    run of rows of one shared child-sum matrix, built from the edges.
-    """
-    parent, child = tree.edges
-    updated = np.zeros(tree.n_nodes, dtype=bool)
-    updated[parent] = True
-    updated[:tree.n_roots] = True  # a root updates even with no children
-    rows = np.flatnonzero(updated)
-    child_sums = np.zeros((rows.size, tree.n_nodes))
-    child_sums.ravel()[(np.cumsum(updated)[parent] - 1) * tree.n_nodes + child] = 1.0
-    # deepest possible parents sit one level above the deepest leaves
-    top = max(tree.max_depth, 1)
-    lo = np.searchsorted(tree.depth[rows], np.arange(top + 1)).tolist()  # depth d: [lo[d], lo[d + 1])
-    return [(rows[a:b], child_sums[a:b]) for a, b in zip(lo[-2::-1], lo[:0:-1]) if b > a]
-
-
 class PropagationResult(NamedTuple):
     states: ad.Tensor
     counts: np.ndarray
@@ -172,7 +150,6 @@ class GatedTreeUpdater:
     def __init__(self, width: int, rng):
         if width < 1:
             raise ValueError(f"state width must be >= 1, got {width}")
-        self.width = width
 
         def gate(name):
             w = ad.Parameter(ad.glorot_uniform(rng, (width, width)), name=f"evolution.updater.{name}.w")
@@ -188,16 +165,5 @@ class GatedTreeUpdater:
         return [self.b_agg, self.w_z, self.u_z, self.w_r, self.u_r, self.w_c, self.u_c]
 
     def propagate(self, tree: PropagationTree, states):
-        if not isinstance(states, ad.Tensor):
-            states = ad.Tensor(np.asarray(states, dtype=np.float64))
-        if states.shape != (tree.n_nodes, self.width):
-            raise ad.ShapeError(
-                f"propagate expected states {(tree.n_nodes, self.width)}, got {states.shape}")
-
-        levels = update_levels(tree)
-        counts = np.zeros(tree.n_nodes, dtype=np.int64)
-        for rows, _ in levels:
-            counts[rows] += 1
-        h_all = ad.tree_gru(states, levels, self.b_agg,
-                            [(self.w_z, self.u_z), (self.w_r, self.u_r), (self.w_c, self.u_c)])
-        return PropagationResult(h_all, counts)
+        return PropagationResult(*ad.tree_gru(states, tree.edges, tree.depth, self.b_agg, [
+            (self.w_z, self.u_z), (self.w_r, self.u_r), (self.w_c, self.u_c)]))

@@ -214,7 +214,7 @@ class GMEModel:
             pooled, attention = self.attention.forward(
                 ctx.graph, ctx.target_features, ctx.rival_features, self._rival_states(ctx))
         if self.config.ablation != "pcm-only":
-            states = self.updater.propagate(ctx.tree, ad.Tensor(ctx.tree_init)).states
+            states = self.updater.propagate(ctx.tree, ctx.tree_init).states
             keep = self.config.dropout_keep
             if training and keep < 1.0:
                 if dropout_rng is None:

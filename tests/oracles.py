@@ -502,7 +502,7 @@ def taped_forward(model, ctx, dropout_rng=None):
             rivals = model.recurrent.forward(ctx.rival_series)
         pooled = model.attention.forward(ctx.graph, ctx.target_features, ctx.rival_features, rivals)[0]
     if cfg.ablation != "pcm-only":
-        states = model.updater.propagate(ctx.tree, ad.Tensor(ctx.tree_init)).states
+        states = model.updater.propagate(ctx.tree, ctx.tree_init).states
     keep = 1.0 if dropout_rng is None else cfg.dropout_keep
     return taped_head(pooled, states, ctx.tree.n_roots, keep, dropout_rng,
                       [model.proj_w, model.proj_b, model.out_w, model.out_b, model.aux_w, model.aux_b])

@@ -357,7 +357,8 @@ class TestGatedRollUp:
     def test_wrong_state_width_rejected(self):
         tree, _ = chain_fixture()
         upd = evo.GatedTreeUpdater(4, np.random.default_rng(0))
-        with pytest.raises(ad.ShapeError, match="propagate"):
+        with pytest.raises(ad.ShapeError, match=r"tree_gru: states of shape \(3, 5\) have width 5, "
+                                                r"but the gates call for 2-D states of width 4"):
             upd.propagate(tree, np.zeros((3, 5)))
 
     def test_gradients_through_roll_up(self):
@@ -381,10 +382,12 @@ class TestGatedRollUp:
         np.testing.assert_array_equal(a, b)
 
 
-def _rollup_loss(rollup, states, levels, upd, weight):
-    out = rollup(states, levels, upd.b_agg,
-                 [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)])
-    return oracles.mean(oracles.mul(oracles.mul(out, out), weight)), out
+def _gates(upd):
+    return [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)]
+
+
+def _rollup_loss(out, weight):
+    return oracles.mean(oracles.mul(oracles.mul(out, out), weight))
 
 
 # launch hours on a 6 h grid over ten days, so chains reach depth t_h
@@ -401,17 +404,22 @@ def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
     tree = grow(targets, obs, t_h, 24)
-    levels = evo.update_levels(tree)
+    levels = oracles.dense_levels(tree)
     rng = np.random.default_rng(seed)
     upd = evo.GatedTreeUpdater(width, rng)
     upd.b_agg.data[...] = rng.normal(0, 0.5, width)
     states = rng.normal(0, 1, (tree.n_nodes, width))
     weight = rng.normal(0, 1, (tree.n_nodes, width))
     params = upd.parameters()
+
+    def fused_rollup():
+        return ad.tree_gru(states, tree.edges, tree.depth, upd.b_agg, _gates(upd))[0]
+
     runs = []
-    for rollup in (ad.tree_gru, oracles.taped_rollup):
+    for rollup in (fused_rollup, lambda: oracles.taped_rollup(states, levels, upd.b_agg, _gates(upd))):
         with ad.Tape() as tape:
-            loss, out = _rollup_loss(rollup, states, levels, upd, weight)
+            out = rollup()
+            loss = _rollup_loss(out, weight)
         ad.backward(tape, loss)
         runs.append((len(tape), out.data.copy(), [p.grad.copy() for p in params]))
         for p in params:
@@ -421,8 +429,7 @@ def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
     assert np.array_equal(fused, taped)
     for p, a, b in zip(params, fused_grads, taped_grads):
         assert np.array_equal(a, b), p.name
-    assert ad.grad_check(lambda: _rollup_loss(ad.tree_gru, states, levels, upd, weight)[0],
-                         params) < 1e-4
+    assert ad.grad_check(lambda: _rollup_loss(fused_rollup(), weight), params) < 1e-4
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -432,24 +439,27 @@ def test_fused_rollup_equals_taped_chain(roots, observed, t_h, width, seed):
 @example(roots=[0], observed=[120], t_h=3, tau=24)  # a root whose candidate drops
 @example(roots=[0, 6], observed=[36, 66], t_h=2, tau=24)  # one child, two root parents
 @example(roots=[0, 6, 12], observed=[36, 42, 66, 96], t_h=4, tau=24)
-def test_update_levels_equals_dense_schedule(roots, observed, t_h, tau):
+def test_rollup_counts_mark_the_dense_schedule(roots, observed, t_h, tau):
     targets = [make_project(f"t{i}", T0 - h * HOUR) for i, h in enumerate(roots)]
     obs = [make_project(f"o{i}", T0 - h * HOUR) for i, h in enumerate(observed)]
     tree = grow(targets, obs, t_h, tau)
-    levels, dense = evo.update_levels(tree), oracles.dense_levels(tree)
-    assert len(levels) == len(dense)
-    for (rows, block), (want_rows, want_block) in zip(levels, dense):
-        assert np.array_equal(rows, want_rows)
-        assert block.dtype == np.float64 and np.array_equal(block, want_block)
+    upd = evo.GatedTreeUpdater(1, np.random.default_rng(0))
+    _, counts = ad.tree_gru(np.zeros((tree.n_nodes, 1)), tree.edges, tree.depth, upd.b_agg, _gates(upd))
+    want = np.zeros(tree.n_nodes, dtype=np.int64)
+    for rows, _ in oracles.dense_levels(tree):
+        want[rows] += 1
+    assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
 
 def test_two_root_candidate_sums_into_both_roots():
     r1, r2 = make_project("r1", T0), make_project("r2", T0 - 6 * HOUR)
     tree = grow([r1, r2], [make_project("c", T0 - 36 * HOUR)], 1, 24)
     np.testing.assert_array_equal(tree.edges, [[0, 1], [2, 2]])
-    [(rows, block)] = evo.update_levels(tree)
-    np.testing.assert_array_equal(rows, [0, 1])
-    np.testing.assert_array_equal(block, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    upd = evo.GatedTreeUpdater(3, np.random.default_rng(14))
+    s = np.random.default_rng(15).normal(0, 1, (3, 3))
+    states, counts = ad.tree_gru(s, tree.edges, tree.depth, upd.b_agg, _gates(upd))
+    np.testing.assert_array_equal(counts, [1, 1, 0])
+    np.testing.assert_allclose(states.data, oracles.tree_rollup(upd, tree, s), atol=1e-12)
 
 
 def test_adjacency_is_the_dense_form_of_the_edges():
@@ -473,15 +483,27 @@ def test_propagate_records_one_tape_node():
 
 def test_tree_gru_shape_errors_name_the_op():
     upd = evo.GatedTreeUpdater(3, np.random.default_rng(0))
-    gates = [(upd.w_z, upd.u_z), (upd.w_r, upd.u_r), (upd.w_c, upd.u_c)]
-    level = (np.array([0]), np.array([[0, 1]]))
+    gates = _gates(upd)
+    states, edges, depth = np.zeros((3, 3)), np.array([[0], [1]]), np.array([0, 1, 1])
     bad = [
-        (np.zeros(3), [level], upd.b_agg, gates),  # 1-D states
-        (np.zeros((2, 4)), [level], upd.b_agg, gates),  # states wider than the gates
-        (np.zeros((2, 3)), [level], upd.b_agg, gates[:2]),  # a gate missing
-        (np.zeros((2, 3)), [(np.array([0]), np.array([[0, 1, 1]]))], upd.b_agg, gates),
-        (np.zeros((2, 3)), [(np.array([0, 0]), np.zeros((2, 2)))], upd.b_agg, gates),
-        (np.zeros((2, 3)), [(np.array([2]), np.zeros((1, 2)))], upd.b_agg, gates),
+        (np.zeros(3), edges, depth, upd.b_agg, gates),  # 1-D states
+        (np.zeros((3, 4)), edges, depth, upd.b_agg, gates),  # states wider than the gates
+        (states, edges, depth, upd.b_agg, gates[:2]),  # a gate missing
+        (states, np.array([0, 1]), depth, upd.b_agg, gates),  # edges not (2, m)
+        (states, np.array([[0], [1], [2]]), depth, upd.b_agg, gates),
+        (states, np.array([[0.0], [1.0]]), depth, upd.b_agg, gates),  # not node numbers
+        (states, np.array([[0], [3]]), depth, upd.b_agg, gates),  # a node past n
+        (states, np.array([[-1], [1]]), depth, upd.b_agg, gates),
+        (states, edges, np.array([0, 1]), upd.b_agg, gates),  # depth not (n,)
+        (states, edges, np.array([[0, 1, 1]]), upd.b_agg, gates),
+        (states, edges, np.array([0.0, 1.0, 1.0]), upd.b_agg, gates),
+        (states, edges, np.array([-1, 0, 1]), upd.b_agg, gates),  # a depth below 0
+        (states, np.zeros((2, 0), dtype=int), np.array([0, 1, 0]), upd.b_agg, gates),  # decreasing
+        # np.diff would wrap the uint8 drop to 255 and pass it
+        (states, np.zeros((2, 0), dtype=int), np.array([0, 1, 0], dtype=np.uint8), upd.b_agg, gates),
+        (states, edges, np.array([0, 0, 1]), upd.b_agg, gates),  # a child on its parent's level
+        (states, np.array([[0], [2]]), np.array([0, 1, 2]), upd.b_agg, gates),  # two levels down
+        (states, np.array([[1], [0]]), depth, upd.b_agg, gates),  # a child above its parent
     ]
     for args in bad:
         with pytest.raises(ad.ShapeError, match="tree_gru"):

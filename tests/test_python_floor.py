@@ -21,6 +21,23 @@ def test_sources_are_found():
     assert SOURCES
 
 
+def test_no_module_imports_the_package_by_name():
+    """Package modules import each other relatively, so a copy of the package loaded under
+    another name (as an A/B run of two checkouts does) never reaches the installed `gme`."""
+    absolute = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno} {name}" for name in names
+                         if name.split(".")[0] == "gme"]
+    assert absolute == []
+
+
 def _module_level_names(tree):
     """(name, node) for each function, class and constant a module defines at top level."""
     for node in tree.body:
