@@ -20,7 +20,7 @@ w1 = ad.Parameter(ad.glorot_uniform(rng, (1, 32)), "demo.w1")
 b1 = ad.Parameter(rng.uniform(-1, 1, 32), "demo.b1")  # spread the ReLU kinks over [-1, 1]
 w2 = ad.Parameter(ad.glorot_uniform(rng, (32, 1)), "demo.w2")
 b2 = ad.Parameter(np.zeros(1), "demo.b2")
-params = [w1, b1, w2, b2]
+params = ad.Parameters([w1, b1, w2, b2])  # one flat buffer each for values and gradients
 
 
 def loss_value():

@@ -25,6 +25,7 @@ __all__ = [
     "GradientError",
     "Tensor",
     "Parameter",
+    "Parameters",
     "Tape",
     "backward",
     "affine_stack",
@@ -83,18 +84,49 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor: named, with a persistent pre-allocated gradient."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "packed")
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data)
+        self.packed = False  # set once a Parameters arena holds it
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+class Parameters(tuple):
+    """A tuple of Parameters whose `data` and `grad` are views into two flat float64 buffers.
+
+    Building one copies each parameter's values and gradient into its slice
+    of `.data` and `.grad`, in the given order, and rebinds the parameter's
+    `data` and `grad` to reshaped views of that slice; slice k ends at
+    `ends[k]`.  A parameter joins one arena for good: packing one that an
+    arena already holds, or one listed twice, raises ValueError, since the
+    older slice would keep values the parameter no longer uses.
+    """
+
+    def __new__(cls, params):
+        params = tuple(params)
+        seen = set()
+        for p in params:
+            if p.packed or id(p) in seen:
+                raise ValueError(f"parameter {p.name!r} is already held by a Parameters arena")
+            seen.add(id(p))
+        self = super().__new__(cls, params)
+        self.ends = np.cumsum([p.data.size for p in params], dtype=np.int64)
+        total = int(self.ends[-1]) if params else 0
+        self.data, self.grad = np.empty(total), np.empty(total)
+        for p, hi in zip(params, self.ends.tolist()):
+            lo = hi - p.data.size
+            self.data[lo:hi], self.grad[lo:hi] = p.data.ravel(), p.grad.ravel()
+            p.data, p.grad = self.data[lo:hi].reshape(p.data.shape), self.grad[lo:hi].reshape(p.data.shape)
+            p.packed = True
+        return self
 
 
 class Tape:
@@ -554,16 +586,24 @@ def l1_loss(terms):
 
 
 def sgd_step(params, rate: float, step: int) -> None:
-    """Apply one SGD update at `rate` and zero the gradients.
+    """Apply one SGD update at `rate` to a Parameters arena and zero its gradients.
 
-    Refuses the whole step if any gradient is non-finite, naming the parameter.
+    One finiteness pass over the flat gradient; a non-finite entry refuses
+    the whole step, naming its parameter, and changes nothing.  Otherwise
+    grad *= rate, data -= grad and grad = 0 run in place over the buffers:
+    the product and subtraction of data -= rate * grad, bit for bit, with no
+    temporary the size of the gradients.
     """
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise GradientError(f"non-finite gradient in parameter {p.name!r} at step {step}")
-    for p in params:
-        p.data -= rate * p.grad
-        p.grad[...] = 0.0
+    if not isinstance(params, Parameters):
+        raise TypeError(f"sgd_step: params must be an ad.Parameters arena, not {type(params).__name__}")
+    grad = params.grad
+    if not np.isfinite(grad).all():
+        bad = int(np.argmin(np.isfinite(grad)))
+        name = params[int(np.searchsorted(params.ends, bad, side="right"))].name
+        raise GradientError(f"non-finite gradient in parameter {name!r} at step {step}")
+    np.multiply(grad, rate, out=grad)
+    params.data -= grad
+    grad.fill(0.0)
 
 
 def grad_check(loss_fn, params, epsilon: float = 1e-5) -> float:

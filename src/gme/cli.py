@@ -2,7 +2,8 @@
 
 Every subcommand writes a ``config_echo.json`` next to its outputs holding
 the exact inputs and configuration of the run.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 verification failure.
+1 usage error, 2 data error, 3 verification failure, 4 training stopped
+by the non-finite guard.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+EXIT_TRAIN = 4
 
 GRADCHECK_LIMIT = 1e-4
+DEAD_ZONE_WARNING = 0.9  # gme train warns when this share of test predictions is exactly 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,6 +150,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _zero_share(report) -> float:
+    """The share of a report's predictions that sit at exactly 0, the head rectifier's dead zone."""
+    return sum(row["pred"] == 0.0 for row in report["predictions"]) / report["n_targets"]
+
+
 def _write_loss_history(path, history) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -171,9 +179,13 @@ def cmd_train(args) -> int:
     report = evaluate_model(model, bundle.test)
     _write_json(out / "eval_report.json", report)
     _echo(out, config.to_json(), args)
+    zero = _zero_share(report)
     print(f"train: {len(bundle.train)} train / {len(bundle.test)} test sets, "
           f"{config.epochs} epochs; test mae {report['mae']:.6f} "
-          f"rmse {report['rmse']:.6f}; artifacts in {out}")
+          f"rmse {report['rmse']:.6f}; {zero:.1%} of test predictions at 0; artifacts in {out}")
+    if zero >= DEAD_ZONE_WARNING:
+        print(f"warning: {zero:.1%} of test predictions are exactly 0, in the output "
+              f"rectifier's dead zone", file=sys.stderr)
     return EXIT_OK
 
 
@@ -184,7 +196,8 @@ def cmd_eval(args) -> int:
     _write_json(out / "eval_report.json", report)
     _echo(out, config.to_json(), args)
     print(f"eval: {report['n_targets']} targets in {report['n_sets']} sets; "
-          f"mae {report['mae']:.6f} rmse {report['rmse']:.6f}; report in {out}")
+          f"mae {report['mae']:.6f} rmse {report['rmse']:.6f}; "
+          f"{_zero_share(report):.1%} of predictions at 0; report in {out}")
     return EXIT_OK
 
 
@@ -377,6 +390,9 @@ def main(argv=None) -> int:
     except gd.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ad.GradientError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return EXIT_TRAIN
     except OSError as exc:
         name = getattr(exc, "filename", None) or ""
         print(f"data error: {exc.strerror or exc} {name}".rstrip(), file=sys.stderr)

@@ -174,12 +174,14 @@ class GMEModel:
         self.out_b = ad.Parameter(np.zeros(1), name="head.out.b")
         self.aux_w = ad.Parameter(ad.glorot_uniform(rng, (self.tree_width,)), name="head.aux.w")
         self.aux_b = ad.Parameter(np.zeros(1), name="head.aux.b")
+        self._params = ad.Parameters(
+            self.recurrent.parameters() + self.prior.parameters()
+            + self.attention.parameters() + self.updater.parameters()
+            + [self.proj_w, self.proj_b, self.out_w, self.out_b, self.aux_w, self.aux_b])
 
-    def parameters(self) -> list:
-        return (self.recurrent.parameters() + self.prior.parameters()
-                + self.attention.parameters() + self.updater.parameters()
-                + [self.proj_w, self.proj_b, self.out_w, self.out_b,
-                   self.aux_w, self.aux_b])
+    def parameters(self) -> ad.Parameters:
+        """Every parameter, in checkpoint order, as the one arena `sgd_step` updates."""
+        return self._params
 
     def load_state(self, values: dict) -> None:
         """Copy checkpoint values in; refuses missing, extra, misshapen or non-finite ones."""

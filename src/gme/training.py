@@ -221,7 +221,7 @@ def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
     # a static-feature regressor trained with the same per-set protocol
     dims = [train_contexts[0].target_features.shape[1], 150, 50, 1]
     mlp = AffineStack(dims, ad.derive_rng(config.seed, "baseline-mlp"), "mlp")
-    params = mlp.parameters()
+    params = ad.Parameters(mlp.parameters())
     step = 0
     for epoch in range(config.epochs):
         rate = config.rate(epoch)

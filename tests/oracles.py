@@ -526,6 +526,18 @@ def taped_loss(model, pred, aux_pred, ctx):
     return add(mul(pred_err, eta), mul(aux_err, 1.0 - eta)), float(pred_err.data), float(aux_err.data)
 
 
+def sgd_step(params, rate, step):
+    """The per-parameter update `ad.sgd_step` replaced: refuse the step if any
+    gradient is non-finite, then p.data -= rate * p.grad and zero p.grad, one
+    parameter at a time, for any sequence of parameters."""
+    for p in params:
+        if not np.all(np.isfinite(p.grad)):
+            raise ad.GradientError(f"non-finite gradient in parameter {p.name!r} at step {step}")
+    for p in params:
+        p.data -= rate * p.grad
+        p.grad[...] = 0.0
+
+
 # --- per-project data formulas ------------------------------------------------
 
 class ProjectLog:

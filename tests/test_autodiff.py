@@ -690,7 +690,7 @@ def test_head_refusals_name_the_shapes():
 def test_sgd_single_step():
     w = ad.Parameter([1.0], name="w")
     w.grad[...] = 2.0
-    ad.sgd_step([w], 0.02, step=0)
+    ad.sgd_step(ad.Parameters([w]), 0.02, step=0)
     np.testing.assert_allclose(w.data, [0.96], atol=1e-15)
     np.testing.assert_array_equal(w.grad, [0.0])
 
@@ -701,8 +701,70 @@ def test_sgd_rejects_nonfinite_gradient_atomically():
     w1.grad[...] = 1.0
     w2.grad[...] = np.nan
     with pytest.raises(ad.GradientError, match="w2"):
-        ad.sgd_step([w1, w2], 0.02, step=0)
+        ad.sgd_step(ad.Parameters([w1, w2]), 0.02, step=0)
     np.testing.assert_array_equal(w1.data, [1.0])  # refused step leaves w1 untouched
+    np.testing.assert_array_equal(w1.grad, [1.0])
+
+
+def test_sgd_step_takes_only_an_arena():
+    w = ad.Parameter([1.0], name="w")
+    with pytest.raises(TypeError, match="Parameters"):
+        ad.sgd_step([w], 0.02, step=0)
+
+
+def test_parameters_pack_values_and_gradients_as_views_in_order():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (2, 3), "b": (4,), "c": (1,), "d": (3, 1)}
+    params = [ad.Parameter(rng.normal(0, 1, shape), name) for name, shape in shapes.items()]
+    for p in params:
+        p.grad[...] = rng.normal(0, 1, p.data.shape)
+    before = [(p.data.copy(), p.grad.copy()) for p in params]
+    arena = ad.Parameters(params)
+    assert isinstance(arena, tuple) and list(arena) == params
+    assert arena.ends.tolist() == [6, 10, 11, 14]
+    assert arena.data.shape == arena.grad.shape == (14,)
+    np.testing.assert_array_equal(arena.data, np.concatenate([d.ravel() for d, _ in before]))
+    np.testing.assert_array_equal(arena.grad, np.concatenate([g.ravel() for _, g in before]))
+    for p, (data, grad), hi in zip(params, before, arena.ends.tolist()):
+        lo = hi - p.data.size
+        assert p.data.shape == p.grad.shape == data.shape
+        np.testing.assert_array_equal(p.data, data)
+        np.testing.assert_array_equal(p.grad, grad)
+        p.data += 1.0
+        p.zero_grad()
+        np.testing.assert_array_equal(arena.data[lo:hi], data.ravel() + 1.0)
+        assert not arena.grad[lo:hi].any()
+
+
+def test_parameters_refuse_a_parameter_already_held():
+    a, b, c = (ad.Parameter([float(k)], name) for k, name in enumerate("abc"))
+    arena = ad.Parameters([a, b])
+    with pytest.raises(ValueError, match="'b'"):
+        ad.Parameters([c, b])
+    assert not c.packed and np.shares_memory(b.data, arena.data)
+    with pytest.raises(ValueError, match="'c'"):
+        ad.Parameters([c, c])
+    assert ad.Parameters([c])[0] is c and len(ad.Parameters([])) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+       rate=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_sgd_step_equals_the_per_parameter_update(sizes, rate, seed):
+    """The arena's one update leaves every value and gradient where the per-parameter
+    oracle leaves them, bit for bit."""
+    rng = np.random.default_rng(seed)
+    values = [(rng.normal(0, 3, n), rng.normal(0, 3, n)) for n in sizes]
+    sides = []
+    for _ in range(2):
+        params = [ad.Parameter(d.copy(), f"p{k}") for k, (d, _) in enumerate(values)]
+        for p, (_, g) in zip(params, values):
+            p.grad[...] = g
+        sides.append(params)
+    ad.sgd_step(ad.Parameters(sides[0]), rate, step=3)
+    oracles.sgd_step(sides[1], rate, step=3)
+    for p, q in zip(*sides):
+        assert p.data.tobytes() == q.data.tobytes() and p.grad.tobytes() == q.grad.tobytes()
 
 
 def _mini_training(seed: int) -> np.ndarray:
@@ -711,12 +773,13 @@ def _mini_training(seed: int) -> np.ndarray:
     b = ad.Parameter(np.zeros(2), name="b")
     xs = rng.normal(0, 1, (10, 4, 3))
     ys = rng.normal(0, 1, (10, 4, 2))
+    params = ad.Parameters([w, b])
     for step in range(10):
         with ad.Tape() as tape:
             pred = ad.affine_stack(xs[step], [(w, b)], "tanh")
             loss = ad.l1_loss([(pred, ys[step], 1.0)])[0]
         ad.backward(tape, loss)
-        ad.sgd_step([w, b], 0.05 * 0.9 ** (step // 2), step)
+        ad.sgd_step(params, 0.05 * 0.9 ** (step // 2), step)
     return np.concatenate([w.data.ravel(), b.data.ravel()])
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gme.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from gme.cli import EXIT_DATA, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, build_parser, main
 from gme.data import InvestmentEvent, Market
 from gme.model import TrainConfig
 from gme.training import build_contexts
@@ -167,8 +167,38 @@ class TestTrain:
         assert report["mae"] == pytest.approx(float(np.mean(np.abs(y - yp))))
         assert report["n_targets"] == len(report["predictions"])
 
+    @pytest.mark.parametrize("synth,hidden,warned", [(["--n", "60", "--days", "6", "--seed", "0"], "50", True),
+                                                     (["--n", "90", "--days", "14", "--seed", "3"], "8", False)])
+    def test_summary_reports_the_share_of_test_predictions_at_zero(self, tmp_path, capsys, synth, hidden,
+                                                                   warned):
+        """The summary line gives the dead-zone share that eval_report.json's predictions
+        show; 90% or more adds one warning line on stderr."""
+        market, out = tmp_path / "market", tmp_path / "trained"
+        assert main(["synth", *synth, "--out", str(market)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", *_data_flags(market), "--quantifier", "prior-mlp", "--epochs", "2",
+                     "--hidden", hidden, "--out", str(out)]) == EXIT_OK
+        preds = [row["pred"] for row in json.loads((out / "eval_report.json").read_text())["predictions"]]
+        share = sum(p == 0.0 for p in preds) / len(preds)
+        assert (share >= 0.9) == warned and (share == 1.0 or share == 0.0)
+        captured = capsys.readouterr()
+        assert f"; {share:.1%} of test predictions at 0; artifacts in {out}\n" in captured.out
+        warning = (f"warning: {share:.1%} of test predictions are exactly 0, in the output "
+                   f"rectifier's dead zone\n")
+        assert captured.err == (warning if warned else "")
+
 
 class TestEval:
+    def test_summary_reports_the_share_of_predictions_at_zero(self, tmp_path, market_dir,
+                                                              trained_dir, capsys):
+        code = main(["eval", *_data_flags(market_dir),
+                     "--checkpoint", str(trained_dir / "checkpoint.json"),
+                     "--encoder", str(trained_dir / "encoder.json"), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "eval_report.json").read_text())
+        share = sum(row["pred"] == 0.0 for row in report["predictions"]) / report["n_targets"]
+        assert f"; {share:.1%} of predictions at 0; report in {tmp_path}\n" in capsys.readouterr().out
+
     def test_roundtrip_report_is_byte_identical(self, tmp_path, market_dir,
                                                 trained_dir):
         out = tmp_path / "evalrun"
@@ -507,6 +537,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--frobnicate", "1", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
+
+    def test_diverged_training_is_a_training_error(self, tmp_path, capsys):
+        """The non-finite guard ends the run with one stderr line and exit 4, no traceback
+        and no checkpoint."""
+        market, out = tmp_path / "market", tmp_path / "trained"
+        assert main(["synth", "--n", "60", "--days", "6", "--seed", "0", "--out", str(market)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["train", *_data_flags(market), "--quantifier", "prior-mlp", "--epochs", "1",
+                     "--learning-rate", "1e308", "--out", str(out)])
+        assert code == EXIT_TRAIN == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "training error: non-finite loss at step 6 (set d19676s2)\n"
+        assert not (out / "checkpoint.json").exists()
 
 
 class TestAblate:

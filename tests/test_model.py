@@ -2,6 +2,7 @@
 
 import dataclasses
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import oracles
 from gme import autodiff as ad
 from gme.model import ABLATIONS, GMEModel, TrainConfig
 from gme.toy import TOY_ENCODER, build_toy_market
-from gme.training import build_contexts, train_model
+from gme.training import build_contexts, train_model, warm_start_heads
 
 
 def toy_bundle(seed=0, **config_kw):
@@ -269,6 +270,78 @@ class TestLossAlgebra:
         for p in model.parameters():
             p.zero_grad()
         assert np.all(grads[dead_param] == 0.0)
+
+
+class TestParameterArena:
+    def test_the_model_packs_its_parameters_once_for_good(self):
+        """parameters() is one arena in checkpoint order; it cannot be packed again, and
+        every view still sits in its buffers after load_state, warm_start_heads and training."""
+        config, bundle = toy_bundle()
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        params = model.parameters()
+        assert isinstance(params, ad.Parameters) and params is model.parameters() and len(params) == 36
+        assert params[0].name == "competition.recurrent.input_gate.wx" and params[-1] is model.aux_b
+        with pytest.raises(ValueError, match="already held"):
+            ad.Parameters(model.parameters())
+        with pytest.raises(ValueError, match="'head.out.b'"):
+            ad.Parameters([model.out_b])
+
+        def in_buffers():
+            for p in params:
+                assert np.shares_memory(p.data, params.data) and np.shares_memory(p.grad, params.grad), p.name
+            np.testing.assert_array_equal(params.data, np.concatenate([p.data.ravel() for p in params]))
+
+        in_buffers()
+        model.load_state({p.name: p.data + 0.5 for p in params})
+        in_buffers()
+        warm_start_heads(model, bundle.train)
+        in_buffers()
+        before = params.data.copy()
+        train_model(model, bundle.train)
+        in_buffers()
+        assert not np.array_equal(params.data, before) and not params.grad.any()
+
+    @pytest.mark.parametrize("where", ["first entry of a middle parameter",
+                                       "last entry of the parameter before it",
+                                       "inside a 2-D parameter"])
+    def test_refusal_names_the_parameter_and_changes_nothing(self, where):
+        config, bundle = toy_bundle()
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        params = model.parameters()
+        params.grad[...] = np.random.default_rng(1).normal(0, 1, params.grad.size)
+        mid = len(params) // 2
+        k, index, bad = {"first entry of a middle parameter": (mid, 0, np.nan),
+                         "last entry of the parameter before it": (mid - 1, -1, np.inf),
+                         "inside a 2-D parameter": (params.index(model.attention.w_value), 9, -np.inf)}[where]
+        p = params[k]
+        assert p.data.ndim == 2 or where != "inside a 2-D parameter"
+        p.grad.reshape(-1)[index] = bad
+        before = [(q.data.tobytes(), q.grad.tobytes()) for q in params]
+        message = f"non-finite gradient in parameter {p.name!r} at step 7"
+        with pytest.raises(ad.GradientError) as err:
+            ad.sgd_step(params, 0.05, step=7)
+        assert str(err.value) == message
+        assert [(q.data.tobytes(), q.grad.tobytes()) for q in params] == before
+        with pytest.raises(ad.GradientError) as err:  # the per-parameter reference agrees
+            oracles.sgd_step(params, 0.05, step=7)
+        assert str(err.value) == message
+
+    def test_one_step_allocates_under_two_bytes_an_entry(self):
+        """The finiteness mask takes one byte an entry; a float64 temporary over the
+        gradients (data -= rate * grad) would take eight."""
+        config, bundle = toy_bundle()
+        model = GMEModel(bundle.encoder.feature_dim, dataclasses.replace(config, hidden=50))
+        params = model.parameters()
+        params.grad[...] = np.random.default_rng(2).normal(0, 1, params.grad.size)
+        tracemalloc.start()  # numpy reports its buffers to it
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ad.sgd_step(params, 0.05, step=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert params.data.size > 20_000
+        assert peak < 2 * params.data.size, peak / params.data.size
 
 
 class TestCheckpointing:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from gme import autodiff as ad
 from gme import data as gd
 from gme import training as gt
@@ -366,6 +367,31 @@ class TestTrainLoop:
             assert history[epoch].loss_l == pytest.approx(ll, abs=1e-12)
         for trained, replayed in zip(model.parameters(), params):
             np.testing.assert_array_equal(trained.data, replayed.data, err_msg=trained.name)
+
+    @pytest.mark.parametrize("quantifier,ablation", [("prior-mlp", "full"), ("recurrent", "met-only")])
+    def test_training_equals_a_replay_with_the_per_parameter_update(self, quantifier, ablation):
+        """train_model's one arena update per step leaves every parameter where the
+        per-parameter reference update leaves a twin replayed by hand, bit for bit,
+        with dropout drawn from the same generator."""
+        config, _, bundle = toy_setup(quantifier=quantifier, ablation=ablation, dropout_keep=0.9)
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        twin = GMEModel(bundle.encoder.feature_dim, config)
+        start = model.parameters().data.copy()
+        train_model(model, bundle.train)
+        gt.warm_start_heads(twin, bundle.train)
+        rng = ad.derive_rng(config.seed, "dropout")
+        step = 0
+        for epoch in range(config.epochs):
+            for ctx in bundle.train:
+                with ad.Tape() as tape:
+                    losses = twin.loss(twin.forward(ctx, training=True, dropout_rng=rng), ctx)
+                ad.backward(tape, losses.total)
+                oracles.sgd_step(list(twin.parameters()), config.rate(epoch), step)
+                step += 1
+        assert not np.array_equal(model.parameters().data, start)
+        for trained, replayed in zip(model.parameters(), twin.parameters()):
+            assert trained.data.tobytes() == replayed.data.tobytes(), trained.name
+            assert not trained.grad.any() and not replayed.grad.any(), trained.name
 
 
 class TestEvaluation:
