@@ -45,10 +45,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _write_whole(path: Path, write) -> None:
+    """`write(tmp)` to a temporary name in `path`'s directory, then rename it to `path`:
+    a run stopped part-way leaves each artifact old or new, never cut short."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _write_whole(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _echo(out_dir: Path, config: dict, args) -> None:
@@ -170,15 +180,15 @@ def cmd_train(args) -> int:
     bundle = build_contexts(market, config)
     model = GMEModel(bundle.encoder.feature_dim, config)
     history = train_model(model, bundle.train)
-    out = _out_dir(args)
-    ad.save_checkpoint(out / "checkpoint.json", model.parameters(),
-                       meta={"config": config.to_json(),
-                             "feature_dim": bundle.encoder.feature_dim})
-    _write_json(out / "encoder.json", bundle.encoder.to_json())
-    _write_loss_history(out / "loss_history.csv", history)
     report = evaluate_model(model, bundle.test)
+    # Nothing is written before the run has scored, and the checkpoint last.
+    out = _out_dir(args)
+    _write_whole(out / "loss_history.csv", lambda tmp: _write_loss_history(tmp, history))
+    _write_json(out / "encoder.json", bundle.encoder.to_json())
     _write_json(out / "eval_report.json", report)
     _echo(out, config.to_json(), args)
+    meta = {"config": config.to_json(), "feature_dim": bundle.encoder.feature_dim}
+    _write_whole(out / "checkpoint.json", lambda tmp: ad.save_checkpoint(tmp, model.parameters(), meta))
     zero = _zero_share(report)
     print(f"train: {len(bundle.train)} train / {len(bundle.test)} test sets, "
           f"{config.epochs} epochs; test mae {report['mae']:.6f} "

@@ -325,9 +325,13 @@ class Market:
     def raised_before(self, rows, t) -> np.ndarray:
         """Funds each row raised strictly before t; rows and t broadcast together."""
         rows = np.asarray(rows, dtype=np.int64)
+        return self._prefix[self._first_at(rows, t) + rows]
+
+    def _first_at(self, rows, t) -> np.ndarray:
+        """Where each row's first event at or after t sits in the event table (int64 `rows`;
+        rows and t broadcast).  Row r's running total before t is then ``_prefix[that + r]``."""
         t = np.minimum(np.maximum(t, self._t0), self._t0 + self._span - 1)  # np.clip costs 3-4x more
-        i = np.searchsorted(self._keys, rows * self._span + (t - self._t0), side="left")
-        return self._prefix[i + rows]
+        return np.searchsorted(self._keys, rows * self._span + (t - self._t0), side="left")
 
     @classmethod
     def from_files(cls, projects_path, investments_path) -> "Market":
@@ -353,11 +357,29 @@ def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
     """SERIES_HOURS hourly log2(1 + amount) values before t_obs per row, newest first.
 
     Entry k covers [t_obs - (k+1)h, t_obs - k*h); hours before a row's
-    first event are zero by construction.
+    first event are zero by construction.  Two searches find each row's
+    events in the window; counting them by hour gives where every inner
+    hour bound falls, so each bound reads the running total that a search
+    for it would.
     """
-    bounds = t_obs - HOUR * np.arange(SERIES_HOURS, -1, -1, dtype=np.int64)
-    totals = market.raised_before(np.asarray(rows, dtype=np.int64)[:, None], bounds)
-    return np.log2(1.0 + np.diff(totals, axis=1)[:, ::-1])
+    rows = np.asarray(rows, dtype=np.int64)
+    start = t_obs - SERIES_HOURS * HOUR
+    first, stop = market._first_at(rows[:, None], [start, t_obs]).T
+    counts = stop - first
+    before = np.cumsum(counts) - counts  # window events of the rows before each row
+    owner = np.repeat(np.arange(rows.size), counts)  # the window's events, row by row
+    at = np.arange(owner.size) + np.repeat(first - before, counts)
+    # An event in hour h from the window's start counts toward bound k (newest
+    # first, k in [0, SERIES_HOURS]) when h >= SERIES_HOURS - k: its cell is
+    # (owner, SERIES_HOURS - h), and a running count over the row-major cells
+    # adds the events of earlier rows, which `before` takes out again.
+    cells = owner * (SERIES_HOURS + 1) + (SERIES_HOURS - (market._times[at] - start) // HOUR)
+    newer = np.bincount(cells, minlength=rows.size * (SERIES_HOURS + 1)).cumsum()
+    index = (stop + before + rows)[:, None] - newer.reshape(rows.size, SERIES_HOURS + 1)
+    totals = market._prefix[index]  # running totals at the bounds, newest first
+    series = totals[:, :-1] - totals[:, 1:]
+    series += 1.0
+    return np.log2(series, out=series)
 
 
 def prior_trend(market: Market, rows, t_obs: int):
@@ -418,18 +440,10 @@ def segment_target_sets(market: Market, tz_offset: int = 0) -> list[TargetSet]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def hashed_text_embedding(text: str, dim: int) -> np.ndarray:
-    """Deterministic signed bag-of-tokens hash, L2-normalized when non-empty."""
-    vec = np.zeros(dim)
-    for token in re.findall(r"[a-z0-9]+", text.lower()):
-        digest = hashlib.sha256(f"gme-text-v1:{token}".encode("utf-8")).digest()
-        index = (digest[0] | (digest[1] << 8)) % dim
-        sign = 1.0 if digest[2] & 1 else -1.0
-        vec[index] += sign
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+def _token_slot(token: str, dim: int) -> tuple[int, float]:
+    """(column, sign) of one text token in a hashed text block `dim` wide."""
+    digest = hashlib.sha256(f"gme-text-v1:{token}".encode("utf-8")).digest()
+    return (digest[0] | (digest[1] << 8)) % dim, 1.0 if digest[2] & 1 else -1.0
 
 
 # (EncoderConfig field, ProjectRecord field) of each vocabulary block, in column order.
@@ -504,10 +518,29 @@ class EncoderConfig:
                                for p in projects]
 
     def encode(self, projects) -> np.ndarray:
-        """The (len(projects), feature_dim) static-feature matrix, one row per project."""
+        """The (len(projects), feature_dim) static-feature matrix, one row per project.
+
+        Hashed text is a signed bag of tokens: each distinct token is hashed
+        once, its sign added at its column of each row that holds it, and a
+        non-empty row divided by its L2 norm.  Until then the entries are
+        integers, so each row's sum of squares is exact.
+        """
         features = np.zeros((len(projects), self.feature_dim))
+        hashed = {}  # token -> (column, sign): each distinct token is hashed once
         for row, project in zip(features, projects):
-            row[:self.text_dim] = self._text(project)
+            text = self._text(project)
+            if self.text_mode == "precomputed":
+                row[:self.text_dim] = text
+                continue
+            for token in re.findall(r"[a-z0-9]+", text.lower()):
+                if token not in hashed:
+                    hashed[token] = _token_slot(token, self.text_dim)
+                column, sign = hashed[token]
+                row[column] += sign
+        if self.text_mode == "hashed":
+            text = features[:, :self.text_dim]
+            norms = np.sqrt(np.einsum("ij,ij->i", text, text))[:, None]
+            np.divide(text, norms, out=text, where=norms > 0)
         rows, at = np.arange(len(projects)), self.text_dim
         for width, slots in self._one_hot_slots(projects):
             features[rows, at + np.asarray(slots, dtype=np.intp)] = 1.0
@@ -515,7 +548,7 @@ class EncoderConfig:
         return features
 
     def _text(self, project: ProjectRecord):
-        """The text block of one project, refused if it lacks the form in use."""
+        """One project's `vec` or hashed text (None as ""), refused if it lacks the form in use."""
         if self.text_mode == "precomputed":
             if project.vec is None:
                 raise DataError(f"project {project.id}: field 'vec' required in precomputed text mode")
@@ -525,7 +558,7 @@ class EncoderConfig:
         if project.text is None and project.vec is not None:
             raise DataError(f"project {project.id}: field 'text' required in hashed text mode "
                             f"(the project carries only 'vec')")
-        return hashed_text_embedding(project.text or "", self.text_dim)
+        return project.text or ""
 
     to_json = config_json
     from_json = classmethod(config_from_json)

@@ -80,23 +80,25 @@ def build_propagation_tree(targets, observables, t_h: int, tau_hours: int, *,
     if tau_hours <= 0:
         raise ValueError(f"tau_hours must be positive, got {tau_hours}")
 
-    nodes = np.asarray(targets, dtype=np.intp)  # market rows, in attachment order
+    roots = np.asarray(targets, dtype=np.intp)
     remaining = np.sort(np.asarray(observables, dtype=np.intp))
-    if np.unique(np.concatenate([nodes, remaining])).size != nodes.size + remaining.size:
+    given = np.sort(np.concatenate([roots, remaining]))
+    if np.any(given[1:] == given[:-1]):
         raise ValueError("a project is given twice in the tree input")
     times = market.published
     tau_s = tau_hours * HOUR
 
-    depth = np.zeros(nodes.size, dtype=np.int64)
-    edges = np.zeros((2, 0), dtype=np.int64)  # (parent, child) node numbers
-    frontier = np.argsort(times[nodes], kind="stable")  # node numbers in (time, node) order
+    levels, parents, children = [roots], [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    n = roots.size  # nodes attached so far
+    frontier = np.argsort(times[roots], kind="stable")  # node numbers in (time, node) order
+    frontier_times = times[roots][frontier]
     for k in range(1, t_h + 1):
-        if not remaining.size:
+        if not (remaining.size and frontier.size):
             break
         # c fits the frontier's run [lo, hi): T_c + tau + 1 <= T_p < T_c + 2*tau, in int64 seconds
-        lo, hi = np.searchsorted(times[nodes[frontier]], times[remaining] + [[tau_s + 1], [2 * tau_s]])
+        lo, hi = np.searchsorted(frontier_times, times[remaining] + [[tau_s + 1], [2 * tau_s]])
         attached = lo < hi
-        level = nodes.size + np.arange(np.count_nonzero(attached))  # node numbers of the new nodes
+        level = n + np.arange(np.count_nonzero(attached))  # node numbers of the new nodes
         if k == 1:  # every root in the run, listed by node number
             runs = (hi - lo)[attached]
             child = np.repeat(level, runs)
@@ -104,16 +106,19 @@ def build_propagation_tree(targets, observables, t_h: int, tau_hours: int, *,
             parent = parent[np.lexsort((parent, child))]
         else:
             parent, child = frontier[lo[attached]], level
+        parents.append(parent)
+        children.append(child)
+        levels.append(remaining[attached])
         frontier = level  # remaining is in row order, so this is (time, node) order already
-        edges = np.concatenate([edges, [parent, child]], axis=1)
-        nodes = np.concatenate([nodes, remaining[attached]])
-        depth = np.concatenate([depth, np.full(frontier.size, k, dtype=np.int64)])
+        frontier_times = times[levels[-1]]
+        n += level.size
         remaining = remaining[~attached]
 
+    nodes = np.concatenate(levels)
     return PropagationTree(
         node_times=times[nodes],
-        depth=depth,
-        edges=edges.astype(np.int32),
+        depth=np.repeat(np.arange(len(levels), dtype=np.int64), [level.size for level in levels]),
+        edges=np.array([np.concatenate(parents), np.concatenate(children)], dtype=np.int32),
         n_roots=len(targets),
         dropped_ids=tuple(p.id for p in market.projects[remaining]),
         rows=nodes.astype(np.int32),

@@ -21,6 +21,10 @@ from .evolution import build_propagation_tree, init_states
 from .model import GMEModel, TargetSetContext, TrainConfig
 
 TRAIN_FRACTION = 5 / 6
+# Training and scoring let an overflow run on to inf or NaN without numpy's
+# warning: the loss check and `sgd_step`'s finiteness pass stop a diverged
+# run with a `GradientError` that names the step.  Bits do not change.
+FLOAT_POLICY = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -30,13 +34,16 @@ class ContextBundle:
     encoder: gd.EncoderConfig
 
 
-def build_context(market: gd.Market, target_set: gd.TargetSet,
-                  config: TrainConfig, features: np.ndarray) -> TargetSetContext:
+def build_context(market: gd.Market, target_set: gd.TargetSet, config: TrainConfig,
+                  features: np.ndarray, *, columns: tuple | None = None) -> TargetSetContext:
     """Assemble every model input for one target set from the market's tables.
 
     The competition graph is built over every running project outside the
     set; the context keeps only the rivals with an edge to some target under
     the pruning mode, since every target gives the others attention weight 0.
+    `columns` is (`fundraising_target`, `early_stage_amount`) of every market
+    row, which `build_contexts` computes once for all sets; without it the
+    set's own rows are computed, to the same bits.
     """
     t_ref = target_set.observation_time
     # The rows are held as int32; the market's tables are read with intp rows,
@@ -51,9 +58,13 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
     rival_rows = rival_rows[seen]
     observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
     tree = build_propagation_tree(target_rows, observable_rows, config.t_h, config.tau, market=market)
-    aux_rows = tree.rows[tree.n_roots:]
-    aux_raised = (market.raised_before(aux_rows, t_ref + config.tau * gd.HOUR)
-                  - market.raised_before(aux_rows, t_ref))
+    if columns is None:
+        truths = gd.fundraising_target(market, target_rows, config.tau)
+        early = gd.early_stage_amount(market, tree.rows, config.tau)
+    else:
+        truths, early = columns[0][lo:hi], columns[1][tree.rows]
+    aux_raised = market.raised_before(tree.rows[tree.n_roots:, None],
+                                      [t_ref, t_ref + config.tau * gd.HOUR])
     return TargetSetContext(
         day=target_set.day,
         segment=target_set.segment,
@@ -61,14 +72,14 @@ def build_context(market: gd.Market, target_set: gd.TargetSet,
         projects=market.projects,
         features=features,
         target_rows=target_rows.astype(np.int32),
-        truths=gd.fundraising_target(market, target_rows, config.tau),
+        truths=truths,
         rival_rows=rival_rows.astype(np.int32),
         rival_series=gd.hourly_series(market, rival_rows, t_ref),
         rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref)[1],
         graph=graph,
         tree=tree,
-        tree_amounts=init_states(tree, gd.early_stage_amount(market, tree.rows, config.tau)),
-        aux_truths=np.log2(1.0 + aux_raised),
+        tree_amounts=init_states(tree, early),
+        aux_truths=np.log2(1.0 + (aux_raised[:, 1] - aux_raised[:, 0])),
     )
 
 
@@ -93,8 +104,11 @@ def build_contexts(market: gd.Market, config: TrainConfig,
         encoder = gd.EncoderConfig.fit(market.projects[:n_seen], **(encoder_overrides or {}))
 
     features = encoder.encode(market.projects)
-    train = tuple(build_context(market, ts, config, features) for ts in train_sets)
-    test = tuple(build_context(market, ts, config, features) for ts in test_sets)
+    every = np.arange(len(market.projects))  # the sets partition the rows
+    columns = (gd.fundraising_target(market, every, config.tau),
+               gd.early_stage_amount(market, every, config.tau))
+    train = tuple(build_context(market, ts, config, features, columns=columns) for ts in train_sets)
+    test = tuple(build_context(market, ts, config, features, columns=columns) for ts in test_sets)
     return ContextBundle(train=train, test=test, encoder=encoder)
 
 
@@ -122,6 +136,7 @@ def warm_start_heads(model: GMEModel,
     model.aux_b.data[:] = float(np.mean(np.concatenate(aux))) if aux else 0.0
 
 
+@FLOAT_POLICY
 def train_model(model: GMEModel, train_contexts: Sequence[TargetSetContext]) -> list:
     """Run the per-set gradient loop; one rate-decay boundary per epoch."""
     if not train_contexts:
@@ -161,6 +176,7 @@ def _metrics(truths: np.ndarray, preds: np.ndarray) -> tuple:
     return mae, rmse
 
 
+@FLOAT_POLICY
 def evaluation_report(contexts: Sequence[TargetSetContext], predict_fn,
                       config_echo: dict) -> dict:
     """Score a prediction function set by set; JSON-ready plain types only."""
@@ -200,6 +216,7 @@ def evaluate_model(model: GMEModel, contexts: Sequence[TargetSetContext]) -> dic
 BASELINES = ("mean", "linear", "mlp")
 
 
+@FLOAT_POLICY
 def fit_baseline(kind: str, train_contexts: Sequence[TargetSetContext],
                  config: TrainConfig):
     """Return predict_fn for one reference model fitted on the train span."""

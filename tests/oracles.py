@@ -11,14 +11,16 @@ growth attaches one candidate at a time, as the whole-market array code
 they check once did.
 """
 
+import hashlib
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
 
 from gme import autodiff as ad
 from gme.competition import LEAKY_SLOPE
-from gme.data import SEGMENT_STARTS, DataError, hashed_text_embedding
+from gme.data import SEGMENT_STARTS, DataError
 
 HOUR = 3600
 DAY = 86400
@@ -579,6 +581,20 @@ def prior_trend(project, log, t_obs, bins=6):
     days = max(1, -(-(t_obs - project.published_time) // DAY))
     trend = min(1.0, max(0.0, (raised / project.goal) / math.log2(days + 1)))
     return trend, min(bins - 1, int(trend * bins))
+
+
+def hashed_text_embedding(text: str, dim: int) -> np.ndarray:
+    """Deterministic signed bag-of-tokens hash, L2-normalized when non-empty, token by token."""
+    vec = np.zeros(dim)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.sha256(f"gme-text-v1:{token}".encode("utf-8")).digest()
+        index = (digest[0] | (digest[1] << 8)) % dim
+        sign = 1.0 if digest[2] & 1 else -1.0
+        vec[index] += sign
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def _onehot(vocab, value):

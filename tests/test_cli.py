@@ -7,13 +7,19 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gme
+from gme import cli
 from gme.cli import EXIT_DATA, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, build_parser, main
 from gme.data import InvestmentEvent, Market
 from gme.model import TrainConfig
@@ -335,6 +341,45 @@ def _rewrite_descriptions(src, dst, describe):
     return records
 
 
+class TestWholeArtifacts:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_run_stopped_while_scoring_leaves_the_earlier_run_untouched(
+            self, tmp_path, market_dir, trained_dir, monkeypatch, command):
+        """`gme train` and `gme eval` score before they write anything, and write each
+        artifact whole: a run that stops while scoring leaves the files of the run
+        before it in its directory byte for byte, and no temporary file."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for path in trained_dir.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def stopped(*args):
+            raise KeyboardInterrupt("stopped while scoring")
+
+        monkeypatch.setattr(cli, "evaluate_model", stopped)
+        flags = (["--epochs", "1", "--hidden", "4"] if command == "train" else
+                 ["--checkpoint", str(trained_dir / "checkpoint.json"),
+                  "--encoder", str(trained_dir / "encoder.json")])
+        with pytest.raises(KeyboardInterrupt, match="stopped while scoring"):
+            main([command, *_data_flags(market_dir), *flags, "--out", str(out)])
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_failed_write_leaves_the_earlier_file_and_no_temporary(self, tmp_path):
+        """A write that fails part-way leaves the file as it was, without its temporary."""
+        path = tmp_path / "report.json"
+        path.write_text("earlier\n")
+
+        def cut_short(tmp):
+            tmp.write_text("half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_whole(path, cut_short)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert path.read_text() == "earlier\n"
+
+
 class TestTextForm:
     def test_vec_only_market_trains_on_its_vectors(self, tmp_path, market_dir):
         vecs = {}
@@ -551,6 +596,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "training error: non-finite loss at step 6 (set d19676s2)\n"
         assert not (out / "checkpoint.json").exists()
+
+    def test_diverged_training_writes_one_stderr_line_and_no_warning(self, tmp_path):
+        """In a process of its own, with every RuntimeWarning shown, the diverged run's
+        stderr is the guard's one line: training and scoring let numpy overflow quietly."""
+        market = tmp_path / "market"
+        assert main(["synth", "--n", "60", "--days", "6", "--seed", "0", "--out", str(market)]) == EXIT_OK
+        src = str(Path(gme.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "gme.cli", "train", *_data_flags(market),
+             "--quantifier", "prior-mlp", "--epochs", "1", "--learning-rate", "1e308",
+             "--out", str(tmp_path / "trained")], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_TRAIN
+        assert proc.stderr == "training error: non-finite loss at step 6 (set d19676s2)\n"
 
 
 class TestAblate:

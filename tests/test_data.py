@@ -546,13 +546,19 @@ def test_api_times_take_numpy_integers_as_python_ints():
 
 
 def test_hashed_embedding_properties():
-    a = d.hashed_text_embedding("solar powered garden lamp", 50)
-    b = d.hashed_text_embedding("solar powered garden lamp", 50)
-    c = d.hashed_text_embedding("documentary film about rivers", 50)
-    assert np.array_equal(a, b)
+    """The hashed text block: equal texts give equal rows, a non-empty one has unit
+    norm, an empty or absent one is all zeros, and only [a-z0-9] runs of the
+    lower-cased text count as tokens."""
+    enc = d.EncoderConfig(categories=("art",), creator_types=("individual",), currencies=("USD",))
+    texts = ["solar powered garden lamp", "solar powered garden lamp", "documentary film about rivers",
+             "", None, "Solar, POWERED garden-lamp!", "über café"]
+    a, b, c, empty, absent, spelled, accented = enc.encode(
+        [make_project(pid=f"p{i}", text=text) for i, text in enumerate(texts)])[:, :enc.text_dim]
+    assert np.array_equal(a, b) and np.array_equal(a, spelled)
     assert not np.array_equal(a, c)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(d.hashed_text_embedding("", 50), np.zeros(50))
+    assert not empty.any() and not absent.any()
+    assert np.array_equal(accented, enc.encode([make_project(text="ber caf")])[0, :enc.text_dim])
 
 
 def test_project_validation():

@@ -289,6 +289,129 @@ def test_build_contexts_calls_graph_series_and_trend_once_per_context(monkeypatc
     assert sum(len(args[1]) for args, _ in calls["graph"]) > sum(c.rival_rows.size for c in contexts)
 
 
+# --- the whole bundle against per-project references --------------------------
+
+MIDNIGHT = 1_600_041_600  # a UTC day boundary: launches below fall in known segments
+
+
+def edge_case_market():
+    """Nine projects launched over five days, whose contexts hit the edge cases of context building.
+
+    - The day-0 segment-8 set looks 24 hours back from D0 + 9h, past the first
+      launch at D0 + 1h, so its window ends are clamped; "old" ends last and
+      pledges in its last second, so an unclamped start would count that pledge.
+    - Pledges fall exactly on a set's observation time, on hour bounds before it,
+      on its window's first second and one second before that.
+    - "quiet" pledges only at launch, so later sets hold it as a rival with an
+      all-zero series.
+    - The tree of d0's set attaches no node at depth 4 while "lone" is left, so its
+      frontier empties before t_h = 5.
+    - Texts repeat tokens, are empty or absent, and hold non-ASCII letters.
+    """
+    h = HOUR
+    launches = {"old": (1 * h, "Solar solar SOLAR lamp, solar!"), "quiet": (2 * h, ""),
+                "f0": (9 * h, "über Café naïve 東京 2024"), "b0": (33 * h, None),
+                "b1": (33 * h + 1800, "lamp lamp"), "lone": (38 * h, "a-b_c d"),
+                "c0": (61 * h, "solar"), "d0": (90 * h, "the the end"), "e0": (117 * h, "E0")}
+    projects = [ProjectRecord(id=pid, published_time=MIDNIGHT + t, category=("art", "tech")[k % 2],
+                              creator_type="individual", currency="USD",
+                              duration_days=12 if pid == "old" else 7, goal=100.0 + 50 * k, text=text)
+                for k, (pid, (t, text)) in enumerate(launches.items())]
+    pledges = {"old": [1 * h, 2 * h, 8 * h, 9 * h, 37 * h - 1, 37 * h, 56 * h, 60 * h, 61 * h,
+                       (1 + 12 * 24) * h - 1],
+               "quiet": [2 * h],
+               "f0": [9 * h, 10 * h, 33 * h, 61 * h - 1, 61 * h, 89 * h],
+               "b0": [33 * h, 37 * h, 60 * h, 60 * h, 61 * h, 66 * h + 1],
+               "b1": [34 * h, 61 * h - 3600 * 23, 90 * h - 1, 90 * h],
+               "lone": [38 * h, 61 * h - 1, 117 * h - 24 * h],
+               "c0": [61 * h, 62 * h, 85 * h],
+               "d0": [90 * h, 91 * h, 114 * h - 1],
+               "e0": [117 * h, 118 * h]}
+    events = [InvestmentEvent(pid, MIDNIGHT + t, 1.5 + 0.25 * k)
+              for pid, times in pledges.items() for k, t in enumerate(times)]
+    return Market(projects, events)
+
+
+def reference_context(market, target_set, config):
+    """Every array one context holds, from the per-project references of tests/oracles.py.
+
+    Rivals are the running projects outside the set with an edge under the pruning
+    mode; the graph itself is the package's, which this module tests elsewhere."""
+    t, tau = target_set.observation_time, config.tau
+    rows = np.arange(target_set.rows.start, target_set.rows.stop)
+    targets = list(market.projects[rows])
+    logs = {p.id: oracles.ProjectLog(market.log(p.id).times, market.log(p.id).amounts)
+            for p in market.projects}
+    running = [p for p in oracles.running_set(market.projects, t) if p not in targets]
+    running_rows = np.array([market.row[p.id] for p in running], dtype=np.intp)
+    adjacency = build_competitiveness_graph(rows, running_rows, config.pruning, market=market).adjacency
+    seen = adjacency.any(axis=0)
+    rivals = [p for p, kept in zip(running, seen) if kept]
+    observables = oracles.observable_set(market.projects, t, config.t_h, tau)
+    ids, times, depth, edges, dropped = oracles.grow_tree(targets, observables, config.t_h, tau)
+    aux = [market.projects[market.row[pid]] for pid in ids[len(targets):]]
+    arrays = {
+        "target_rows": rows.astype(np.int32),
+        "truths": np.array([oracles.fundraising_target(p, logs[p.id], tau) for p in targets]),
+        "rival_rows": np.array([market.row[p.id] for p in rivals], dtype=np.int32),
+        "rival_series": np.array([oracles.hourly_series(logs[p.id], t) for p in rivals]).reshape(-1, 24),
+        "rival_trend_bins": np.array([oracles.prior_trend(p, logs[p.id], t)[1] for p in rivals],
+                                     dtype=np.uint8),
+        "graph.adjacency": adjacency[:, seen],
+        "tree.node_times": times,
+        "tree.depth": depth,
+        "tree.edges": np.ascontiguousarray(edges, dtype=np.int32),
+        "tree.rows": np.array([market.row[pid] for pid in ids], dtype=np.int32),
+        "tree_amounts": np.array([0.0] * len(targets)
+                                 + [oracles.early_stage_amount(p, logs[p.id], tau) for p in aux]),
+        "aux_truths": np.array([np.log2(1.0 + logs[p.id].total_between(t, t + tau * HOUR))
+                                for p in aux]),
+    }
+    return arrays, dropped
+
+
+def assert_same_array(got, want, what):
+    """Bit for bit, in dtype, shape and memory order: C order, but for the graph's
+    kept columns, which numpy's column selection returns in Fortran order."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous,
+                                                              want.flags.f_contiguous), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("case", ["synth", "edge-cases"])
+def test_bundle_matches_per_project_references_bit_for_bit(case):
+    """`build_contexts`, and `build_context` for one set on its own, hold exactly the
+    arrays that the per-project references give, set by set."""
+    if case == "synth":
+        market, _ = generate_market(SynthConfig(n_projects=240, days=16, seed=5))
+        config = TrainConfig()
+    else:
+        market, config = edge_case_market(), TrainConfig(pruning="unpruned")
+    bundle = build_contexts(market, config)
+    features = np.array([oracles.encode_project(bundle.encoder, p) for p in market.projects])
+    assert_same_array(bundle.train[0].features, features, "features")
+    sets = gd.segment_target_sets(market, config.tz_offset)
+    contexts = (*bundle.train, *bundle.test)
+    assert len(contexts) == len(sets)
+    for target_set, ctx in zip(sets, contexts):
+        want, dropped = reference_context(market, target_set, config)
+        alone = gt.build_context(market, target_set, config, ctx.features)
+        for got in (ctx, alone):
+            assert got.features is ctx.features
+            for name, value in want.items():
+                owner, _, field = name.rpartition(".")
+                assert_same_array(getattr(getattr(got, owner) if owner else got, field), value,
+                                  f"{ctx.label} {name}")
+            assert (got.tree.n_roots, got.tree.dropped_ids) == (target_set.rows.stop
+                                                                - target_set.rows.start, dropped)
+    if case == "edge-cases":
+        first_launch = int(market.published[0])
+        assert any(c.observation_time - 24 * HOUR < first_launch and c.rival_rows.size for c in contexts)
+        assert any((c.rival_series == 0).all(axis=1).any() for c in contexts)
+        assert any(c.tree.dropped_ids and c.tree.max_depth + 1 < config.t_h for c in contexts)
+
+
 class TestTrainLoop:
     def test_loss_goes_down_on_the_toy_market(self):
         config, _, bundle = toy_setup(epochs=8)
