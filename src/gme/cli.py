@@ -24,8 +24,8 @@ from .competition import PRUNING_MODES
 from .model import ABLATIONS, QUANTIFIERS, GMEModel, TrainConfig
 from .synth import SynthConfig, generate_market, write_trace
 from .toy import run_toy_gradchecks
-from .training import (BASELINES, build_contexts, evaluate_model,
-                       evaluation_report, fit_baseline, train_model)
+from .training import (BASELINES, build_contexts, evaluate_model, evaluation_report,
+                       finite_predictions, fit_baseline, train_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,23 +45,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_whole(path: Path, write) -> None:
-    """`write(tmp)` to a temporary name in `path`'s directory, then rename it to `path`:
-    a run stopped part-way leaves each artifact old or new, never cut short."""
-    tmp = path.with_name(f".{path.name}.tmp")
+def _write_whole(out_dir: Path, artifacts: dict) -> None:
+    """Write each artifact, name -> `write(tmp)`, to a temporary name in `out_dir`, then
+    rename them into place back to back, in order: a run stopped while any of them is
+    being written leaves the files of the run before it, and none is ever cut short."""
+    staged = []
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        for name, write in artifacts.items():
+            staged.append((out_dir / f".{name}.tmp", out_dir / name))
+            write(staged[-1][0])
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
-def _write_json(path, doc) -> None:
+def _json(doc):
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    _write_whole(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
 
 
-def _echo(out_dir: Path, config: dict, args) -> None:
+def _write_json(path: Path, doc) -> None:
+    _write_whole(path.parent, {path.name: _json(doc)})
+
+
+def _echo_doc(config: dict, args) -> dict:
     """config_echo.json: the subcommand, its config, each input file it was given and
     the BLAS thread settings in its environment (None where unset), which set output bits."""
     threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -70,7 +79,11 @@ def _echo(out_dir: Path, config: dict, args) -> None:
               if hasattr(args, name)}
     if inputs:
         doc["inputs"] = inputs
-    _write_json(out_dir / "config_echo.json", doc)
+    return doc
+
+
+def _echo(out_dir: Path, config: dict, args) -> None:
+    _write_json(out_dir / "config_echo.json", _echo_doc(config, args))
 
 
 def _out_dir(args) -> Path:
@@ -181,14 +194,16 @@ def cmd_train(args) -> int:
     model = GMEModel(bundle.encoder.feature_dim, config)
     history = train_model(model, bundle.train)
     report = evaluate_model(model, bundle.test)
-    # Nothing is written before the run has scored, and the checkpoint last.
+    # Nothing is written before the run has scored, and the checkpoint is renamed last.
     out = _out_dir(args)
-    _write_whole(out / "loss_history.csv", lambda tmp: _write_loss_history(tmp, history))
-    _write_json(out / "encoder.json", bundle.encoder.to_json())
-    _write_json(out / "eval_report.json", report)
-    _echo(out, config.to_json(), args)
     meta = {"config": config.to_json(), "feature_dim": bundle.encoder.feature_dim}
-    _write_whole(out / "checkpoint.json", lambda tmp: ad.save_checkpoint(tmp, model.parameters(), meta))
+    _write_whole(out, {
+        "loss_history.csv": lambda tmp: _write_loss_history(tmp, history),
+        "encoder.json": _json(bundle.encoder.to_json()),
+        "eval_report.json": _json(report),
+        "config_echo.json": _json(_echo_doc(config.to_json(), args)),
+        "checkpoint.json": lambda tmp: ad.save_checkpoint(tmp, model.parameters(), meta),
+    })
     zero = _zero_share(report)
     print(f"train: {len(bundle.train)} train / {len(bundle.test)} test sets, "
           f"{config.epochs} epochs; test mae {report['mae']:.6f} "
@@ -203,8 +218,8 @@ def cmd_eval(args) -> int:
     model, config, bundle = _restored_model(args)
     report = evaluate_model(model, bundle.test)
     out = _out_dir(args)
-    _write_json(out / "eval_report.json", report)
-    _echo(out, config.to_json(), args)
+    _write_whole(out, {"eval_report.json": _json(report),
+                       "config_echo.json": _json(_echo_doc(config.to_json(), args))})
     print(f"eval: {report['n_targets']} targets in {report['n_sets']} sets; "
           f"mae {report['mae']:.6f} rmse {report['rmse']:.6f}; "
           f"{_zero_share(report):.1%} of predictions at 0; report in {out}")
@@ -225,7 +240,7 @@ def cmd_ablate(args) -> int:
     baselines = {}
     for kind in BASELINES:
         predict = fit_baseline(kind, bundle.train, config)
-        report = evaluation_report(bundle.test, predict, config.to_json())
+        report = evaluation_report(bundle.test, finite_predictions(predict), config.to_json())
         baselines[kind] = {"mae": report["mae"], "rmse": report["rmse"]}
     out = _out_dir(args)
     doc = {"config": config.to_json(), "n_train_sets": len(bundle.train),

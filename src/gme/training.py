@@ -23,7 +23,8 @@ from .model import GMEModel, TargetSetContext, TrainConfig
 TRAIN_FRACTION = 5 / 6
 # Training and scoring let an overflow run on to inf or NaN without numpy's
 # warning: the loss check and `sgd_step`'s finiteness pass stop a diverged
-# run with a `GradientError` that names the step.  Bits do not change.
+# run, and `finite_predictions` refuses a set scored to inf or NaN, each with
+# a `GradientError` that names the step or set.  Bits do not change.
 FLOAT_POLICY = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -35,15 +36,14 @@ class ContextBundle:
 
 
 def build_context(market: gd.Market, target_set: gd.TargetSet, config: TrainConfig,
-                  features: np.ndarray, *, columns: tuple | None = None) -> TargetSetContext:
+                  features: np.ndarray, columns: tuple) -> TargetSetContext:
     """Assemble every model input for one target set from the market's tables.
 
     The competition graph is built over every running project outside the
     set; the context keeps only the rivals with an edge to some target under
     the pruning mode, since every target gives the others attention weight 0.
     `columns` is (`fundraising_target`, `early_stage_amount`) of every market
-    row, which `build_contexts` computes once for all sets; without it the
-    set's own rows are computed, to the same bits.
+    row, which `build_contexts` computes once for all sets.
     """
     t_ref = target_set.observation_time
     # The rows are held as int32; the market's tables are read with intp rows,
@@ -58,11 +58,7 @@ def build_context(market: gd.Market, target_set: gd.TargetSet, config: TrainConf
     rival_rows = rival_rows[seen]
     observable_rows = gd.observable_set(market, t_ref, config.t_h, config.tau)
     tree = build_propagation_tree(target_rows, observable_rows, config.t_h, config.tau, market=market)
-    if columns is None:
-        truths = gd.fundraising_target(market, target_rows, config.tau)
-        early = gd.early_stage_amount(market, tree.rows, config.tau)
-    else:
-        truths, early = columns[0][lo:hi], columns[1][tree.rows]
+    truths, early = columns[0][lo:hi], columns[1][tree.rows]
     aux_raised = market.raised_before(tree.rows[tree.n_roots:, None],
                                       [t_ref, t_ref + config.tau * gd.HOUR])
     return TargetSetContext(
@@ -107,8 +103,8 @@ def build_contexts(market: gd.Market, config: TrainConfig,
     every = np.arange(len(market.projects))  # the sets partition the rows
     columns = (gd.fundraising_target(market, every, config.tau),
                gd.early_stage_amount(market, every, config.tau))
-    train = tuple(build_context(market, ts, config, features, columns=columns) for ts in train_sets)
-    test = tuple(build_context(market, ts, config, features, columns=columns) for ts in test_sets)
+    train = tuple(build_context(market, ts, config, features, columns) for ts in train_sets)
+    test = tuple(build_context(market, ts, config, features, columns) for ts in test_sets)
     return ContextBundle(train=train, test=test, encoder=encoder)
 
 
@@ -208,9 +204,23 @@ def evaluation_report(contexts: Sequence[TargetSetContext], predict_fn,
     }
 
 
+def finite_predictions(predict_fn):
+    """`predict_fn`, refusing a set whose predictions overflowed to inf or NaN.
+
+    `evaluation_report` itself scores whatever it is handed, so that a caller
+    can count a failed set's NaN row rather than stop.
+    """
+    def predict(ctx):
+        preds = predict_fn(ctx)
+        if not np.isfinite(preds).all():
+            raise ad.GradientError(f"non-finite prediction in set {ctx.label}")
+        return preds
+    return predict
+
+
 def evaluate_model(model: GMEModel, contexts: Sequence[TargetSetContext]) -> dict:
     echo = model.config.to_json()
-    return evaluation_report(contexts, model.predict, echo)
+    return evaluation_report(contexts, finite_predictions(model.predict), echo)
 
 
 BASELINES = ("mean", "linear", "mlp")

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gme
+from gme import autodiff as ad
 from gme import cli
 from gme.cli import EXIT_DATA, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, build_parser, main
 from gme.data import InvestmentEvent, Market
@@ -365,19 +366,43 @@ class TestWholeArtifacts:
             main([command, *_data_flags(market_dir), *flags, "--out", str(out)])
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_a_run_stopped_while_writing_its_checkpoint_leaves_the_earlier_run_untouched(
+            self, tmp_path, market_dir, trained_dir, monkeypatch):
+        """`gme train` writes every artifact to its temporary before it renames any: a run
+        that stops half-way through the checkpoint leaves the earlier run's set whole."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for path in trained_dir.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        save = ad.save_checkpoint
+
+        def stopped(path, *args):
+            save(path, *args)
+            with open(path, "r+b") as fh:
+                fh.truncate(fh.seek(0, 2) // 2)
+            raise KeyboardInterrupt("stopped while writing the checkpoint")
+
+        monkeypatch.setattr(ad, "save_checkpoint", stopped)
+        with pytest.raises(KeyboardInterrupt, match="while writing the checkpoint"):
+            main(["train", *_data_flags(market_dir), "--epochs", "1", "--hidden", "4",
+                  "--out", str(out)])
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_a_failed_write_leaves_the_earlier_file_and_no_temporary(self, tmp_path):
-        """A write that fails part-way leaves the file as it was, without its temporary."""
-        path = tmp_path / "report.json"
-        path.write_text("earlier\n")
+        """A write that fails part-way leaves every file of the set as it was, without
+        any temporary, though the artifacts before it were written whole."""
+        (tmp_path / "a.json").write_text("earlier a\n")
+        (tmp_path / "b.json").write_text("earlier b\n")
 
         def cut_short(tmp):
             tmp.write_text("half")
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            cli._write_whole(path, cut_short)
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-        assert path.read_text() == "earlier\n"
+            cli._write_whole(tmp_path, {"a.json": cli._json({"new": 1}), "b.json": cut_short})
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+            "a.json": "earlier a\n", "b.json": "earlier b\n"}
 
 
 class TestTextForm:

@@ -381,8 +381,8 @@ def assert_same_array(got, want, what):
 
 @pytest.mark.parametrize("case", ["synth", "edge-cases"])
 def test_bundle_matches_per_project_references_bit_for_bit(case):
-    """`build_contexts`, and `build_context` for one set on its own, hold exactly the
-    arrays that the per-project references give, set by set."""
+    """`build_contexts` holds exactly the arrays that the per-project references give,
+    set by set."""
     if case == "synth":
         market, _ = generate_market(SynthConfig(n_projects=240, days=16, seed=5))
         config = TrainConfig()
@@ -396,15 +396,13 @@ def test_bundle_matches_per_project_references_bit_for_bit(case):
     assert len(contexts) == len(sets)
     for target_set, ctx in zip(sets, contexts):
         want, dropped = reference_context(market, target_set, config)
-        alone = gt.build_context(market, target_set, config, ctx.features)
-        for got in (ctx, alone):
-            assert got.features is ctx.features
-            for name, value in want.items():
-                owner, _, field = name.rpartition(".")
-                assert_same_array(getattr(getattr(got, owner) if owner else got, field), value,
-                                  f"{ctx.label} {name}")
-            assert (got.tree.n_roots, got.tree.dropped_ids) == (target_set.rows.stop
-                                                                - target_set.rows.start, dropped)
+        assert ctx.features is bundle.train[0].features
+        for name, value in want.items():
+            owner, _, field = name.rpartition(".")
+            assert_same_array(getattr(getattr(ctx, owner) if owner else ctx, field), value,
+                              f"{ctx.label} {name}")
+        assert (ctx.tree.n_roots, ctx.tree.dropped_ids) == (target_set.rows.stop
+                                                            - target_set.rows.start, dropped)
     if case == "edge-cases":
         first_launch = int(market.published[0])
         assert any(c.observation_time - 24 * HOUR < first_launch and c.rival_rows.size for c in contexts)
@@ -542,6 +540,41 @@ class TestEvaluation:
         _, _, bundle = toy_setup()
         with pytest.raises(ValueError, match="predictor returned"):
             evaluation_report(bundle.test, lambda ctx: np.zeros(99), {})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_model_scored_to_a_non_finite_prediction_is_a_training_error(self, bad):
+        """`evaluate_model` refuses an overflowed prediction, naming its set, rather than
+        write it into the report; `evaluation_report` alone scores it, quietly."""
+        config, _, bundle = toy_setup()
+        model = GMEModel(bundle.encoder.feature_dim, config)
+        last = bundle.test[-1]
+
+        def predict(ctx):
+            preds = np.zeros(ctx.target_rows.size)
+            preds[-1] = bad if ctx is last else 0.0
+            return preds
+
+        model.predict = predict
+        with pytest.raises(ad.GradientError, match=f"non-finite prediction in set {last.label}$"):
+            evaluate_model(model, bundle.test)
+        report = evaluation_report(bundle.test, predict, {})
+        assert not np.isfinite(report["mae"]) and report["per_set"][-1]["mae"] != 0.0
+
+    def test_a_baseline_scored_to_a_non_finite_prediction_is_a_training_error(self, tmp_path,
+                                                                                monkeypatch):
+        """`gme ablate` scores its baselines under the same refusal."""
+        from gme.cli import EXIT_TRAIN, main
+        market = tmp_path / "market"
+        assert main(["synth", "--n", "60", "--days", "6", "--seed", "0", "--out", str(market)]) == 0
+        real = gt.fit_baseline
+        monkeypatch.setattr("gme.cli.fit_baseline", lambda kind, *args: (
+            (lambda ctx: np.full(ctx.target_rows.size, np.inf)) if kind == "linear"
+            else real(kind, *args)))
+        code = main(["ablate", "--projects", str(market / "projects.jsonl"), "--investments",
+                     str(market / "investments.jsonl"), "--epochs", "1", "--hidden", "4",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_TRAIN
+        assert not (tmp_path / "out" / "ablation_report.json").exists()
 
     def test_empty_context_list_rejected(self):
         with pytest.raises(ValueError, match="no contexts"):
