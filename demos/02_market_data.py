@@ -35,7 +35,7 @@ print(f"p1 events: {len(log)}, first day total {first_day:.0f}")
 truths = gd.fundraising_target(market, [0, 1], tau_hours=24)
 print(f"24h truths (log2 of 1 + funds/goal), one per row: {np.round(truths, 3).tolist()}")
 
-series = gd.hourly_series(market, [market.row["p2"]], T0)[0]
+series = gd.hourly_series(market, [market.row["p2"]], T0)[0][0]
 print(f"p2 hourly intake before t0 (log2 scale): {series.size} buckets, "
       f"nonzero at {np.nonzero(series)[0].tolist()}")
 

@@ -293,13 +293,28 @@ class Market:
                 f"{events.at(k)}investment in {events.ids[events.codes[k]]!r} at {times[k]} lies "
                 f"outside its live window [{self.published[rows[k]]}, {self.ends[rows[k]]})")
 
-        order = np.lexsort((amounts, times, rows))
-        rows, self._times, self._amounts = rows[order], times[order], amounts[order]
+        # One (row, time) key: every time a query needs lies in [t0, t0 + span).
+        self._t0 = int(self.published[0]) if n else 0
+        self._span = int(self.ends.max()) - self._t0 + 1 if n else 1
+        if self._span * max(n, 1) >= 2 ** 62:
+            raise DataError("market spans too long a time to index its events")
+        keys = rows  # built in the buffer `rows` holds
+        keys *= self._span
+        keys += times - self._t0
+        # A stable sort is one linear pass over keys already in order, as
+        # `save_investments` writes them; the amount breaks a key tie.
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        if np.any(self._keys[1:] == self._keys[:-1]):
+            order = np.lexsort((amounts, keys))
+            self._keys = keys[order]
+        del rows, keys
+        self._times, self._amounts = times[order], amounts[order]
         # Row r owns events [starts[r], starts[r + 1]) and running totals
         # [starts[r] + r, starts[r + 1] + r] of _prefix, the first being 0.
         # Each row sums on its own (one cumsum per row, once per market), so
         # its totals carry the bits of that row's own sequential sum.
-        self._starts = np.searchsorted(rows, np.arange(n + 1))
+        self._starts = np.searchsorted(self._keys, np.arange(n + 1) * self._span)
         self._prefix = np.zeros(times.size + n)
         with np.errstate(over="ignore"):  # a total past the float range is refused below
             for r in np.flatnonzero(np.diff(self._starts)):
@@ -310,12 +325,6 @@ class Market:
         if np.any(overflow):
             raise DataError(f"investments in {ordered[int(np.argmax(overflow))].id!r} "
                             f"sum past the float range")
-        # One sorted (row, time) key: every time a query needs lies in [t0, t0 + span).
-        self._t0 = int(self.published[0]) if n else 0
-        self._span = int(self.ends.max()) - self._t0 + 1 if n else 1
-        if self._span * max(n, 1) >= 2 ** 62:
-            raise DataError("market spans too long a time to index its events")
-        self._keys = rows * self._span + (self._times - self._t0)
 
     def log(self, project_id: str) -> EventLog:
         r = self.row[project_id]
@@ -353,8 +362,10 @@ def early_stage_amount(market: Market, rows, tau_hours: int) -> np.ndarray:
     return np.log2(1.0 + market.raised_before(rows, market.published[rows] + tau_hours * HOUR))
 
 
-def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
-    """SERIES_HOURS hourly log2(1 + amount) values before t_obs per row, newest first.
+def hourly_series(market: Market, rows, t_obs: int) -> tuple[np.ndarray, np.ndarray]:
+    """SERIES_HOURS hourly log2(1 + amount) values before t_obs per row, newest first,
+    and the funds each row raised before t_obs (`raised_before`'s bits), which
+    `prior_trend` reads.
 
     Entry k covers [t_obs - (k+1)h, t_obs - k*h); hours before a row's
     first event are zero by construction.  Two searches find each row's
@@ -379,13 +390,14 @@ def hourly_series(market: Market, rows, t_obs: int) -> np.ndarray:
     totals = market._prefix[index]  # running totals at the bounds, newest first
     series = totals[:, :-1] - totals[:, 1:]
     series += 1.0
-    return np.log2(series, out=series)
+    return np.log2(series, out=series), totals[:, 0]
 
 
-def prior_trend(market: Market, rows, t_obs: int):
+def prior_trend(market: Market, rows, t_obs: int, raised: np.ndarray):
     """Achieved-progress trend in [0, 1] per row, plus its uint8 bin index.
 
-    trend = clamp((raised_so_far / goal) / log2(days_funded + 1), 0, 1) with
+    `raised` is the funds each row raised before t_obs, as `hourly_series` returns them.
+    trend = clamp((raised / goal) / log2(days_funded + 1), 0, 1) with
     days_funded = ceil(elapsed days), at least 1.  Bin k of `TREND_BINS` holds
     trends in [k / TREND_BINS, (k + 1) / TREND_BINS), and the last bin holds 1 as well.
     """
@@ -394,7 +406,7 @@ def prior_trend(market: Market, rows, t_obs: int):
         pid = market.projects[rows[int(np.argmax(elapsed < 0))]].id
         raise DataError(f"project {pid}: observation predates publication")
     days = np.maximum(1, -(-elapsed // DAY))
-    trend = (market.raised_before(rows, t_obs) / market.goals[rows]) / np.log2(days + 1)
+    trend = (raised / market.goals[rows]) / np.log2(days + 1)
     trend = np.minimum(np.maximum(trend, 0.0), 1.0)  # not NaN: goals are positive, the divisor >= 1
     index = np.minimum(TREND_BINS - 1, (trend * TREND_BINS).astype(np.int64))
     return trend, index.astype(np.uint8)
@@ -662,13 +674,25 @@ _COMPACT_RUN = re.compile(rb"(?:" + _COMPACT_EVENT + rb"(?:\n|\r\n?|\Z)){0,256}"
 
 
 def _spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The byte strings buf[lo[k]:hi[k]] as one fixed-width bytes array."""
+    """The byte strings buf[lo[k]:hi[k]] (spans inside `buf`) as one fixed-width bytes array.
+
+    Every `width` bytes of `buf` are one item of a window view, so one fancy
+    index gathers all spans; a window that would run past the end of `buf`
+    is read from a zero-padded copy of the last `width - 1` bytes only."""
     width = max(int((hi - lo).max(initial=0)), 1)
-    out = np.empty((lo.size, width), np.uint8)
-    for j in range(width):  # a byte position at a time, so no index matrix is built
-        out[:, j] = buf[np.minimum(lo + j, buf.size - 1)]
-    out[np.arange(width) >= (hi - lo)[:, None]] = 0
-    return out.view(f"S{width}").ravel()
+
+    def windows(a):  # item k is a[k:k + width]
+        return np.lib.stride_tricks.sliding_window_view(a, width).view(f"S{width}")[:, 0]
+
+    cut = buf.size + 1 - width  # the windows that start here or later run past the end
+    tail = np.zeros(2 * width - 1, np.uint8)
+    tail[:width - 1] = buf[cut:]
+    out = windows(buf)[np.minimum(lo, cut - 1)]
+    late = np.flatnonzero(lo >= cut)
+    out[late] = windows(tail)[lo[late] - cut]
+    cells = out.view(np.uint8).reshape(lo.size, width)  # zeroed past each span's end: row n
+    cells *= np.take(np.tri(width + 1, width, -1, dtype=np.uint8), hi - lo, axis=0)  # keeps n bytes
+    return out
 
 
 def _read_investments(path) -> _Events:
@@ -716,9 +740,10 @@ def _read_investments(path) -> _Events:
         last = np.searchsorted(colons, ends[lines]) - 1
         at_time, at_amount = colons[last - 1], colons[last]
         ids = _spans(buf, starts[lines] + len('{"project_id":"'), at_time - len('","timestamp"'))
-        names, codes = np.unique(ids, return_inverse=True)
+        head = np.concatenate(([True], ids[1:] != ids[:-1]))  # the first line of each run of one id
+        names, codes = np.unique(ids[head], return_inverse=True)
         code_at[lines] = np.array([index.setdefault(name.decode("ascii"), len(index))
-                                   for name in names.tolist()], np.int64)[codes]
+                                   for name in names.tolist()], np.int64)[codes[np.cumsum(head) - 1]]
         time_at[lines] = _spans(buf, at_time + 1, at_amount - len(',"amount"')).astype(np.int64)
         amount_at[lines] = _spans(buf, at_amount + 1, ends[lines] - 1).astype(np.float64)
     del raw, buf  # free the file's bytes before the tables are built

@@ -61,6 +61,7 @@ def build_context(market: gd.Market, target_set: gd.TargetSet, config: TrainConf
     truths, early = columns[0][lo:hi], columns[1][tree.rows]
     aux_raised = market.raised_before(tree.rows[tree.n_roots:, None],
                                       [t_ref, t_ref + config.tau * gd.HOUR])
+    series, raised = gd.hourly_series(market, rival_rows, t_ref)
     return TargetSetContext(
         day=target_set.day,
         segment=target_set.segment,
@@ -70,8 +71,8 @@ def build_context(market: gd.Market, target_set: gd.TargetSet, config: TrainConf
         target_rows=target_rows.astype(np.int32),
         truths=truths,
         rival_rows=rival_rows.astype(np.int32),
-        rival_series=gd.hourly_series(market, rival_rows, t_ref),
-        rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref)[1],
+        rival_series=series,
+        rival_trend_bins=gd.prior_trend(market, rival_rows, t_ref, raised)[1],
         graph=graph,
         tree=tree,
         tree_amounts=init_states(tree, early),

@@ -560,6 +560,34 @@ class ProjectLog:
         return float(self.prefix[j] - self.prefix[i])
 
 
+def market_tables(projects, events):
+    """Every table `data.Market` holds, by name, built as it once was built: rows in
+    (published_time, id) order, the events in one `np.lexsort` by (row, time, amount),
+    each row's running totals its own cumsum from 0, and the keys computed after the sort."""
+    ordered = sorted(projects, key=lambda p: (p.published_time, p.id))
+    n = len(ordered)
+    row = {p.id: r for r, p in enumerate(ordered)}
+    codes = {}
+    tables = {"published": np.array([p.published_time for p in ordered], np.int64),
+              "ends": np.array([p.end_time for p in ordered], np.int64),
+              "goals": np.array([p.goal for p in ordered], np.float64),
+              "categories": np.array([codes.setdefault(p.category, len(codes)) for p in ordered],
+                                     np.intp)}
+    rows = np.array([row[e.project_id] for e in events], np.int64)
+    times = np.array([e.timestamp for e in events], np.int64)
+    amounts = np.array([e.amount for e in events], np.float64)
+    order = np.lexsort((amounts, times, rows))
+    rows, times, amounts = rows[order], times[order], amounts[order]
+    starts = np.searchsorted(rows, np.arange(n + 1))
+    t0 = int(tables["published"][0]) if n else 0
+    span = int(tables["ends"].max()) - t0 + 1 if n else 1
+    totals = [np.cumsum(amounts[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])]
+    tables.update(_times=times, _amounts=amounts, _starts=starts,
+                  _prefix=np.concatenate([np.zeros(0), *(np.append(0.0, t) for t in totals)]),
+                  _keys=rows * span + (times - t0))
+    return tables
+
+
 def fundraising_target(project, log, tau_hours):
     raised = log.total_between(project.published_time,
                                project.published_time + tau_hours * HOUR)

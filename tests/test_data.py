@@ -33,7 +33,7 @@ def market_of(pairs, project=None):
 
 
 def series_of(pairs, t_obs):
-    return d.hourly_series(market_of(pairs, make_project(t=t_obs - 2 * d.DAY)), [0], t_obs)[0]
+    return d.hourly_series(market_of(pairs, make_project(t=t_obs - 2 * d.DAY)), [0], t_obs)[0][0]
 
 
 class TestFundraisingTarget:
@@ -75,6 +75,15 @@ class TestHourlySeries:
         series = series_of([(lo, 1.0), (lo + 10, 2.0)], t_obs)
         assert series[4] == pytest.approx(2.0, abs=1e-12)  # log2(1+3)
 
+    def test_funds_raised_before_t_obs_come_with_the_series(self):
+        """The second result is `raised_before` at t_obs, which `prior_trend` reads."""
+        t_obs = 500_000
+        market = market_of([(t_obs - 30 * d.HOUR, 1.5), (t_obs - 5 * d.HOUR, 2.0), (t_obs - 1, 4.0),
+                            (t_obs, 8.0)], make_project(t=t_obs - 2 * d.DAY))
+        raised = d.hourly_series(market, [0, 0], t_obs)[1]
+        assert raised.tobytes() == market.raised_before([0, 0], t_obs).tobytes()
+        assert raised.tolist() == [7.5, 7.5]
+
     def test_matches_bruteforce_window_sums(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -108,7 +117,8 @@ class TestEarlyStageAmount:
 
 
 def trend_of(p, pairs, t_obs):
-    trend, index = d.prior_trend(market_of(pairs, p), [0], t_obs)
+    market = market_of(pairs, p)
+    trend, index = d.prior_trend(market, [0], t_obs, market.raised_before([0], t_obs))
     return trend[0], index[0]
 
 
@@ -458,6 +468,16 @@ class TestIO:
             d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl")
         assert d.fundraising_target(d.Market([p], events[:1]), [0], 24)[0] < np.inf
 
+    def test_a_market_too_long_to_index_is_refused_before_its_sums(self):
+        """The (row, time) keys are built before the events are sorted and summed, so a
+        market that fails both checks names its span, not its sums."""
+        p, q = make_project(pid="a", t=-2**62), make_project(pid="b", t=2**62)
+        events = [d.InvestmentEvent("a", p.published_time + h, 1e308) for h in (1, 2)]
+        with pytest.raises(d.DataError, match="^market spans too long a time to index its events$"):
+            d.Market([p, q], events)
+        with pytest.raises(d.DataError, match="^investments in 'a' sum past the float range$"):
+            d.Market([p], events)
+
     def test_unknown_event_project(self):
         with pytest.raises(d.DataError, match="unknown project"):
             d.Market([make_project(pid="a")], [d.InvestmentEvent("ghost", 5, 1.0)])
@@ -617,9 +637,10 @@ def test_whole_set_helpers_match_per_project_references(market, data):
     np.testing.assert_array_equal(
         d.early_stage_amount(market, rows, tau),
         [oracles.early_stage_amount(p, log, tau) for p, log in zip(projects, logs)])
+    series, raised = d.hourly_series(market, rows, t)
     np.testing.assert_array_equal(
-        d.hourly_series(market, rows, t),
-        np.reshape([oracles.hourly_series(log, t) for log in logs], (len(rows), 24)))
+        series, np.reshape([oracles.hourly_series(log, t) for log in logs], (len(rows), 24)))
+    assert raised.tobytes() == market.raised_before(rows, t).tobytes()  # what prior_trend reads
     assert ids_at(market, d.running_set(market, t)) == [
         p.id for p in oracles.running_set(market.projects, t)]
     assert ids_at(market, d.observable_set(market, t, 3, tau)) == [
@@ -629,9 +650,9 @@ def test_whole_set_helpers_match_per_project_references(market, data):
     # bit, so the trend is held to 1e-15 relative; its bins must agree exactly.
     if any(p.published_time > t for p in projects):
         with pytest.raises(d.DataError, match="predates publication"):
-            d.prior_trend(market, rows, t)
+            d.prior_trend(market, rows, t, raised)
         return
-    trend, index = d.prior_trend(market, rows, t)
+    trend, index = d.prior_trend(market, rows, t, raised)
     want = [oracles.prior_trend(p, log, t) for p, log in zip(projects, logs)]
     np.testing.assert_allclose(trend, [w[0] for w in want], rtol=1e-15, atol=0)
     np.testing.assert_array_equal(index, [w[1] for w in want])
@@ -830,6 +851,81 @@ def test_from_files_constructs_no_investment_event(tmp_path, monkeypatch):
 
     monkeypatch.setattr(d.InvestmentEvent, "__init__", refuse)
     assert_same_tables(d.Market.from_files(tmp_path / "p.jsonl", tmp_path / "i.jsonl"), want)
+
+
+def compact_lines(events):
+    """Investment records in `save_investments`' layout, one a line, in list order."""
+    return "".join(json.dumps(asdict(e), separators=(",", ":")) + "\n" for e in events)
+
+
+@pytest.mark.usefixtures("block")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(market=random_markets(), data=st.data())
+def test_shuffled_events_build_the_lexsort_reference_tables(tmp_path_factory, market, data):
+    """In any input order, from a list or from a file, every table is the reference's: (row,
+    time) ties broken by amount, equal amounts and repeated pledges, rows with one event or
+    none.  A repeated pledge ties on every field."""
+    projects, events = market
+    events = data.draw(st.permutations(events + events[:data.draw(st.integers(0, 3))]))
+    want = oracles.market_tables(projects, events)
+    folder = tmp_path_factory.mktemp("shuffled")
+    d.save_projects(folder / "p.jsonl", projects)
+    (folder / "i.jsonl").write_text(compact_lines(events))
+    for market in (d.Market(projects, events), d.Market.from_files(folder / "p.jsonl", folder / "i.jsonl")):
+        for name in MARKET_TABLES:
+            got = getattr(market, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+
+
+def events_line_by_line(path):
+    """(project id, timestamp, amount) of each investment in a JSONL file, each line decoded
+    and built on its own; a refusal names ``path:lineno`` as the file reader does."""
+    out = []
+    with open(path, encoding="utf-8") as fh:  # text mode splits at LF, CR LF and a lone CR
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(astuple(d.InvestmentEvent(**json.loads(line))))
+                except d.DataError as exc:
+                    raise d.DataError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+LONG_ID = "".join(chr(c) for c in range(ord("!"), ord("!") + 64)).replace('"', "_").replace("\\", "_")
+LONG_AMOUNT = "1" + "2" * 31 + "." + "5" * 32 + "e-0001"  # 71 characters: the longest positive one
+
+
+@pytest.mark.usefixtures("block")
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("lines", [
+    # a short amount on a last line with no line end: its window runs past the end of the file
+    [f'{{"project_id":"p1","timestamp":1000001,"amount":{LONG_AMOUNT}}}',
+     '{"project_id":"p1","timestamp":1000002,"amount":1}'],
+    # a short id last: its window runs past the end too
+    [f'{{"project_id":"{LONG_ID}","timestamp":1000001,"amount":2.5}}',
+     '{"project_id":"p","timestamp":1000002,"amount":3.0}'],
+    ['{"project_id":"p1","timestamp":1000001,"amount":0.5}'],  # a single line, so a single-line block
+    [f'{{"project_id":"{LONG_ID}","timestamp":1000001,"amount":{LONG_AMOUNT}}}'] * 3,
+    # ids of 0 bytes and amounts of 72 characters are compact lines, then refused
+    ['{"project_id":"p1","timestamp":1000001,"amount":0.5}', '{"project_id":"","timestamp":1000002,"amount":1}'],
+    ['{"project_id":"p1","timestamp":1000001,"amount":0.5}',
+     f'{{"project_id":"p1","timestamp":1000002,"amount":-{LONG_AMOUNT}}}'],
+], ids=["short-amount-last", "short-id-last", "one-line", "longest-fields", "empty-id", "amount-72"])
+@pytest.mark.parametrize("last_newline", [False, True])
+def test_column_cuts_read_what_each_line_holds(tmp_path, lines, newline, last_newline):
+    """The reader's columns, or its refusal, are those of decoding each line on its own."""
+    assert all(d._COMPACT_RUN.fullmatch(line.encode()) for line in lines)
+    assert len(LONG_ID) == 64 and len(LONG_AMOUNT) + 1 == 72
+    path = tmp_path / "i.jsonl"
+    path.write_bytes((newline.join(lines) + (newline if last_newline else "")).encode())
+    try:
+        want = events_line_by_line(path)
+    except d.DataError as exc:
+        with pytest.raises(d.DataError) as refused:
+            read_events(path)
+        assert str(refused.value) == str(exc)
+        return
+    assert read_events(path) == want
 
 
 @pytest.mark.usefixtures("block")

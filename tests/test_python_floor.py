@@ -2,19 +2,78 @@
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gme").glob("*.py"))
 
+if sys.version_info >= (3, 11):
+    from re import _parser as sre_parse
+else:  # pragma: no cover - the module was renamed in 3.11
+    import sre_parse
+
+# Regular-expression syntax that `re` compiles only from Python 3.11 on.
+NEWER_THAN_3_10 = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def _opcode_names(node):
+    """The name of every opcode in a parsed regular expression, nested ones included."""
+    if isinstance(node, sre_parse.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        if len(node) == 2 and isinstance(node[0], int) and hasattr(node[0], "name"):
+            yield node[0].name
+        for part in node:
+            yield from _opcode_names(part)
+
+
+def newer_than_3_10(pattern) -> set:
+    """The 3.11-only syntax `pattern` uses; on 3.10 such a pattern does not parse at all."""
+    try:
+        return NEWER_THAN_3_10 & set(_opcode_names(sre_parse.parse(pattern)))
+    except re.error as exc:
+        return {f"does not parse: {exc}"}
+
+
+def compiled_patterns(path):
+    """(name, pattern) of each regular expression a module compiles: its compiled patterns
+    at module level, and each literal pattern passed to an `re` function."""
+    module = importlib.import_module("gme" if path.stem == "__init__" else f"gme.{path.stem}")
+    for name, value in vars(module).items():
+        if isinstance(value, re.Pattern):
+            yield name, value.pattern
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, (str, bytes))):
+            yield f"line {node.lineno}", node.args[0].value
+
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
-    """Syntax only: `ast.parse` with `feature_version=(3, 10)` refuses grammar newer than
-    3.10 (such as `except*` or `type` statements), but not runtime features, such as the
-    possessive `*+` that `re` compiles only from 3.11 on, nor library calls added later."""
+    """`ast.parse` with `feature_version=(3, 10)` refuses grammar newer than 3.10 (such as
+    `except*` or `type` statements).  Grammar is not all: `re` compiles a possessive repeat
+    (`*+`) or an atomic group (`(?>...)`) only from 3.11 on, so a module holding one fails
+    to import on 3.10, and every pattern the module compiles is checked for both."""
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    newer = {name: found for name, pattern in compiled_patterns(path)
+             if (found := newer_than_3_10(pattern))}
+    assert newer == {}
+
+
+def test_the_loader_patterns_are_checked():
+    names = [name for name, _ in compiled_patterns(SOURCES[0].with_name("data.py"))]
+    assert "_COMPACT_RUN" in names and any(name.startswith("line ") for name in names)
+
+
+@pytest.mark.parametrize("newer, plain", [(rb"(?:a|b)*+", rb"(?:a|b)*"), (r"x{0,3}+y", r"x{0,3}y"),
+                                          ("(?>ab|a)c", "(?:ab|a)c"), (r"(a(?>b))", r"(a(?:b))")])
+def test_newer_regular_expression_syntax_is_found(newer, plain):
+    assert newer_than_3_10(newer) and not newer_than_3_10(plain)
 
 
 def test_sources_are_found():

@@ -62,7 +62,7 @@ class TestContextBuilding:
         ctx = next(c for c in bundle.train if c.rival_ids)
         for row, pid in zip(ctx.rival_series, ctx.rival_ids):
             np.testing.assert_array_equal(
-                row, gd.hourly_series(market, [market.row[pid]], ctx.observation_time)[0])
+                row, gd.hourly_series(market, [market.row[pid]], ctx.observation_time)[0][0])
 
     def test_aux_truths_match_definition(self):
         config, market, bundle = toy_setup()
@@ -160,7 +160,8 @@ def test_rival_trends_are_one_hot_rows_of_the_bins(synth_contexts, bins):
     market, _ = synth_contexts
     bundle = build_contexts(market, TrainConfig(t_h=2))
     for ctx in (*bundle.train, *bundle.test):
-        index = gd.prior_trend(market, ctx.rival_rows, ctx.observation_time)[1]
+        t, rows = ctx.observation_time, ctx.rival_rows
+        index = gd.prior_trend(market, rows, t, market.raised_before(rows, t))[1]
         np.testing.assert_array_equal(ctx.rival_trend_bins, index)
         assert ctx.rival_trend_bins.itemsize == 1
         trends = ctx.rival_trends
@@ -187,7 +188,7 @@ def test_contexts_hold_exactly_the_rivals_with_an_edge(pruning):
         np.testing.assert_array_equal(ctx.rival_rows, rows[held])
         np.testing.assert_array_equal(ctx.graph.adjacency, graph.adjacency[:, held])
         np.testing.assert_array_equal(
-            ctx.rival_series, gd.hourly_series(market, rows[held], ctx.observation_time))
+            ctx.rival_series, gd.hourly_series(market, rows[held], ctx.observation_time)[0])
         dropped += np.count_nonzero(~held)
     assert (dropped == 0) == (pruning == "unpruned")
 
@@ -216,8 +217,9 @@ def test_rivals_without_an_edge_change_no_prediction_or_gradient(quantifier, abl
         rows, graph = every_running_rival(market, ctx, config.pruning)
         t = ctx.observation_time
         full = dataclasses.replace(
-            ctx, rival_rows=rows, rival_series=gd.hourly_series(market, rows, t),
-            rival_trend_bins=gd.prior_trend(market, rows, t)[1], graph=graph)
+            ctx, rival_rows=rows, rival_series=gd.hourly_series(market, rows, t)[0],
+            rival_trend_bins=gd.prior_trend(market, rows, t, market.raised_before(rows, t))[1],
+            graph=graph)
         widened += len(rows) > len(ctx.rival_rows)
         (pred, grads, alpha), (pred_full, grads_full, alpha_full) = scored(ctx), scored(full)
         reached += any(np.any(g) for p, g in zip(params, grads) if p.name.startswith("competition."))
