@@ -208,10 +208,9 @@ def affine_stack(x, layers, last) -> Tensor:
                          f"need (w, b) pairs shaped (a, b) and (b,), the first a the input width")
     if last not in (None, "tanh"):
         raise ValueError(f"affine_stack: last must be None or 'tanh', got {last!r}")
-    inputs, live = [h], []  # each layer's input, and where each ReLU passes
+    inputs = [h]  # each layer's input; a ReLU output is > 0 exactly where its input was
     for i, (w, b) in enumerate(layers):
         if i:
-            live.append(h > 0.0)
             h = np.maximum(h, 0.0)
             inputs.append(h)
         h = h @ w.data
@@ -227,7 +226,7 @@ def affine_stack(x, layers, last) -> Tensor:
             grads += [g.sum(axis=0), inputs[i].T @ g]
             if i:
                 g = g @ layers[i][0].data.T
-                g *= live[i - 1]
+                g *= inputs[i] > 0.0
         return grads[::-1]
 
     return _record(out, tuple(p for pair in layers for p in pair), _bwd)
@@ -456,10 +455,13 @@ def attention(target_x, rival_x, rival_states, mask, params, slope: float):
 
     `params` holds w_score (F, H), v (2H,), w_value (H, H), w_embed (F, H) and b_embed
     (H,).  The weights are a softmax, over the entries where the (targets, rivals) mask
-    is nonzero, of leaky(x_t w_score v[:H] + x_r w_score v[H:]) with `slope` below 0; a
-    target pools the weighted rival_states @ w_value, or takes x_t w_embed + b_embed if
-    it has no rival.  The backward adds terms in the order the per-op tape would, so
-    values and gradients equal that tape's bit for bit.  Features and mask are constants.
+    is nonzero, of leaky(x_t (w_score v[:H]) + x_r (w_score v[H:])) with `slope` below 0:
+    the score v . [x_t w_score ∥ x_r w_score] with w_score v formed once, so a rival
+    costs F products, not F H.  A target pools the rival_states with its weights, then
+    maps the pool by w_value, or takes x_t w_embed + b_embed if it has no rival; no
+    (rivals, H) product is formed.  The backward adds terms in the order the per-op tape
+    of this association would, so values and gradients equal that tape's bit for bit.
+    Features and mask are constants.
     """
     xt, xr = np.asarray(target_x, dtype=np.float64), np.asarray(rival_x, dtype=np.float64)
     states, keep, params = _as_tensor(rival_states), np.asarray(mask) != 0, [_as_tensor(p) for p in params]
@@ -472,24 +474,24 @@ def attention(target_x, rival_x, rival_states, mask, params, slope: float):
                          f"(R, F), (R, H), (T, R), (F, H), (2H,), (H, H), (F, H) and (H,)")
     w_score, v, w_value, w_embed, b_embed = (p.data for p in params)
     v_t, v_r = v[:h, None].copy(), v[h:]
-    proj_t, proj_r = xt @ w_score, xr @ w_score
-    s = proj_t @ v_t + proj_r @ v_r
+    s = xt @ (w_score @ v_t) + xr @ (w_score @ v_r)
     scale = np.where(s > 0.0, 1.0, slope)
     scores = s * scale
     top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=keep)
     e = np.exp(np.where(keep, scores - top, -np.inf))
     total = e.sum(axis=1, keepdims=True)
     y = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
-    values, isolated = states.data @ w_value, (~keep.any(axis=1, keepdims=True)).astype(np.float64)
-    out = Tensor(y @ values + (xt @ w_embed + b_embed) * isolated)
+    pool, isolated = y @ states.data, (~keep.any(axis=1, keepdims=True)).astype(np.float64)
+    out = Tensor(pool @ w_value + (xt @ w_embed + b_embed) * isolated)
 
     def _bwd(g):
-        g_own, g_values, g_y = g * isolated, y.T @ g, g @ values.T
+        g_own, g_pool = g * isolated, g @ w_value.T
+        g_y = g_pool @ states.data.T
         g_s = y * (g_y - (y * g_y).sum(axis=1, keepdims=True)) * scale
-        g_t, g_r = g_s.sum(axis=1, keepdims=True), g_s.sum(axis=0)
-        g_score = xr.T @ np.outer(g_r, v_r) + xt.T @ (g_t @ v_t.T)
-        g_v = np.concatenate([(proj_t.T @ g_t)[:, 0], proj_r.T @ g_r])
-        return g_values @ w_value.T, g_score, g_v, states.data.T @ g_values, xt.T @ g_own, g_own.sum(0)
+        a_t, a_r = xt.T @ g_s.sum(axis=1, keepdims=True), xr.T @ g_s.sum(axis=0)
+        g_score = np.outer(a_r, v_r) + a_t @ v_t.T
+        g_v = np.concatenate([(w_score.T @ a_t)[:, 0], w_score.T @ a_r])
+        return y.T @ g_pool, g_score, g_v, pool.T @ g, xt.T @ g_own, g_own.sum(0)
 
     return _record(out, (states, *params), _bwd), y
 
@@ -529,12 +531,10 @@ def head(pooled, states, n_roots: int, keep_mask, params):
         nonroot = states.data[n_roots:]
     z = combined @ out_w
     z += out_b
-    live = z > 0.0
-    pred = Tensor(np.maximum(z, 0.0))
+    pred = Tensor(np.maximum(z, 0.0))  # relu(z) > 0 exactly where z > 0, so the backward reads it
     if states is not None and len(nonroot):
         z_aux = nonroot @ aux_w
         z_aux += aux_b
-        aux_live = z_aux > 0.0
         aux = Tensor(np.maximum(z_aux, 0.0))
 
     def _bwd(g, g_aux=None):
@@ -542,14 +542,14 @@ def head(pooled, states, n_roots: int, keep_mask, params):
         if states is not None:
             grads[1] = np.zeros_like(states.data)
         if g is not None:
-            g = g * live
+            g = g * (pred.data > 0.0)
             grads[5], g_combined, grads[4] = g.sum(keepdims=True), np.outer(g, out_w), combined.T @ g
             grads[0] = g_combined if pooled is not None else None
             if states is not None:
                 grads[3], g_roots, grads[2] = g_combined.sum(axis=0), g_combined @ proj_w.T, roots.T @ g_combined
                 grads[1][:n_roots] = g_roots if keep_mask is None else g_roots * keep_mask
         if g_aux is not None:
-            g_aux = g_aux * aux_live
+            g_aux = g_aux * (aux.data > 0.0)
             grads[7], grads[6] = g_aux.sum(keepdims=True), nonroot.T @ g_aux
             grads[1][n_roots:] = np.outer(g_aux, aux_w)
         return grads

@@ -305,9 +305,13 @@ class Market:
         # `save_investments` writes them; the amount breaks a key tie.
         order = np.argsort(keys, kind="stable")
         self._keys = keys[order]
-        if np.any(self._keys[1:] == self._keys[:-1]):
-            order = np.lexsort((amounts, keys))
-            self._keys = keys[order]
+        tied = self._keys[1:] == self._keys[:-1]
+        if tied.any():  # order only the runs of equal keys, by amount, ties kept in input order
+            run = np.zeros(keys.size, bool)
+            run[:-1] = tied
+            run[1:] |= tied
+            tie = order[run]
+            order[run] = tie[np.lexsort((amounts[tie], self._keys[run]))]
         del rows, keys
         self._times, self._amounts = times[order], amounts[order]
         # Row r owns events [starts[r], starts[r + 1]) and running totals

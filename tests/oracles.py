@@ -360,17 +360,20 @@ def softmax(x, mask):
 
 
 def taped_attention(target_x, rival_x, rival_states, mask, params, slope):
-    """`ad.attention` as the per-op taped chain: 15 tape nodes."""
+    """`ad.attention` as the per-op taped chain: 15 tape nodes.
+
+    The scores are x_t (w_score v[:H]) + x_r (w_score v[H:]), and the weights
+    pool the rival states before w_value maps the pool."""
     w_score, v, w_value, w_embed, b_embed = params
     hidden = b_embed.shape[0]
     xt = ad.Tensor(target_x)
     v_target = gather(v, np.arange(hidden)[:, None])  # (hidden, 1)
     v_rival = gather(v, np.arange(hidden, 2 * hidden))  # (hidden,)
-    target_scores = matmul(matmul(xt, w_score), v_target)  # (targets, 1)
-    rival_scores = matmul(matmul(ad.Tensor(rival_x), w_score), v_rival)
+    target_scores = matmul(xt, matmul(w_score, v_target))  # (targets, 1)
+    rival_scores = matmul(ad.Tensor(rival_x), matmul(w_score, v_rival))
     scores = leaky_relu(add(target_scores, rival_scores), slope)
     alpha = softmax(scores, mask)
-    pooled = matmul(alpha, matmul(rival_states, w_value))
+    pooled = matmul(matmul(alpha, rival_states), w_value)
     # alpha pools 0 for a target with no rivals; it takes its own embedding instead
     isolated = ~np.asarray(mask).any(axis=1, keepdims=True)
     own = add(matmul(xt, w_embed), b_embed)

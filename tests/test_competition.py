@@ -1,5 +1,7 @@
 """Competitiveness-module tests: pruning algebra, quantifiers, attention oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,54 @@ class TestAttention:
             return oracles.mean(oracles.absolute(pooled))
 
         assert ad.grad_check(loss, attn.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("n_rivals", [1, 37, 880])
+    @pytest.mark.parametrize("n_attending", [1, 20])
+    def test_large_neighbourhoods_match_the_per_rival_formula(self, n_rivals, n_attending):
+        """Up to 880 rivals, the size of the largest sets: pooled values and weights equal
+        the per-rival sums within 1e-12.  The last target has no rival, and when there is
+        more than one rival the last is attended by no target."""
+        rng = np.random.default_rng(n_rivals + n_attending)
+        adj = (rng.random((n_attending + 1, n_rivals)) < 0.5).astype(np.uint8)
+        adj[:-1, 0] = 1
+        adj[-1] = 0
+        if n_rivals > 1:
+            adj[:, -1] = 0
+        attn, graph, xt, xr, states = _attention_fixture(
+            n_attending + 1, n_rivals, feat=80, hidden=50, seed=n_rivals, adjacency=adj)
+        pooled, weights = attn.forward(graph, xt, xr, states)
+        for g in range(n_attending + 1):
+            cols = np.flatnonzero(adj[g])
+            want, alpha = oracles.attention_pool(attn, xt[g], xr, states.data, cols)
+            np.testing.assert_allclose(pooled.data[g], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights[g, cols], alpha, rtol=0, atol=1e-12)
+            assert not np.any(np.delete(weights[g], cols))
+
+    def test_gradients_hold_at_several_hundred_rivals(self):
+        n_rivals = 400
+        attn, graph, xt, xr, _ = _attention_fixture(5, n_rivals, feat=4, hidden=3, seed=91)
+        rng = np.random.default_rng(92)
+        states = ad.Parameter(rng.normal(0, 1, (n_rivals, 3)), "states")
+        weight = rng.normal(0, 1, (5, 3))
+        scores = xt @ attn.w_score.data @ attn.v.data[:3, None] + xr @ attn.w_score.data @ attn.v.data[3:]
+        assert np.abs(scores).min() > 1e-4  # a step of 1e-5 moves no score across the rectifier's kink
+
+        def loss():
+            return oracles.mean(oracles.mul(attn.forward(graph, xt, xr, states)[0], weight))
+
+        assert ad.grad_check(loss, [*attn.parameters(), states]) < 1e-4
+
+    def test_untaped_attention_holds_no_rivals_by_hidden_block(self):
+        """One scoring call at 2000 rivals peaks below one (rivals, H) float64 array:
+        the scores take w_score v, not x_r w_score, and the weights pool the states
+        before w_value maps them."""
+        n_rivals, hidden = 2000, 50
+        attn, graph, xt, xr, states = _attention_fixture(4, n_rivals, feat=80, hidden=hidden, seed=5)
+        tracemalloc.start()  # numpy reports its buffers to it
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            attn.forward(graph, xt, xr, states)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n_rivals * hidden * 8, peak
