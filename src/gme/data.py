@@ -312,7 +312,7 @@ class Market:
             run[1:] |= tied
             tie = order[run]
             order[run] = tie[np.lexsort((amounts[tie], self._keys[run]))]
-        del rows, keys
+        del rows, keys, tied
         self._times, self._amounts = times[order], amounts[order]
         # Row r owns events [starts[r], starts[r + 1]) and running totals
         # [starts[r] + r, starts[r + 1] + r] of _prefix, the first being 0.
